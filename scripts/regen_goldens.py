@@ -2,7 +2,9 @@
 """Regenerate the golden files under tests/goldens/ from the current
 implementation. Run this once after an intentional report-format or corpus
 change, review the diff, and commit the result; the golden tests then pin
-the formats and witness contents byte for byte."""
+the formats and witness contents byte for byte. ``main(out_dir)`` writes
+the same files anywhere else, which is how the tests check that the
+committed goldens still match the implementation."""
 
 from __future__ import annotations
 
@@ -18,14 +20,14 @@ from calmlab.verdicts import check_confluence, detect_coordination, diff_databas
 GOLDENS = Path(__file__).resolve().parent.parent / "tests" / "goldens"
 
 
-def write(name: str, obj) -> None:
-    path = GOLDENS / name
-    path.write_text(canonical_json(obj) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
+def main(out_dir: Path = GOLDENS) -> int:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-
-def main() -> int:
-    GOLDENS.mkdir(parents=True, exist_ok=True)
+    def write(name: str, obj) -> None:
+        path = out_dir / name
+        path.write_text(canonical_json(obj) + "\n", encoding="utf-8")
+        print(f"wrote {path}")
 
     # static analysis report format, pinned on the bare collector
     vp = corpus.load_program("gc")

@@ -14,6 +14,7 @@ variables are bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..values import Address
 from .syntax import (
@@ -85,37 +86,35 @@ class ValidatedRule:
 
 @dataclass(frozen=True)
 class ValidatedProgram:
+    """A checked program. The derived views below are computed on first use
+    and kept on the instance; ``schemas`` and ``rules`` never change."""
+
     program: Program
     schemas: dict  # name -> Schema (includes reserved id/all)
     rules: tuple  # tuple[ValidatedRule]
 
-    def rels(self, kind: str | None = None, input=None, output=None) -> frozenset:
-        out = []
-        for s in self.schemas.values():
-            if kind is not None and s.kind != kind:
-                continue
-            if input is not None and s.is_input != input:
-                continue
-            if output is not None and s.is_output != output:
-                continue
-            out.append(s.name)
-        return frozenset(out)
-
-    @property
+    @cached_property
     def channel_rels(self) -> frozenset:
-        return self.rels(kind="channel")
+        return frozenset(n for n, s in self.schemas.items() if s.kind == "channel")
 
-    @property
+    @cached_property
     def input_rels(self) -> frozenset:
-        return self.rels(input=True)
+        return frozenset(n for n, s in self.schemas.items() if s.is_input)
 
-    @property
+    @cached_property
     def output_rels(self) -> frozenset:
-        return self.rels(output=True)
+        return frozenset(n for n, s in self.schemas.items() if s.is_output)
 
-    @property
+    @cached_property
     def derived_rels(self) -> frozenset:
         return frozenset(r.rule.head.relation for r in self.rules)
+
+    @cached_property
+    def stratum_of(self) -> dict:
+        """relation -> stratum index; raises monocheck.UnstratifiableError."""
+        from .. import monocheck  # monocheck imports this package
+
+        return {rel: i for i, layer in enumerate(monocheck.stratify(self)) for rel in layer}
 
 
 def _reserved_schemas() -> dict:

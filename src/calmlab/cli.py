@@ -36,6 +36,15 @@ def _print_json(obj) -> None:
     print(canonical_json(obj))
 
 
+def _budget(flag: int | None, configured: int) -> int:
+    """The --budget flag when given, else the config's value."""
+    if flag is None:
+        return configured
+    if flag < 1:
+        raise ConfigError(f"--budget must be at least 1, got {flag}")
+    return flag
+
+
 def cmd_analyze(args) -> int:
     try:
         source = Path(args.program).read_text(encoding="utf-8")
@@ -82,7 +91,7 @@ def cmd_run(args) -> int:
         outcome = run_schedule(
             network,
             Schedule(seed=seed, duplicate_every=cfg.duplicate_every),
-            step_budget=args.budget or cfg.step_budget,
+            step_budget=_budget(args.budget, cfg.step_budget),
         )
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
@@ -118,7 +127,7 @@ def cmd_check(args) -> int:
             cfg.fixture,
             cfg.partitioning(),
             mode=mode,
-            budget=args.budget or cfg.enum_bound,
+            budget=_budget(args.budget, cfg.enum_bound),
             seeds=cfg.seeds,
             base_seed=args.seed if args.seed is not None else cfg.seed,
             step_budget=cfg.step_budget,

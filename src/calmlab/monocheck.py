@@ -282,10 +282,6 @@ def stratify(vp: ValidatedProgram) -> list:
     ]
 
 
-def stratum_map(vp: ValidatedProgram) -> dict:
-    return {rel: i for i, layer in enumerate(stratify(vp)) for rel in layer}
-
-
 def analyze_program(vp: ValidatedProgram) -> AnalysisReport:
     """Full static report: per-rule classes, dependencies, strata, flags."""
     classes = tuple(classify_rule(r) for r in vp.rules)
@@ -326,7 +322,7 @@ def analyze_program(vp: ValidatedProgram) -> AnalysisReport:
     strata = None
     cycle = None
     try:
-        strata = stratum_map(vp)
+        strata = vp.stratum_of
     except UnstratifiableError as e:
         cycle = e.cycle
 

@@ -1,10 +1,14 @@
-"""Relational core: facts, databases, deltas, and the containment order.
+"""Relational core: facts, databases, and the containment order.
 
-A :class:`Database` maps relation names to finite sets of ground facts.
-Databases are immutable values and every operation here is a pure function,
-so they can be shared between concurrent executors freely. ``db_union`` and
-``db_leq`` give the join-semilattice used to state monotonicity: a program is
-monotone when growing its input under ``db_leq`` can only grow its output.
+A :class:`Database` maps each relation name to the nonempty frozenset of its
+argument tuples. That is the one shape the engine reads and writes; a
+:class:`Fact` (relation name plus argument tuple) is built only at the edges:
+fixture text, JSON, membership tests and the readers ``facts`` and
+``relation``. Databases are immutable values and every operation here is a
+pure function, so they can be shared between concurrent executors freely.
+``db_union`` and ``db_leq`` give the join-semilattice used to state
+monotonicity: a program is monotone when growing its input under ``db_leq``
+can only grow its output.
 
 External text format (fixture files): one fact per line, ``relname(v1, v2)``,
 ``#`` starts a comment. Canonical JSON serialization sorts relations by name
@@ -26,10 +30,6 @@ class SchemaError(Exception):
     """Same relation name used with different arities."""
 
 
-class DeltaError(Exception):
-    """Ambiguous delta: a fact appears in both inserts and deletes."""
-
-
 class FactSyntaxError(Exception):
     def __init__(self, message: str, line: int, col: int, filename: str = "<input>"):
         self.message = message
@@ -39,13 +39,14 @@ class FactSyntaxError(Exception):
         super().__init__(f"{filename}:{line}:{col}: {message}")
 
 
+def _args_key(args: tuple) -> tuple:
+    return tuple(value_sort_key(a) for a in args)
+
+
 @dataclass(frozen=True, slots=True)
 class Fact:
     relation: str
     args: tuple
-
-    def sort_key(self):
-        return (self.relation, tuple(value_sort_key(a) for a in self.args))
 
     def __str__(self) -> str:
         return "%s(%s)" % (self.relation, ", ".join(str(a) for a in self.args))
@@ -53,111 +54,80 @@ class Fact:
 
 @dataclass(frozen=True)
 class Database:
-    relations: dict = field(default_factory=dict)  # name -> frozenset[Fact]
+    # name -> nonempty frozenset of argument tuples; every constructor keeps
+    # empty relations out, so equal databases have equal dicts
+    relations: dict = field(default_factory=dict)
 
     @staticmethod
     def from_facts(facts) -> Database:
         rels: dict[str, set] = {}
         for f in facts:
-            rels.setdefault(f.relation, set()).add(f)
+            rels.setdefault(f.relation, set()).add(f.args)
         _check_arities(rels)
-        return Database({name: frozenset(fs) for name, fs in rels.items()})
+        return Database({name: frozenset(ts) for name, ts in rels.items()})
 
     def facts(self):
         for name in sorted(self.relations):
-            yield from sorted(self.relations[name], key=Fact.sort_key)
+            for args in sorted(self.relations[name], key=_args_key):
+                yield Fact(name, args)
 
     def relation(self, name: str) -> frozenset:
-        return self.relations.get(name, frozenset())
+        return frozenset(Fact(name, args) for args in self.relations.get(name, ()))
 
     def size(self) -> int:
-        return sum(len(fs) for fs in self.relations.values())
+        return sum(len(ts) for ts in self.relations.values())
 
     def restrict(self, names) -> Database:
-        names = set(names)
-        return Database(
-            {n: fs for n, fs in self.relations.items() if n in names and fs}
-        )
+        return Database({n: ts for n, ts in self.relations.items() if n in names})
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self.relations.get(fact.relation, frozenset())
+        return fact.args in self.relations.get(fact.relation, ())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Database):
             return NotImplemented
-        return _nonempty(self.relations) == _nonempty(other.relations)
+        return self.relations == other.relations
 
     def __hash__(self) -> int:
-        return hash(frozenset((n, fs) for n, fs in self.relations.items() if fs))
+        return hash(frozenset(self.relations.items()))
 
     def __str__(self) -> str:
         return "\n".join(str(f) for f in self.facts())
 
 
-EMPTY_DB = Database({})
-
-
-def _nonempty(rels: dict) -> dict:
-    return {n: fs for n, fs in rels.items() if fs}
-
-
 def _check_arities(rels: dict) -> None:
-    for name, fs in rels.items():
-        arities = {len(f.args) for f in fs}
+    for name, ts in rels.items():
+        arities = {len(t) for t in ts}
         if len(arities) > 1:
             raise SchemaError(f"relation {name} used with arities {sorted(arities)}")
 
 
 def _check_compatible(a: Database, b: Database) -> None:
     for name in a.relations.keys() & b.relations.keys():
-        fa = next(iter(a.relations[name]), None)
-        fb = next(iter(b.relations[name]), None)
-        if fa is not None and fb is not None and len(fa.args) != len(fb.args):
+        na = len(next(iter(a.relations[name])))
+        nb = len(next(iter(b.relations[name])))
+        if na != nb:
             raise SchemaError(
-                f"relation {name} has arity {len(fa.args)} on one side "
-                f"and {len(fb.args)} on the other"
+                f"relation {name} has arity {na} on one side and {nb} on the other"
             )
-
-
-@dataclass(frozen=True, slots=True)
-class Delta:
-    inserts: frozenset
-    deletes: frozenset
-
-    def __post_init__(self) -> None:
-        both = self.inserts & self.deletes
-        if both:
-            names = ", ".join(sorted(str(f) for f in both))
-            raise DeltaError(f"fact(s) in both inserts and deletes: {names}")
 
 
 def db_union(a: Database, b: Database) -> Database:
     """Set union per relation: the least upper bound under db_leq."""
     _check_compatible(a, b)
     rels = dict(a.relations)
-    for name, fs in b.relations.items():
-        rels[name] = rels.get(name, frozenset()) | fs
-    return Database(_nonempty(rels))
+    for name, ts in b.relations.items():
+        rels[name] = rels.get(name, frozenset()) | ts
+    return Database(rels)
 
 
 def db_leq(a: Database, b: Database) -> bool:
     """True iff every fact of ``a`` is in ``b``."""
     _check_compatible(a, b)
-    for name, fs in a.relations.items():
-        if not fs <= b.relations.get(name, frozenset()):
+    for name, ts in a.relations.items():
+        if not ts <= b.relations.get(name, frozenset()):
             return False
     return True
-
-
-def apply_delta(db: Database, d: Delta) -> Database:
-    """(db minus deletes) union inserts. Applying twice equals applying once."""
-    rels = {n: set(fs) for n, fs in db.relations.items()}
-    for f in d.deletes:
-        rels.get(f.relation, set()).discard(f)
-    for f in d.inserts:
-        rels.setdefault(f.relation, set()).add(f)
-    _check_arities(rels)
-    return Database({n: frozenset(fs) for n, fs in rels.items() if fs})
 
 
 # --- text format -----------------------------------------------------------
@@ -309,13 +279,10 @@ def load_facts(path) -> Database:
 
 def db_to_obj(db: Database) -> dict:
     """Relations sorted by name, facts sorted, values in fixture syntax."""
-    out = {}
-    for name in sorted(db.relations):
-        fs = db.relations[name]
-        if not fs:
-            continue
-        out[name] = [[str(a) for a in f.args] for f in sorted(fs, key=Fact.sort_key)]
-    return out
+    return {
+        name: [[str(a) for a in args] for args in sorted(db.relations[name], key=_args_key)]
+        for name in sorted(db.relations)
+    }
 
 
 def db_from_obj(obj: dict) -> Database:

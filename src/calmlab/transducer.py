@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import lattices, monocheck
+from . import lattices
 from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.syntax import (
     AggTerm,
@@ -67,9 +67,9 @@ class _Space:
         self.vp = vp
         self.channels = vp.channel_rels
         # non-channel relations: persisted contents plus anything derived
-        self.facts: dict[str, set] = {r: set(fs) for r, fs in persisted.items()}
+        self.facts: dict[str, set] = {r: set(ts) for r, ts in persisted.items()}
         # channel relations: readable side is the inbox only
-        self.inbox: dict[str, set] = {r: set(fs) for r, fs in inbox.items()}
+        self.inbox: dict = inbox
         self.outbound: dict[str, set] = {}
 
     def readable(self, rel: str) -> set:
@@ -216,21 +216,6 @@ def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> list:
     return out
 
 
-# stratification is pure per program; cache it (keyed by identity, the cache
-# also keeps the program alive so ids cannot be reused)
-_STRATA_CACHE: dict[int, tuple] = {}
-
-
-def _strata_for(vp: ValidatedProgram) -> dict:
-    entry = _STRATA_CACHE.get(id(vp))
-    if entry is None or entry[0] is not vp:
-        strata = monocheck.stratify(vp)
-        stratum_of = {rel: i for i, layer in enumerate(strata) for rel in layer}
-        entry = (vp, stratum_of, len(strata))
-        _STRATA_CACHE[id(vp)] = entry
-    return entry[1]
-
-
 def _query(
     vp: ValidatedProgram,
     persisted: dict,
@@ -238,7 +223,7 @@ def _query(
     bound: int = DEFAULT_EVAL_BOUND,
 ) -> _Space:
     """Stratified semi-naive fixpoint. Returns the filled fact space."""
-    stratum_of = _strata_for(vp)
+    stratum_of = vp.stratum_of
     levels = max(stratum_of.values(), default=0) + 1
     space = _Space(vp, persisted, inbox)
 
@@ -279,18 +264,8 @@ def _query(
     return space
 
 
-def _db_dict(db: Database) -> dict:
-    return {r: set(tuple(f.args) for f in fs) for r, fs in db.relations.items()}
-
-
-def _to_db(facts: dict) -> Database:
-    return Database(
-        {
-            rel: frozenset(Fact(rel, tup) for tup in tups)
-            for rel, tups in facts.items()
-            if tups
-        }
-    )
+def _to_db(tuples: dict) -> Database:
+    return Database({rel: frozenset(tups) for rel, tups in tuples.items() if tups})
 
 
 def evaluate(db: Database, vp: ValidatedProgram, bound: int = DEFAULT_EVAL_BOUND) -> Database:
@@ -302,15 +277,11 @@ def evaluate(db: Database, vp: ValidatedProgram, bound: int = DEFAULT_EVAL_BOUND
     """
     persisted: dict = {}
     inbox: dict = {}
-    for rel, fs in db.relations.items():
+    for rel, tups in db.relations.items():
         schema = vp.schemas.get(rel)
         if schema is None:
             raise RoutingError(f"fact for undeclared relation {rel}")
-        tups = set(tuple(f.args) for f in fs)
-        if schema.kind == "channel":
-            inbox[rel] = tups
-        else:
-            persisted[rel] = tups
+        (inbox if schema.kind == "channel" else persisted)[rel] = tups
     space = _query(vp, persisted, inbox, bound)
     merged = dict(space.facts)
     for rel, tups in space.outbound.items():
@@ -323,9 +294,7 @@ def single_machine_output(
 ) -> Database:
     """Output relations computed by one machine holding the whole input."""
     me = Address(address)
-    seeded = dict(_db_dict(input_db))
-    seeded["id"] = {(me,)}
-    seeded["all"] = {(me,)}
+    seeded = {**input_db.relations, "id": {(me,)}, "all": {(me,)}}
     space = _query(vp, seeded, {})
     return _to_db(space.facts).restrict(vp.output_rels)
 
@@ -379,11 +348,6 @@ class MachineState:
 class StepResult:
     new_state: MachineState
     outbound: dict  # Address -> frozenset[Fact]
-    output_delta: frozenset
-
-    @property
-    def quiet(self) -> bool:
-        return not self.outbound and not self.output_delta
 
     def changed(self, old: MachineState) -> bool:
         return bool(self.outbound) or self.new_state.persisted != old.persisted
@@ -391,25 +355,23 @@ class StepResult:
 
 def init_machine(vp: ValidatedProgram, address: Address, local_input: Database,
                  members: tuple) -> MachineState:
-    facts = _db_dict(local_input)
-    facts["id"] = {(address,)}
-    facts["all"] = {(a,) for a in members}
-    return MachineState(address=address, persisted=_to_db(facts), program=vp)
+    tuples = {**local_input.relations, "id": {(address,)}, "all": {(a,) for a in members}}
+    return MachineState(address=address, persisted=_to_db(tuples), program=vp)
 
 
 def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepResult:
     """One Ingest -> Query -> Send iteration. Pure: returns the new state."""
     vp = state.program
-    persisted = _db_dict(state.persisted)
+    persisted = dict(state.persisted.relations)
     inbox_events: dict[str, set] = {}
     for f in inbox:
         schema = vp.schemas.get(f.relation)
         if schema is None:
             raise RoutingError(f"inbox fact for undeclared relation {f.relation}")
         if schema.kind == "channel":
-            inbox_events.setdefault(f.relation, set()).add(tuple(f.args))
+            inbox_events.setdefault(f.relation, set()).add(f.args)
         elif schema.is_input:
-            persisted.setdefault(f.relation, set()).add(tuple(f.args))
+            persisted[f.relation] = persisted.get(f.relation, frozenset()) | {f.args}
         else:
             raise RoutingError(
                 f"inbox fact {f} is neither a channel nor an input relation fact"
@@ -436,17 +398,6 @@ def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepRes
             sent.add(key)
             outbound.setdefault(dest, set()).add(key[1])
 
-    old_out = {
-        f
-        for rel in vp.output_rels
-        for f in state.persisted.relation(rel)
-    }
-    new_out = {
-        Fact(rel, tup)
-        for rel in vp.output_rels
-        for tup in new_persisted.get(rel, ())
-    }
-
     new_state = MachineState(
         address=state.address,
         persisted=_to_db(new_persisted),
@@ -457,7 +408,6 @@ def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepRes
     return StepResult(
         new_state=new_state,
         outbound={a: frozenset(fs) for a, fs in sorted(outbound.items(), key=lambda kv: kv[0].name)},
-        output_delta=frozenset(new_out - old_out),
     )
 
 

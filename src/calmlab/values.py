@@ -95,6 +95,3 @@ Value = object
 def value_sort_key(v) -> tuple:
     return v.sort_key()
 
-
-def is_address(v) -> bool:
-    return isinstance(v, Address)

@@ -22,7 +22,6 @@ from .netsim import (
     DEFAULT_ENUM_BOUND,
     DEFAULT_STEP_BUDGET,
     Partitioning,
-    RunOutcome,
     Schedule,
     colocated,
     enumerate_partitionings,
@@ -206,12 +205,8 @@ def detect_coordination(
     return CoordinationReport(tuple(rows), colocated_min, verdict)
 
 
-def compare_outputs(a: RunOutcome, b: RunOutcome) -> dict:
-    """Symmetric difference of union outputs by relation; {} iff equal."""
-    return diff_databases(a.union_output, b.union_output)
-
-
 def diff_databases(da: Database, db: Database) -> dict:
+    """Symmetric difference by relation; {} iff equal."""
     rels = set(da.relations) | set(db.relations)
     out: dict = {}
     for rel in sorted(rels):

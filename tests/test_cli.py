@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from calmlab import corpus
 from calmlab.cli import main
 
@@ -169,3 +171,23 @@ def test_env_seed_is_the_default(monkeypatch, tmp_path, capsys):
     _, out_flag, _ = run_cli(capsys, "run", str(cfg), "--json", "--seed", "7")
     monkeypatch.delenv("CALMLAB_SEED")
     assert out_flag == out_seed7
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize("verb", ["run", "check"])
+def test_budget_below_one_is_rejected(capsys, verb, budget):
+    code, out, err = run_cli(capsys, verb, "--budget", budget, corpus_file("deadlock", f"{verb}.json"))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "--budget" in lines[0]
+
+
+def test_budget_one_overrides_config(capsys):
+    code, out, _ = run_cli(capsys, "run", "--budget", "1", corpus_file("deadlock", "run.json"))
+    assert code == 2
+    assert out.startswith("DID NOT QUIESCE") and "after 1 steps" in out
+    code, out, _ = run_cli(capsys, "check", "--budget", "1", corpus_file("deadlock", "check.json"))
+    assert code == 2
+    assert out.startswith("inconclusive")

@@ -5,7 +5,8 @@ import pytest
 
 from calmlab import corpus, monocheck
 from calmlab.config import load_config
-from calmlab.verdicts import check_confluence, detect_coordination
+from calmlab.netsim import Schedule, init_network, run_schedule
+from calmlab.verdicts import OUTCOME_CONFLUENT, check_confluence, detect_coordination
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
@@ -66,3 +67,43 @@ def test_calm_reverse_every_nonmonotone_entry_has_evidence():
             v in ("divergent", "coordination-required-on-instance")
             for v in e.expected_dynamic.values()
         ), f"{e.name} records no dynamic evidence of non-monotonicity"
+
+
+# Exhaustive check of each entry's check.json: (outcome, distinct outcomes,
+# states explored). These pin which network states the enumerator merges.
+# gc_coordinated is left out: its exhaustive walk runs for minutes.
+EXHAUSTIVE_STATE_SPACE = {
+    "cart_manifest": ("confluent-on-instance", 1, 7),
+    "cart_naive": ("divergent", 2, 3),
+    "cart_two_set": ("confluent-on-instance", 1, 7),
+    "deadlock": ("confluent-on-instance", 1, 1023),
+    "gc": ("divergent", 2, 4),
+    "tombstone_demo": ("confluent-on-instance", 1, 7),
+    "transitive_closure": ("confluent-on-instance", 1, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_STATE_SPACE))
+def test_exhaustive_state_space_is_pinned(name):
+    cfg = load_config(corpus.config_path(name, "check.json"))
+    v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode="exhaustive")
+    assert (v.outcome, v.distinct_outcomes, v.runs_examined) == EXHAUSTIVE_STATE_SPACE[name]
+
+
+def _seeded_output(cfg) -> set:
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    run = run_schedule(net, Schedule(seed=cfg.seed, duplicate_every=cfg.duplicate_every),
+                       step_budget=cfg.step_budget)
+    assert run.quiesced
+    return {str(f) for f in run.union_output.facts()}
+
+
+def test_gc_coordinated_declares_the_unreachable_objects():
+    garbage = {"garbage(o5)", "garbage(o6)"}
+    assert _seeded_output(load_config(corpus.config_path("gc_coordinated", "run.json"))) == garbage
+    cfg = load_config(corpus.config_path("gc_coordinated", "check.json"))
+    v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode=cfg.mode,
+                         seeds=cfg.seeds, base_seed=cfg.seed)
+    assert v.outcome == OUTCOME_CONFLUENT
+    # every sampled run agreed, so the first seed's output is the check's output
+    assert _seeded_output(cfg) == garbage

@@ -245,7 +245,10 @@ def test_cart_naive_concurrent_update_two_outcomes(programs):
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     res = enumerate_schedules(net)
     assert res.complete
-    unions = sorted(canonical_json({r: sorted(map(str, fs)) for r, fs in o.union_output.relations.items()}) for o in res.outcomes)
+    unions = sorted(
+        canonical_json({r: sorted(map(str, o.union_output.relation(r))) for r in o.union_output.relations})
+        for o in res.outcomes
+    )
     assert len(unions) == 2
 
 

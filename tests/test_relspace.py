@@ -5,12 +5,9 @@ from hypothesis import given, strategies as st
 
 from calmlab.relspace import (
     Database,
-    Delta,
-    DeltaError,
     Fact,
     FactSyntaxError,
     SchemaError,
-    apply_delta,
     db_leq,
     db_to_json,
     db_union,
@@ -82,36 +79,6 @@ def test_leq_strict_superset_reversed():
     e12 = Fact("e", (Symbol("t1"), Symbol("t2")))
     e21 = Fact("e", (Symbol("t2"), Symbol("t1")))
     assert not db_leq(db(e12, e21), db(e12))
-
-
-def test_apply_delta_empty():
-    d = db(I1, I2)
-    assert apply_delta(d, Delta(frozenset(), frozenset())) == d
-
-
-def test_apply_delta_grows_second_set():
-    added = Fact("added", (Symbol("i"),))
-    removed = Fact("removed", (Symbol("i"),))
-    out = apply_delta(db(added), Delta(frozenset([removed]), frozenset()))
-    assert out == db(added, removed)
-
-
-def test_apply_delta_idempotent():
-    rng = random.Random(11)
-    for _ in range(50):
-        d = random_database(rng)
-        universe = list(d.facts())
-        ins = frozenset(rng.sample(universe, min(len(universe), 2)))
-        others = [f for f in universe if f not in ins]
-        dels = frozenset(rng.sample(others, min(len(others), 2)))
-        delta = Delta(ins, dels)
-        once = apply_delta(d, delta)
-        assert apply_delta(once, delta) == once
-
-
-def test_delta_rejects_ambiguous_batch():
-    with pytest.raises(DeltaError):
-        Delta(frozenset([I1]), frozenset([I1]))
 
 
 def test_database_rejects_mixed_arity():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from calmlab import corpus
@@ -145,7 +148,7 @@ def test_step_on_quiesced_state_is_noop(programs, fixtures):
     m = fig1_machine1(programs, fixtures)
     res = step(m, ())
     res2 = step(res.new_state, ())
-    assert not res2.outbound and not res2.output_delta
+    assert not res2.outbound
     assert res2.new_state.persisted == res.new_state.persisted
 
 
@@ -229,3 +232,14 @@ def test_lattice_merge_on_insert_single_store_fact(programs):
     res2 = step(res.new_state, [parse_fact("xdel(@m1, apple)")])
     (fact2,) = res2.new_state.persisted.relation("store")
     assert lattice_leq(val, fact2.args[0])
+
+
+def test_no_global_cache_keeps_a_program_alive():
+    vp = vp_of(TC)
+    evaluate(Database.from_facts(parse_facts("edge(t1, t2)")), vp)
+    me = Address("m1")
+    step(init_machine(vp, me, Database({}), (me,)), ())
+    ref = weakref.ref(vp)
+    del vp
+    gc.collect()
+    assert ref() is None

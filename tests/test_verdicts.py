@@ -17,7 +17,6 @@ from calmlab.verdicts import (
     VERDICT_FREE,
     VERDICT_REQUIRED,
     check_confluence,
-    compare_outputs,
     detect_coordination,
     diff_databases,
 )
@@ -141,7 +140,7 @@ def test_compare_outputs_reflexive_empty(programs):
     cfg = cfg_for("deadlock")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     r = run_schedule(net, Schedule(seed=1))
-    assert compare_outputs(r, r) == {}
+    assert diff_databases(r.union_output, r.union_output) == {}
 
 
 def test_deadlock_two_seeds_empty_diff(programs):
@@ -149,7 +148,7 @@ def test_deadlock_two_seeds_empty_diff(programs):
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     r1 = run_schedule(net, Schedule(seed=1))
     r2 = run_schedule(net, Schedule(seed=2))
-    assert compare_outputs(r1, r2) == {}
+    assert diff_databases(r1.union_output, r2.union_output) == {}
 
 
 def test_verdict_json_has_schema_version(programs):
