@@ -98,16 +98,8 @@ class ValidatedProgram:
         return frozenset(n for n, s in self.schemas.items() if s.kind == "channel")
 
     @cached_property
-    def input_rels(self) -> frozenset:
-        return frozenset(n for n, s in self.schemas.items() if s.is_input)
-
-    @cached_property
     def output_rels(self) -> frozenset:
         return frozenset(n for n, s in self.schemas.items() if s.is_output)
-
-    @cached_property
-    def derived_rels(self) -> frozenset:
-        return frozenset(r.rule.head.relation for r in self.rules)
 
     @cached_property
     def stratum_of(self) -> dict:

@@ -8,11 +8,12 @@ machines are swept with empty inboxes until none of them changes; if the
 sweep emitted new messages the delivery loop resumes, otherwise the network
 is quiescent and the output relations are read.
 
-Schedules are either seed-driven (64-bit seed, reproducible) or explicit
-decision lists, which replay bit-identically and serve as divergence
-witnesses. ``enumerate_schedules`` walks every delivery choice depth-first
-with memoization on canonical network states, yielding each reachable
-quiescent outcome once.
+``_deliver`` is that one delivery primitive, and every walk shares it; the
+walks differ only in who picks the batch. ``run_schedule`` asks a chooser:
+a seeded one (64-bit seed, reproducible) or a replay of an explicit decision
+list, which replays bit-identically and serves as a divergence witness.
+``enumerate_schedules`` tries every batch depth-first with memoization on
+canonical network states, yielding each reachable quiescent outcome once.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import itertools
 import random
 import zlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calmlang import ValidatedProgram
 from .relspace import Database, db_to_obj, db_union, parse_fact
-from .transducer import MachineState, RoutingError, init_machine, state_dump, step
+from .transducer import MachineState, RoutingError, init_machine, step
 from .values import Address
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -183,8 +184,10 @@ class Schedule:
 class NetworkState:
     machines: dict  # Address -> MachineState
     pending: Counter  # Envelope -> count
-    trace: list = field(default_factory=list)  # (src, dst, fact, step_index)
     steps: int = 0
+
+    def copy(self) -> NetworkState:
+        return NetworkState(dict(self.machines), Counter(self.pending), self.steps)
 
     def semantic_key(self):
         return (
@@ -200,8 +203,12 @@ class RunOutcome:
     trace: tuple  # ((src, dst, fact_str, step), ...)
     quiesced: bool
     steps_used: int
-    message_count: int  # inter-machine deliveries (src != dst)
     decisions: tuple  # resolved schedule, replayable
+
+    @property
+    def message_count(self) -> int:
+        """Inter-machine deliveries: trace entries with src != dst."""
+        return sum(1 for src, dst, _, _ in self.trace if src != dst)
 
     def to_obj(self) -> dict:
         return {
@@ -214,12 +221,7 @@ class RunOutcome:
                 m: db_to_obj(db) for m, db in sorted(self.per_machine_outputs.items())
             },
             "trace": [list(entry) for entry in self.trace],
-            "schedule": {
-                "decisions": [
-                    [dst, [[src, fact] for src, fact in keys]]
-                    for dst, keys in self.decisions
-                ]
-            },
+            "schedule": Schedule(decisions=self.decisions).to_obj(),
         }
 
 
@@ -277,6 +279,50 @@ def _sweep(state: NetworkState, budget: int) -> bool:
             return True
 
 
+def _envelope_key(env: Envelope) -> tuple:
+    """An envelope as a decision names it: (src name, fact string)."""
+    return env[0].name, str(env[2])
+
+
+def _inboxes(pending: Counter) -> dict:
+    """Pending envelopes grouped by destination, destinations in name order,
+    each inbox sorted by envelope key."""
+    out: dict = {}
+    for env in sorted(pending, key=lambda e: (e[1].name, *_envelope_key(e))):
+        out.setdefault(env[1], []).append(env)
+    return out
+
+
+def _deliver(state: NetworkState, envs, stepper) -> tuple:
+    """The one delivery primitive: take the batch ``envs`` (pending
+    envelopes, all to one machine) out of ``state.pending``, step that
+    machine on their facts with ``stepper(machine, facts)``, commit its new
+    state and enqueue what it sends. Returns the replayable decision."""
+    dst = envs[0][1]
+    batch = sorted(envs, key=_envelope_key)
+    for env in batch:
+        state.pending[env] -= 1
+        if not state.pending[env]:
+            del state.pending[env]
+    res = stepper(state.machines[dst], [fact for _, _, fact in batch])
+    state.steps += 1
+    state.machines[dst] = res.new_state
+    _enqueue(state, dst, res.outbound)
+    return dst.name, tuple(map(_envelope_key, batch))
+
+
+def _outputs(state: NetworkState) -> tuple:
+    """(machine name -> output relations, their union)."""
+    per_machine = {
+        a.name: m.persisted.restrict(m.program.output_rels)
+        for a, m in state.machines.items()
+    }
+    union = Database({})
+    for db in per_machine.values():
+        union = db_union(union, db)
+    return per_machine, union
+
+
 class _SeededChooser:
     def __init__(self, seed: int, duplicate_every: int = 0):
         self.rng = random.Random(seed)
@@ -284,25 +330,21 @@ class _SeededChooser:
         self.deliveries = 0
         self._dup_done = 0
 
-    def choose(self, pending: Counter) -> tuple:
-        dsts = sorted({dst.name for (_, dst, _) in pending})
-        dst = self.rng.choice(dsts)
-        keys = sorted(
-            [env for env in pending if env[1].name == dst],
-            key=lambda env: (env[0].name, str(env[2])),
-        )
-        chosen = [env for env in keys if self.rng.random() < 0.5]
+    def choose(self, pending: Counter) -> list:
+        inboxes = _inboxes(pending)
+        envs = inboxes[self.rng.choice(list(inboxes))]
+        chosen = [env for env in envs if self.rng.random() < 0.5]
         if not chosen:
-            chosen = [keys[self.rng.randrange(len(keys))]]
+            chosen = [envs[self.rng.randrange(len(envs))]]
         self.deliveries += len(chosen)
-        return dst, chosen
+        return chosen
 
     def maybe_duplicate(self, pending: Counter) -> None:
         if not self.duplicate_every or not pending:
             return
         if self.deliveries // self.duplicate_every > self._dup_done:
             self._dup_done += 1
-            envs = sorted(pending, key=lambda env: (env[1].name, env[0].name, str(env[2])))
+            envs = [env for inbox in _inboxes(pending).values() for env in inbox]
             env = envs[self.rng.randrange(len(envs))]
             pending[env] += 1
 
@@ -311,27 +353,24 @@ class _ReplayChooser:
     def __init__(self, decisions: tuple):
         self.decisions = list(decisions)
 
-    def choose(self, pending: Counter) -> tuple:
+    def choose(self, pending: Counter) -> list:
         if not self.decisions:
             raise ReplayError("schedule exhausted while messages are still pending")
         dst_name, keys = self.decisions.pop(0)
         if len({tuple(k) for k in keys}) != len(keys):
             raise ReplayError("decision lists the same message twice in one batch")
-        by_key = {}
-        for env in pending:
-            if env[1].name == dst_name:
-                by_key[(env[0].name, str(env[2]))] = env
+        if not keys:
+            raise ReplayError("decision delivers an empty batch")
+        by_key = {_envelope_key(env): env for env in pending if env[1].name == dst_name}
         chosen = []
         for key in keys:
             env = by_key.get(tuple(key))
-            if env is None or pending[env] < 1:
+            if env is None:
                 raise ReplayError(
                     f"decision delivers {key} to {dst_name} but it is not pending"
                 )
             chosen.append(env)
-        if not chosen:
-            raise ReplayError("decision delivers an empty batch")
-        return dst_name, chosen
+        return chosen
 
     def maybe_duplicate(self, pending: Counter) -> None:
         pass
@@ -343,67 +382,33 @@ def run_schedule(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> RunOutcome:
     """Run to quiescence (or budget); same schedule => bit-identical outcome."""
-    state = NetworkState(
-        machines=dict(initial.machines),
-        pending=Counter(initial.pending),
-    )
+    state = initial.copy()
     if schedule.decisions is not None:
         chooser = _ReplayChooser(schedule.decisions)
     else:
         chooser = _SeededChooser(schedule.seed or 0, schedule.duplicate_every)
 
     decisions: list = []
-    message_count = 0
-    quiesced = False
-
+    trace: list = []
     ok = _sweep(state, step_budget)
-    while ok:
-        if not state.pending:
-            quiesced = True
-            break
-        dst_name, chosen = chooser.choose(state.pending)
-        addr = next((a for a in state.machines if a.name == dst_name), None)
-        if addr is None:
-            raise ReplayError(f"decision names unknown machine {dst_name!r}")
-        inbox = []
-        keys = []
-        for env in sorted(chosen, key=lambda e: (e[0].name, str(e[2]))):
-            src, dst, fact = env
-            state.pending[env] -= 1
-            if state.pending[env] <= 0:
-                del state.pending[env]
-            inbox.append(fact)
-            keys.append((src.name, str(fact)))
-            state.trace.append((src.name, dst.name, str(fact), state.steps))
-            if src != dst:
-                message_count += 1
-        decisions.append((dst_name, tuple(keys)))
-        m = state.machines[addr]
-        res = step(m, inbox)
-        state.steps += 1
-        state.machines[addr] = res.new_state
-        _enqueue(state, addr, res.outbound)
+    while ok and state.pending:
+        at = state.steps
+        dst, keys = _deliver(state, chooser.choose(state.pending), step)
+        decisions.append((dst, keys))
+        trace.extend((src, dst, fact, at) for src, fact in keys)
         chooser.maybe_duplicate(state.pending)
         if state.steps >= step_budget:
             ok = False
-            break
-        if not state.pending:
+        elif not state.pending:
             ok = _sweep(state, step_budget)
 
-    per_machine = {
-        a.name: m.persisted.restrict(m.program.output_rels)
-        for a, m in state.machines.items()
-    }
-    union = Database({})
-    for db in per_machine.values():
-        union = db_union(union, db)
+    per_machine, union = _outputs(state)
     return RunOutcome(
         per_machine_outputs=per_machine,
         union_output=union,
-        trace=tuple(state.trace),
-        quiesced=quiesced and ok,
+        trace=tuple(trace),
+        quiesced=ok,
         steps_used=state.steps,
-        message_count=message_count,
         decisions=tuple(decisions),
     )
 
@@ -421,18 +426,16 @@ class EnumOutcome:
 @dataclass
 class EnumerationResult:
     outcomes: list  # distinct quiescent outcomes, first-found order
-    complete: bool  # False if the state bound cut the walk short
+    complete: bool  # False if the walk stopped early or a branch ran out of step budget
     states_explored: int
 
-    @property
-    def distinct_outputs(self) -> int:
-        return len(self.outcomes)
 
-
-def _nonempty_subsets(envs: list):
-    """All nonempty subsets, larger batches first (fair-delivery bias)."""
-    for k in range(len(envs), 0, -1):
-        yield from itertools.combinations(envs, k)
+def _batches(pending: Counter):
+    """Every nonempty subset of every machine's inbox: machines in name
+    order, larger batches first (fair-delivery bias)."""
+    for envs in _inboxes(pending).values():
+        for k in range(len(envs), 0, -1):
+            yield from itertools.combinations(envs, k)
 
 
 def enumerate_schedules(
@@ -442,105 +445,61 @@ def enumerate_schedules(
     stop_after_distinct: int | None = None,
 ) -> EnumerationResult:
     """Depth-first walk of every (machine, inbox-subset) delivery choice,
-    deduplicated by canonical network state."""
+    deduplicated by canonical network state. The walk stops as soon as it
+    has met ``bound`` distinct states or ``stop_after_distinct`` outcomes."""
 
     step_memo: dict = {}
 
-    def memo_step(mstate: MachineState, inbox: tuple):
-        key = (mstate.semantic_key(), inbox)
+    def memo_step(mstate: MachineState, facts: list):
+        # step reads its inbox as a set and never sees the sender
+        key = (mstate.semantic_key(), frozenset(facts))
         res = step_memo.get(key)
         if res is None:
-            res = step(mstate, [f for (_, f) in inbox])
-            step_memo[key] = res
+            res = step_memo[key] = step(mstate, facts)
         return res
 
-    outcomes: dict = {}  # union-output Database -> EnumOutcome
-    ordered: list = []
+    # outcomes are keyed by the union output: that is the observable the
+    # confluence question compares
+    outcomes: dict = {}  # union-output Database -> EnumOutcome, first-found order
     memo: dict = {}  # state key -> frozenset of output keys below it
-    counters = {"states": 0, "truncated": False}
-
-    def settle(state: NetworkState) -> NetworkState | None:
-        """Run the empty-inbox sweep; None if the step budget ran out."""
-        if _sweep(state, step_budget):
-            return state
-        counters["truncated"] = True
-        return None
-
-    def record(state: NetworkState, path: tuple) -> frozenset:
-        per_machine = {
-            a.name: m.persisted.restrict(m.program.output_rels)
-            for a, m in state.machines.items()
-        }
-        union = Database({})
-        for db in per_machine.values():
-            union = db_union(union, db)
-        # outcomes are keyed by the union output: that is the observable the
-        # confluence question compares
-        if union not in outcomes:
-            outcomes[union] = EnumOutcome(union, per_machine, path)
-            ordered.append(outcomes[union])
-        return frozenset([union])
+    states = 0
+    truncated = False  # a branch ran out of step budget
+    stopped = False  # the state bound or stop_after_distinct ended the walk
 
     def explore(state: NetworkState, path: tuple) -> frozenset:
+        nonlocal states, truncated, stopped
         if not state.pending:
-            settled = settle(state)
-            if settled is None:
+            if not _sweep(state, step_budget):
+                truncated = True
                 return frozenset()
-            state = settled
             if not state.pending:
-                return record(state, path)
+                per_machine, union = _outputs(state)
+                if union not in outcomes:
+                    outcomes[union] = EnumOutcome(union, per_machine, path)
+                    if len(outcomes) == stop_after_distinct:
+                        stopped = True
+                return frozenset([union])
         skey = state.semantic_key()
         hit = memo.get(skey)
         if hit is not None:
             return hit
-        counters["states"] += 1
-        if counters["states"] > bound:
-            counters["truncated"] = True
+        if states >= bound:
+            stopped = True
             return frozenset()
+        states += 1
         found: set = set()
-        dsts = sorted({dst for (_, dst, _) in state.pending}, key=lambda a: a.name)
-        for dst in dsts:
-            envs = sorted(
-                (env for env in state.pending if env[1] == dst),
-                key=lambda env: (env[0].name, str(env[2])),
-            )
-            for subset in _nonempty_subsets(envs):
-                if stop_after_distinct and len(outcomes) >= stop_after_distinct:
-                    break
-                m = state.machines[dst]
-                res = memo_step(m, tuple((env[0], env[2]) for env in subset))
-                child = NetworkState(
-                    machines={**state.machines, dst: res.new_state},
-                    pending=Counter(state.pending),
-                    steps=state.steps + 1,
-                )
-                for env in subset:
-                    child.pending[env] -= 1
-                    if child.pending[env] <= 0:
-                        del child.pending[env]
-                _enqueue(child, dst, res.outbound)
-                decision = (dst.name, tuple((env[0].name, str(env[2])) for env in subset))
-                found |= explore(child, path + (decision,))
-            if stop_after_distinct and len(outcomes) >= stop_after_distinct:
+        for batch in _batches(state.pending):
+            if stopped:
                 break
+            child = state.copy()
+            decision = _deliver(child, batch, memo_step)
+            found |= explore(child, path + (decision,))
         memo[skey] = frozenset(found)
         return memo[skey]
 
-    start = NetworkState(machines=dict(initial.machines), pending=Counter(initial.pending))
-    explore(start, ())
-    complete = not counters["truncated"] and not (
-        stop_after_distinct and len(outcomes) >= stop_after_distinct
-    )
+    explore(initial.copy(), ())
     return EnumerationResult(
-        outcomes=ordered, complete=complete, states_explored=counters["states"]
+        outcomes=list(outcomes.values()),
+        complete=not (truncated or stopped),
+        states_explored=states,
     )
-
-
-def network_dump(state: NetworkState) -> dict:
-    return {
-        "machines": [state_dump(state.machines[a]) for a in sorted(state.machines, key=lambda x: x.name)],
-        "pending": sorted(
-            f"{src.name}->{dst.name}: {fact}" for (src, dst, fact), n in state.pending.items() for _ in range(n)
-        ),
-        "steps": state.steps,
-    }

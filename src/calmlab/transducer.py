@@ -409,15 +409,3 @@ def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepRes
         new_state=new_state,
         outbound={a: frozenset(fs) for a, fs in sorted(outbound.items(), key=lambda kv: kv[0].name)},
     )
-
-
-def state_dump(state: MachineState) -> dict:
-    """Canonical JSON-ready dump of a machine's persisted state."""
-    from .relspace import db_to_obj
-
-    return {
-        "address": str(state.address),
-        "iteration": state.iteration,
-        "persisted": db_to_obj(state.persisted),
-        "sent": sorted(f"{dest.name}<-{fact}" for dest, fact in state.sent),
-    }

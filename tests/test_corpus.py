@@ -5,7 +5,7 @@ import pytest
 
 from calmlab import corpus, monocheck
 from calmlab.config import load_config
-from calmlab.netsim import Schedule, init_network, run_schedule
+from calmlab.netsim import Schedule, enumerate_schedules, init_network, run_schedule
 from calmlab.verdicts import OUTCOME_CONFLUENT, check_confluence, detect_coordination
 
 
@@ -88,6 +88,20 @@ def test_exhaustive_state_space_is_pinned(name):
     cfg = load_config(corpus.config_path(name, "check.json"))
     v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode="exhaustive")
     assert (v.outcome, v.distinct_outcomes, v.runs_examined) == EXHAUSTIVE_STATE_SPACE[name]
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTIVE_STATE_SPACE))
+def test_enumeration_outcome_paths_replay(name):
+    # the same walk as the check above: every outcome's path is a witness
+    cfg = load_config(corpus.config_path(name, "check.json"))
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    res = enumerate_schedules(net, stop_after_distinct=2)
+    assert len(res.outcomes) == EXHAUSTIVE_STATE_SPACE[name][1]
+    for o in res.outcomes:
+        replay = run_schedule(net, Schedule(decisions=o.decisions))
+        assert replay.quiesced
+        assert replay.union_output == o.union_output
+        assert replay.decisions == o.decisions
 
 
 def _seeded_output(cfg) -> set:

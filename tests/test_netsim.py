@@ -259,28 +259,37 @@ def test_enumeration_bound_flags_partial(programs):
     assert not res.complete
 
 
-def test_enumeration_outcome_paths_replay(programs):
-    cfg = cfg_for("gc", "check.json")
-    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
-    res = enumerate_schedules(net, stop_after_distinct=2)
-    assert len(res.outcomes) == 2
-    for o in res.outcomes:
-        replay = run_schedule(net, Schedule(decisions=o.decisions))
-        assert replay.quiesced
-        assert replay.union_output == o.union_output
-
-
-def test_network_dump_is_canonical(programs):
-    from calmlab.netsim import network_dump
-
+def test_run_schedule_leaves_its_input_untouched():
     cfg = cfg_for("deadlock")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
-    run_schedule(net, Schedule(seed=4))  # pure: must not disturb `net`
-    d1 = canonical_json(network_dump(net))
-    d2 = canonical_json(network_dump(init_network(cfg.program, cfg.fixture, cfg.partitioning())))
-    assert d1 == d2
-    obj = network_dump(net)
-    assert [m["address"] for m in obj["machines"]] == ["@m1", "@m2", "@m3"]
+    before = net.semantic_key()
+    seeded = run_schedule(net, Schedule(seed=4))
+    assert net.semantic_key() == before
+    run_schedule(net, Schedule(decisions=seeded.decisions))
+    assert net.semantic_key() == before
+    assert net.steps == 0
+
+
+def test_at_least_once_seeded_run_is_pinned():
+    # duplication draws from the same rng as the delivery choices, so this
+    # pins the order of every draw
+    cfg = cfg_for("deadlock")
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    out = run_schedule(net, Schedule(seed=9, duplicate_every=2))
+    assert out.quiesced
+    assert out.decisions == (
+        ("m2", (("m1", "copy(@m2, t1, t3)"), ("m1", "copy(@m2, t2, t1)"))),
+        ("m3", (("m1", "copy(@m3, t1, t2)"), ("m1", "copy(@m3, t2, t1)"))),
+        ("m1", (("m3", "copy(@m1, t3, t4)"),)),
+        ("m2", (("m3", "copy(@m2, t3, t4)"),)),
+        ("m1", (("m2", "copy(@m1, t3, t1)"),)),
+        ("m2", (("m1", "copy(@m2, t1, t2)"),)),
+        ("m3", (("m2", "copy(@m3, t3, t1)"),)),
+        ("m2", (("m1", "copy(@m2, t1, t2)"),)),
+        ("m3", (("m2", "copy(@m3, t3, t1)"),)),
+        ("m3", (("m2", "copy(@m3, t3, t1)"),)),
+    ) + (("m3", (("m1", "copy(@m3, t1, t3)"),)),) * 6
+    assert (out.steps_used, out.message_count, len(out.trace)) == (25, 18, 18)
 
 
 def test_schedule_json_roundtrip():

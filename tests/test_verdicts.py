@@ -1,3 +1,5 @@
+import pytest
+
 from calmlab import corpus
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.config import load_config
@@ -92,6 +94,16 @@ def test_exhaustive_bound_inconclusive(programs):
     cfg = cfg_for("deadlock")
     v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode="exhaustive", budget=2)
     assert v.outcome == OUTCOME_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("budget", [1, 10, 100])
+def test_exhaustive_walk_stops_at_the_state_bound(budget):
+    # deadlock's full walk has 1023 states; once the bound is met, every
+    # pending sibling must return without examining another state
+    cfg = cfg_for("deadlock")
+    v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode="exhaustive",
+                         budget=budget)
+    assert (v.outcome, v.runs_examined) == (OUTCOME_INCONCLUSIVE, budget)
 
 
 def test_witness_schedules_replay_byte_identically(programs):
