@@ -8,7 +8,12 @@ stay out of channels, events, and negated literals.
 
 Validation also fixes a per-rule evaluation plan: positive literals join in
 source order and each filter (comparison or negation) runs as soon as its
-variables are bound.
+variables are bound. Next to the plan it records how the engine looks up
+each literal, positive or negated: its probe columns (the argument
+positions that hold a constant or a variable bound earlier in the plan,
+which the engine looks up instead of scanning) and its binds (the remaining
+variable occurrences, each binding a new variable or, when the variable
+repeats within the literal as in ``p(X, X)``, checking it).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .syntax import (
     RelDecl,
     Rule,
     TwoPTerm,
+    Var,
     Wildcard,
     literal_vars,
     term_vars,
@@ -72,11 +78,25 @@ class Schema:
         return tuple(i for i, c in enumerate(self.cols) if not c.lattice)
 
 
+BIND = "bind"
+CHECK = "check"
+
+
+@dataclass(frozen=True)
+class Probe:
+    """How the engine looks up one plan literal (positive or negated)."""
+
+    cols: tuple  # argument positions known before the lookup, ascending
+    key: tuple  # the Const or already-bound Var at each of those positions
+    binds: tuple  # (position, variable name, BIND | CHECK) for the other variables
+
+
 @dataclass(frozen=True)
 class ValidatedRule:
     rule: Rule
     index: int
     plan: tuple  # body elements ordered so filters run once bound
+    probes: tuple  # per plan element: its Probe, or None for a comparison
     positives: tuple  # positive body literals, source order
     negations: tuple
     comparisons: tuple
@@ -216,6 +236,22 @@ def _check_literal_against_schema(
                 )
 
 
+def _probe(lit: Literal, bound: set) -> Probe:
+    """Split a literal's arguments into probe columns (constants and
+    variables in ``bound``) and binds (the other variables); wildcards are
+    neither."""
+    cols, key, binds = [], [], []
+    fresh: set[str] = set()
+    for i, arg in enumerate(lit.args):
+        if isinstance(arg, Const) or (isinstance(arg, Var) and arg.name in bound):
+            cols.append(i)
+            key.append(arg)
+        elif isinstance(arg, Var):
+            binds.append((i, arg.name, CHECK if arg.name in fresh else BIND))
+            fresh.add(arg.name)
+    return Probe(tuple(cols), tuple(key), tuple(binds))
+
+
 def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> ValidatedRule:
     head = rule.head
     if head.relation not in schemas:
@@ -318,6 +354,7 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
     # evaluation plan: join positives in source order, attach each filter
     # at the earliest point where its variables are bound
     plan: list = []
+    probes: list = []
     pending = [*negations, *comparisons]
     seen: set[str] = set()
 
@@ -332,6 +369,7 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
             )
             if all(v.name in seen for v in vars_):
                 plan.append(f)
+                probes.append(_probe(f.literal, seen) if isinstance(f, Negation) else None)
             else:
                 still.append(f)
         pending = still
@@ -339,6 +377,7 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
     attach_ready()
     for lit in positives:
         plan.append(lit)
+        probes.append(_probe(lit, seen))
         seen.update(v.name for v in literal_vars(lit))
         attach_ready()
     assert not pending, "safety checks above guarantee filters become bound"
@@ -347,6 +386,7 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
         rule=rule,
         index=index,
         plan=tuple(plan),
+        probes=tuple(probes),
         positives=tuple(positives),
         negations=tuple(negations),
         comparisons=tuple(comparisons),

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import monocheck
 from .calmlang import ParseError, ValidationError, parse_program, validate_program
-from .config import ConfigError, load_config
+from .config import MODES, ConfigError, load_config
 from .lexer import LexError
 from .netsim import Schedule, init_network, run_schedule
 from .relspace import FactSyntaxError, canonical_json, db_to_obj
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("check", help="confluence verdict across schedules")
     p.add_argument("config")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--json", action="store_true")

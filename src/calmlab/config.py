@@ -24,6 +24,9 @@ class ConfigError(Exception):
     pass
 
 
+MODES = ("exhaustive", "sampled")
+
+
 @dataclass
 class RunConfig:
     program: ValidatedProgram
@@ -61,6 +64,16 @@ def default_seed() -> int:
     return 0
 
 
+def _int_field(obj: dict, key: str, default: int, path: Path, least: int | None = None) -> int:
+    """A JSON integer field of the config, or ``default`` when absent."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"config {path}: {key!r} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"config {path}: {key!r} must be at least {least}, got {value}")
+    return value
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -85,20 +98,20 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 f"fixture fact {fact} is not in an input-marked relation of the program"
             )
-    machines = int(obj.get("machines", 1))
-    if machines < 1:
-        raise ConfigError("machines must be >= 1")
+    mode = obj.get("mode", "exhaustive")
+    if mode not in MODES:
+        raise ConfigError(f"config {path}: 'mode' must be one of {', '.join(MODES)}, got {mode!r}")
     return RunConfig(
         program=vp,
         fixture=fixture,
-        machines=machines,
+        machines=_int_field(obj, "machines", 1, path, least=1),
         partitioning_spec=obj.get("partitioning", "colocate"),
-        seed=int(obj.get("seed", default_seed())),
-        step_budget=int(obj.get("step_budget", 10_000)),
-        duplicate_every=int(obj.get("duplicate_every", 0)),
-        mode=obj.get("mode", "exhaustive"),
-        enum_bound=int(obj.get("enum_bound", 1_000_000)),
-        seeds=int(obj.get("seeds", 64)),
-        schedules_per_partitioning=int(obj.get("schedules_per_partitioning", 8)),
-        partition_cap=int(obj.get("partition_cap", 16)),
+        seed=_int_field(obj, "seed", 0, path) if "seed" in obj else default_seed(),
+        step_budget=_int_field(obj, "step_budget", 10_000, path, least=1),
+        duplicate_every=_int_field(obj, "duplicate_every", 0, path, least=0),
+        mode=mode,
+        enum_bound=_int_field(obj, "enum_bound", 1_000_000, path, least=1),
+        seeds=_int_field(obj, "seeds", 64, path, least=1),
+        schedules_per_partitioning=_int_field(obj, "schedules_per_partitioning", 8, path, least=1),
+        partition_cap=_int_field(obj, "partition_cap", 16, path, least=1),
     )

@@ -13,7 +13,9 @@ walks differ only in who picks the batch. ``run_schedule`` asks a chooser:
 a seeded one (64-bit seed, reproducible) or a replay of an explicit decision
 list, which replays bit-identically and serves as a divergence witness.
 ``enumerate_schedules`` tries every batch depth-first with memoization on
-canonical network states, yielding each reachable quiescent outcome once.
+canonical network states, yielding each reachable quiescent outcome once;
+it also memoises ``step``, so no machine state is stepped twice on one
+inbox, empty-inbox sweeps included.
 """
 
 from __future__ import annotations
@@ -254,8 +256,9 @@ def _enqueue(state: NetworkState, src: Address, outbound: dict) -> None:
             state.pending[(src, dst, f)] += 1
 
 
-def _sweep(state: NetworkState, budget: int) -> bool:
-    """Step every machine with an empty inbox until none changes.
+def _sweep(state: NetworkState, budget: int, stepper) -> bool:
+    """Step every machine with an empty inbox, through ``stepper(machine,
+    facts)``, until none changes.
 
     This both seeds derivations from local input at run start and settles
     event-dependent rules once a machine's inbox has drained. Machine step
@@ -269,7 +272,7 @@ def _sweep(state: NetworkState, budget: int) -> bool:
             if state.steps >= budget:
                 return False
             m = state.machines[a]
-            res = step(m, ())
+            res = stepper(m, ())
             state.steps += 1
             if res.changed(m):
                 state.machines[a] = res.new_state
@@ -390,7 +393,7 @@ def run_schedule(
 
     decisions: list = []
     trace: list = []
-    ok = _sweep(state, step_budget)
+    ok = _sweep(state, step_budget, step)
     while ok and state.pending:
         at = state.steps
         dst, keys = _deliver(state, chooser.choose(state.pending), step)
@@ -400,7 +403,7 @@ def run_schedule(
         if state.steps >= step_budget:
             ok = False
         elif not state.pending:
-            ok = _sweep(state, step_budget)
+            ok = _sweep(state, step_budget, step)
 
     per_machine, union = _outputs(state)
     return RunOutcome(
@@ -469,7 +472,7 @@ def enumerate_schedules(
     def explore(state: NetworkState, path: tuple) -> frozenset:
         nonlocal states, truncated, stopped
         if not state.pending:
-            if not _sweep(state, step_budget):
+            if not _sweep(state, step_budget, memo_step):
                 truncated = True
                 return frozenset()
             if not state.pending:

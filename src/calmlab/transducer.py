@@ -13,6 +13,16 @@ local database. Relations behave by persistence class:
   buffers facts for the Send phase (locally addressed sends come back through
   the inbox on a later iteration, they are never visible early).
 
+Joins look tuples up by each literal's probe columns, fixed at validation
+(see ``calmlang.validate``). A literal with no bound column scans its
+relation; one with every column bound is a set-membership test; any other
+probes a hash index on (relation, columns). An index is built on the second
+probe of its (relation, columns) pair within one fixpoint, the first probe
+scans: most relations of a small step are probed once, and building an
+index for them costs more than the scan it replaces. Once built, an index is
+kept current as tuples are derived. The semi-naive delta gets its own index
+for each rule firing.
+
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
 quiescence detection by no-op probing sound.
@@ -21,13 +31,12 @@ quiescence detection by no-op probing sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import lattices
 from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.syntax import (
-    AggTerm,
     BoolOrTerm,
-    Comparison,
     Const,
     GSetTerm,
     Literal,
@@ -35,8 +44,8 @@ from .calmlang.syntax import (
     Negation,
     TwoPTerm,
     Var,
-    Wildcard,
 )
+from .calmlang.validate import BIND, Probe
 from .relspace import Database, Fact
 from .values import Address, Int, value_sort_key
 
@@ -60,22 +69,53 @@ class EvalError(Exception):
 # --- query evaluation --------------------------------------------------------
 
 
+def _tuple_getter(cols: tuple):
+    """Reads a tuple's values at ``cols`` as a tuple (a probe key)."""
+    if len(cols) == 1:
+        (col,) = cols
+        return lambda tup: (tup[col],)
+    return itemgetter(*cols)
+
+
+def _index(tuples, get) -> dict:
+    index: dict = {}
+    for tup in tuples:
+        index.setdefault(get(tup), []).append(tup)
+    return index
+
+
 class _Space:
     """Readable/writable fact space for one evaluation run."""
 
     def __init__(self, vp: ValidatedProgram, persisted: dict, inbox: dict):
-        self.vp = vp
         self.channels = vp.channel_rels
         # non-channel relations: persisted contents plus anything derived
         self.facts: dict[str, set] = {r: set(ts) for r, ts in persisted.items()}
         # channel relations: readable side is the inbox only
         self.inbox: dict = inbox
         self.outbound: dict[str, set] = {}
+        # relation -> probe columns -> (key getter, key -> tuples)
+        self.indexes: dict[str, dict] = {}
+        self.scanned: set = set()  # (relation, probe columns) probed once
 
     def readable(self, rel: str) -> set:
         if rel in self.channels:
             return self.inbox.get(rel, set())
         return self.facts.get(rel, set())
+
+    def lookup(self, rel: str, cols: tuple, key: tuple):
+        """Readable tuples of ``rel`` holding ``key`` at ``cols``. The first
+        probe of a (relation, columns) pair scans; the second indexes."""
+        by_cols = self.indexes.get(rel)
+        entry = by_cols.get(cols) if by_cols else None
+        if entry is None:
+            get = _tuple_getter(cols)
+            if (rel, cols) not in self.scanned:
+                self.scanned.add((rel, cols))
+                return [tup for tup in self.readable(rel) if get(tup) == key]
+            entry = get, _index(self.readable(rel), get)
+            self.indexes.setdefault(rel, {})[cols] = entry
+        return entry[1].get(key, ())
 
     def add(self, rel: str, tup: tuple) -> bool:
         """Record a derived tuple; returns True if new."""
@@ -86,26 +126,26 @@ class _Space:
         if tup in bucket:
             return False
         bucket.add(tup)
+        # a channel's indexes cover its inbox, which derivations never touch
+        if rel not in self.channels and rel in self.indexes:
+            for get, index in self.indexes[rel].values():
+                index.setdefault(get(tup), []).append(tup)
         return True
 
 
-def _match_literal(lit: Literal, tup: tuple, env: dict) -> dict | None:
-    """Unify a literal's args against a tuple; returns extended env or None."""
-    out = env
-    for term, val in zip(lit.args, tup):
-        if isinstance(term, Wildcard):
-            continue
-        if isinstance(term, Var):
-            bound = out.get(term.name)
-            if bound is None:
-                if out is env:
-                    out = dict(env)
-                out[term.name] = val
-            elif bound != val:
-                return None
-        else:  # Const
-            if term.value != val:
-                return None
+def _probe_key(probe: Probe, env: dict) -> tuple:
+    return tuple([env[t.name] if isinstance(t, Var) else t.value for t in probe.key])
+
+
+def _bind(binds: tuple, tup: tuple, env: dict) -> dict | None:
+    """Extend ``env`` with a probed tuple's unbound columns; None if a
+    repeated variable disagrees."""
+    out = dict(env)
+    for col, name, mode in binds:
+        if mode == BIND:
+            out[name] = tup[col]
+        elif out[name] != tup[col]:
+            return None
     return out
 
 
@@ -125,6 +165,8 @@ def _scalar(term, env: dict):
 
 
 def _eval_head_term(term, env: dict):
+    if isinstance(term, Var):
+        return env[term.name]
     if isinstance(term, GSetTerm):
         return lattices.GSet(frozenset(_scalar(e, env) for e in term.elems))
     if isinstance(term, MaxIntTerm):
@@ -151,58 +193,76 @@ def _compare(op: str, left, right) -> bool:
     return ka < kb if op == "<" else ka <= kb
 
 
-def _rule_bindings(rule: ValidatedRule, space: _Space, delta_at: int | None, delta: set):
-    """Generate variable environments satisfying the rule body.
+def _solve(rule: ValidatedRule, space: _Space, delta_at: int | None, delta: set, emit) -> None:
+    """Call ``emit(env)`` for every variable environment satisfying the rule
+    body.
 
     ``delta_at`` picks one positive-literal occurrence (by plan position)
     that must match against ``delta`` instead of the full relation; None
-    means a full naive pass.
+    means a full naive pass. The delta gets its own index, built on its
+    first keyed probe.
     """
+    plan, probes = rule.plan, rule.probes
+    last = len(plan)
+    delta_index = None
 
-    plan = rule.plan
+    def candidates(i: int, lit: Literal, probe: Probe, env: dict):
+        """Tuples that agree with ``env`` on the literal's probe columns."""
+        nonlocal delta_index
+        if not probe.cols:
+            return delta if i == delta_at else space.readable(lit.relation)
+        key = _probe_key(probe, env)
+        if len(key) == len(lit.args):  # every column bound: a membership test
+            source = delta if i == delta_at else space.readable(lit.relation)
+            return (key,) if key in source else ()
+        if i != delta_at:
+            return space.lookup(lit.relation, probe.cols, key)
+        if delta_index is None:
+            delta_index = _index(delta, _tuple_getter(probe.cols))
+        return delta_index.get(key, ())
 
-    def rec(i: int, env: dict):
-        if i == len(plan):
-            yield env
+    def rec(i: int, env: dict) -> None:
+        if i == last:
+            emit(env)
             return
-        elem = plan[i]
-        if isinstance(elem, Literal):
-            source = delta if i == delta_at else space.readable(elem.relation)
-            for tup in source:
-                env2 = _match_literal(elem, tup, env)
-                if env2 is not None:
-                    yield from rec(i + 1, env2)
-        elif isinstance(elem, Negation):
-            lit = elem.literal
-            if not any(
-                _match_literal(lit, tup, env) is not None
-                for tup in space.readable(lit.relation)
-            ):
-                yield from rec(i + 1, env)
-        else:  # Comparison
+        elem, probe = plan[i], probes[i]
+        if probe is None:  # Comparison
             if _compare(elem.op, _scalar(elem.left, env), _scalar(elem.right, env)):
-                yield from rec(i + 1, env)
+                rec(i + 1, env)
+        elif isinstance(elem, Negation):
+            if not candidates(i, elem.literal, probe, env):
+                rec(i + 1, env)
+        else:
+            binds = probe.binds
+            for tup in candidates(i, elem, probe, env):
+                env2 = _bind(binds, tup, env) if binds else env
+                if env2 is not None:
+                    rec(i + 1, env2)
 
-    yield from rec(0, {})
+    rec(0, {})
 
 
 def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> list:
     """Head tuples derivable from the rule under the given delta restriction."""
-    head = rule.rule.head
+    head_args = rule.rule.head.args
+    out: list = []
     if rule.agg is None:
-        out = []
-        for env in _rule_bindings(rule, space, delta_at, delta):
-            out.append(tuple(_eval_head_term(t, env) for t in head.args))
+        def emit(env):
+            out.append(tuple([_eval_head_term(t, env) for t in head_args]))
+
+        _solve(rule, space, delta_at, delta, emit)
         return out
     groups: dict[tuple, set] = {}
-    for env in _rule_bindings(rule, space, delta_at, delta):
+
+    def collect(env):
         key = tuple(
             _eval_head_term(t, env)
-            for i, t in enumerate(head.args)
+            for i, t in enumerate(head_args)
             if i != rule.agg_pos
         )
         groups.setdefault(key, set()).add(env[rule.agg.var.name])
-    out = []
+
+    _solve(rule, space, delta_at, delta, collect)
     for key, vals in groups.items():
         if rule.agg.kind == "count":
             agg_val = Int(len(vals))

@@ -180,3 +180,23 @@ def test_validation_order_independent():
     vp1 = validate_program(p)
     vp2 = validate_program(reordered)
     assert {r.rule for r in vp1.rules} == {r.rule for r in vp2.rules}
+
+
+def test_plan_probes_split_bound_columns_from_binds():
+    src = MINI_DECLS + """
+rel reach(x)
+rel loop(x)
+loop(X) :- edge(X, X).
+reach(Y) :- edge(a, X), path(X, Y), X != Y, !reach(Y), !edge(_, Y).
+"""
+    loop, reach = validate_program(parse_program(src)).rules
+    (probe,) = loop.probes
+    assert (probe.cols, probe.binds) == ((), ((0, "X", "bind"), (1, "X", "check")))
+    edge, path, not_reach, not_edge, comparison = reach.probes
+    assert (edge.cols, [t.value.name for t in edge.key], edge.binds) == ((0,), ["a"], ((1, "X", "bind"),))
+    assert (path.cols, [t.name for t in path.key], path.binds) == ((0,), ["X"], ((1, "Y", "bind"),))
+    assert (not_reach.cols, not_reach.binds) == ((0,), ())  # a membership test
+    assert (not_edge.cols, not_edge.binds) == ((1,), ())  # the wildcard is not probed
+    assert comparison is None
+    assert [type(e).__name__ for e in reach.plan] == [
+        "Literal", "Literal", "Negation", "Negation", "Comparison"]

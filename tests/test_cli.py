@@ -173,6 +173,12 @@ def test_env_seed_is_the_default(monkeypatch, tmp_path, capsys):
     assert out_flag == out_seed7
 
 
+def test_env_seed_is_not_read_when_the_config_sets_one(monkeypatch, capsys):
+    monkeypatch.setenv("CALMLAB_SEED", "not-a-number")
+    code, _, err = run_cli(capsys, "run", corpus_file("deadlock", "run.json"))
+    assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("budget", ["0", "-1"])
 @pytest.mark.parametrize("verb", ["run", "check"])
 def test_budget_below_one_is_rejected(capsys, verb, budget):
@@ -191,3 +197,38 @@ def test_budget_one_overrides_config(capsys):
     code, out, _ = run_cli(capsys, "check", "--budget", "1", corpus_file("deadlock", "check.json"))
     assert code == 2
     assert out.startswith("inconclusive")
+
+
+MALFORMED_CONFIGS = [
+    ("machines", "three"),
+    ("machines", 2.5),
+    ("machines", True),
+    ("machines", 0),
+    ("seed", "7"),
+    ("step_budget", None),
+    ("step_budget", 0),
+    ("duplicate_every", -1),
+    ("enum_bound", [10]),
+    ("seeds", 0),
+    ("schedules_per_partitioning", "8"),
+    ("partition_cap", 0),
+    ("mode", "bogus"),
+]
+
+
+@pytest.mark.parametrize("verb", ["run", "check", "coordination"])
+@pytest.mark.parametrize("key,value", MALFORMED_CONFIGS)
+def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, key, value):
+    src = json.loads(Path(corpus_file("deadlock", "check.json")).read_text())
+    src["program"] = corpus_file("deadlock", "program.calm")
+    src["fixture"] = corpus_file("deadlock", "fig1.facts")
+    src[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(src))
+    code, out, err = run_cli(capsys, verb, str(cfg))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and repr(key) in lines[0]
+    assert "Traceback" not in err

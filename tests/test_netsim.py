@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from calmlab import corpus
+from calmlab import corpus, netsim
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.config import load_config
 from calmlab.netsim import (
@@ -257,6 +259,25 @@ def test_enumeration_bound_flags_partial(programs):
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     res = enumerate_schedules(net, bound=3)
     assert not res.complete
+
+
+def test_exhaustive_walk_steps_each_machine_on_each_inbox_once(monkeypatch):
+    # the walk memoises step, empty-inbox sweeps included: a machine state
+    # and an inbox it has already been stepped on must never be stepped again
+    cfg = cfg_for("deadlock", "check.json")
+    stepped = Counter()
+    real_step = netsim.step
+
+    def counting_step(mstate, facts, *args):
+        stepped[(mstate.semantic_key(), frozenset(facts))] += 1
+        return real_step(mstate, facts, *args)
+
+    monkeypatch.setattr(netsim, "step", counting_step)
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    res = enumerate_schedules(net)
+    assert res.complete and res.states_explored == 1023
+    repeated = {key: n for key, n in stepped.items() if n > 1}
+    assert not repeated, f"{len(repeated)} (machine, inbox) pairs stepped more than once"
 
 
 def test_run_schedule_leaves_its_input_untouched():

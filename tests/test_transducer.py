@@ -10,6 +10,7 @@ from calmlab.relspace import Database, Fact, db_leq, parse_fact, parse_facts
 from calmlab.transducer import (
     DivergenceError,
     RoutingError,
+    _query,
     evaluate,
     init_machine,
     single_machine_output,
@@ -243,3 +244,20 @@ def test_no_global_cache_keeps_a_program_alive():
     del vp
     gc.collect()
     assert ref() is None
+
+
+HOP = """
+rel edge(x, y) [input]
+rel start(x) [input]
+rel hop(x, y)
+hop(X, Y) :- start(X), edge(X, Y).
+"""
+
+
+@pytest.mark.parametrize("starts,indexed", [(["a"], False), (["a", "b"], True)])
+def test_relation_is_indexed_on_its_second_probe_only(starts, indexed):
+    a, b, c = Symbol("a"), Symbol("b"), Symbol("c")
+    persisted = {"edge": {(a, b), (b, c), (c, a)}, "start": {(Symbol(s),) for s in starts}}
+    space = _query(vp_of(HOP), persisted, {})
+    assert ("edge" in space.indexes) == indexed
+    assert space.facts["hop"] == {t for t in persisted["edge"] if (t[0],) in persisted["start"]}
