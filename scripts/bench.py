@@ -1,0 +1,112 @@
+#!/usr/bin/env python3
+"""Time the schedule enumerator and the single-machine fixpoint on fixed
+scaling families, and write the numbers as JSON.
+
+Workloads:
+
+- ``deadlock_ring_NxM``: the corpus ``deadlock`` program on the ring of
+  edges t_i -> t_(i+1 mod N), dealt round-robin to M machines, each owner
+  holding the full ``nbr`` mesh of its machine. The walk is exhaustive,
+  except ``6x4``, which stops at a fixed state bound.
+- ``gc``: the corpus ``gc`` check walked exhaustively, with no early stop.
+- ``tc_chain_N``: transitive closure of an N-edge chain on one machine.
+
+Each workload runs once, in this process, and the whole set takes well
+under two minutes on a 2-vCPU VM. Usage, from the root of a checkout::
+
+    PYTHONPATH=src python scripts/bench.py BENCH_<n>.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+from calmlab import corpus
+from calmlab.config import load_config
+from calmlab.netsim import (
+    enumerate_schedules,
+    init_network,
+    machine_addresses,
+    partitioning_from_map,
+)
+from calmlab.relspace import Database, parse_facts
+from calmlab.transducer import single_machine_output
+
+RING_6X4_BOUND = 30_000
+
+
+def ring_network(n: int, m: int):
+    edges = [f"local_edge(t{i + 1}, t{(i + 1) % n + 1})" for i in range(n)]
+    machines = machine_addresses(m)
+    mapping = {a.name: [] for a in machines}
+    for i, line in enumerate(edges):
+        mapping[machines[i % m].name].append(line)
+    for a in machines:
+        mapping[a.name] += [f"nbr({a}, {b})" for b in machines if b != a]
+    fixture = Database.from_facts(parse_facts("\n".join(sum(mapping.values(), []))))
+    part = partitioning_from_map(fixture, machines, mapping)
+    return init_network(corpus.load_program("deadlock"), fixture, part)
+
+
+def walk(net, bound=None) -> dict:
+    start = time.perf_counter()
+    res = enumerate_schedules(net) if bound is None else enumerate_schedules(net, bound=bound)
+    return {
+        "seconds": round(time.perf_counter() - start, 3),
+        "states": res.states_explored,
+        "complete": res.complete,
+        "outcomes": len(res.outcomes),
+        "bound": bound,
+    }
+
+
+def tc_chain(n: int) -> dict:
+    vp = corpus.load_program("transitive_closure")
+    chain = Database.from_facts(parse_facts("\n".join(f"edge(n{i}, n{i + 1})" for i in range(n))))
+    start = time.perf_counter()
+    out = single_machine_output(vp, chain)
+    return {"seconds": round(time.perf_counter() - start, 3), "facts": out.size()}
+
+
+def gc_network():
+    cfg = load_config(corpus.config_path("gc", "check.json"))
+    return init_network(cfg.program, cfg.fixture, cfg.partitioning())
+
+
+WORKLOADS = {
+    "deadlock_ring_5x3": lambda: walk(ring_network(5, 3)),
+    "deadlock_ring_6x3": lambda: walk(ring_network(6, 3)),
+    "deadlock_ring_6x4": lambda: walk(ring_network(6, 4), bound=RING_6X4_BOUND),
+    "gc": lambda: walk(gc_network()),
+    "tc_chain_100": lambda: tc_chain(100),
+    "tc_chain_200": lambda: tc_chain(200),
+}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="where to write the JSON report")
+    args = parser.parse_args(argv)
+    results = {}
+    for name, run in WORKLOADS.items():
+        results[name] = run()
+        print(f"{name:20s} {json.dumps(results[name])}", flush=True)
+    report = {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "workloads": results,
+    }
+    args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

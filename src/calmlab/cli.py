@@ -18,8 +18,10 @@ from . import monocheck
 from .calmlang import ParseError, ValidationError, parse_program, validate_program
 from .config import MODES, ConfigError, load_config
 from .lexer import LexError
-from .netsim import Schedule, init_network, run_schedule
+from .monocheck import UnstratifiableError
+from .netsim import PartitioningError, Schedule, init_network, run_schedule
 from .relspace import FactSyntaxError, canonical_json, db_to_obj
+from .transducer import RoutingError
 from .verdicts import (
     OUTCOME_CONFLUENT,
     OUTCOME_DIVERGENT,
@@ -29,11 +31,20 @@ from .verdicts import (
     detect_coordination,
 )
 
-USER_ERRORS = (ConfigError, ParseError, ValidationError, LexError, FactSyntaxError, OSError)
+USER_ERRORS = (ConfigError, ParseError, ValidationError, LexError, FactSyntaxError,
+               PartitioningError, RoutingError, UnstratifiableError, OSError)
 
 
 def _print_json(obj) -> None:
     print(canonical_json(obj))
+
+
+def machine_count(text: str) -> int:
+    """``--machines``: coordination compares partitionings, so at least 2."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {n}")
+    return n
 
 
 def _budget(flag: int | None, configured: int) -> int:
@@ -46,12 +57,8 @@ def _budget(flag: int | None, configured: int) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        source = Path(args.program).read_text(encoding="utf-8")
-        vp = validate_program(parse_program(source, args.program))
-    except USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    source = Path(args.program).read_text(encoding="utf-8")
+    vp = validate_program(parse_program(source, args.program))
     report = monocheck.analyze_program(vp)
     obj = report.to_obj(vp)
     if args.json:
@@ -84,18 +91,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else cfg.seed
-        network = init_network(cfg.program, cfg.fixture, cfg.partitioning())
-        outcome = run_schedule(
-            network,
-            Schedule(seed=seed, duplicate_every=cfg.duplicate_every),
-            step_budget=_budget(args.budget, cfg.step_budget),
-        )
-    except USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    seed = args.seed if args.seed is not None else cfg.seed
+    network = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    outcome = run_schedule(
+        network,
+        Schedule(seed=seed, duplicate_every=cfg.duplicate_every),
+        step_budget=_budget(args.budget, cfg.step_budget),
+    )
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             for src, dst, fact, step_idx in outcome.trace:
@@ -119,22 +122,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        mode = args.mode or cfg.mode
-        verdict = check_confluence(
-            cfg.program,
-            cfg.fixture,
-            cfg.partitioning(),
-            mode=mode,
-            budget=_budget(args.budget, cfg.enum_bound),
-            seeds=cfg.seeds,
-            base_seed=args.seed if args.seed is not None else cfg.seed,
-            step_budget=cfg.step_budget,
-        )
-    except USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    verdict = check_confluence(
+        cfg.program,
+        cfg.fixture,
+        cfg.partitioning(),
+        mode=args.mode or cfg.mode,
+        budget=_budget(args.budget, cfg.enum_bound),
+        seeds=cfg.seeds,
+        base_seed=args.seed if args.seed is not None else cfg.seed,
+        step_budget=cfg.step_budget,
+    )
     if args.json:
         _print_json(verdict.to_obj())
     else:
@@ -151,21 +149,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_coordination(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        machines = args.machines or max(cfg.machines, 2)
-        report = detect_coordination(
-            cfg.program,
-            cfg.fixture,
-            machines,
-            schedules_per_partitioning=cfg.schedules_per_partitioning,
-            partition_cap=cfg.partition_cap,
-            base_seed=args.seed if args.seed is not None else cfg.seed,
-            step_budget=cfg.step_budget,
-        )
-    except USER_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    report = detect_coordination(
+        cfg.program,
+        cfg.fixture,
+        args.machines or max(cfg.machines, 2),
+        schedules_per_partitioning=cfg.schedules_per_partitioning,
+        partition_cap=cfg.partition_cap,
+        base_seed=args.seed if args.seed is not None else cfg.seed,
+        step_budget=cfg.step_budget,
+    )
     if args.json:
         _print_json(report.to_obj())
     else:
@@ -237,7 +230,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("coordination", help="coordination verdict across partitionings")
     p.add_argument("config")
-    p.add_argument("--machines", type=int, default=None)
+    p.add_argument("--machines", type=machine_count, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_coordination)
@@ -248,7 +241,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_corpus)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except USER_ERRORS as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

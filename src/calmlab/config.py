@@ -25,6 +25,8 @@ class ConfigError(Exception):
 
 
 MODES = ("exhaustive", "sampled")
+KEYS = ("program", "fixture", "machines", "partitioning", "seed", "step_budget", "duplicate_every",
+        "mode", "enum_bound", "seeds", "schedules_per_partitioning", "partition_cap")
 
 
 @dataclass
@@ -84,6 +86,9 @@ def load_config(path) -> RunConfig:
     for key in ("program", "fixture"):
         if key not in obj:
             raise ConfigError(f"config {path} is missing {key!r}")
+    for key in obj:
+        if key not in KEYS:
+            raise ConfigError(f"config {path}: unknown key {key!r}")
     program_path = base / obj["program"]
     fixture_path = base / obj["fixture"]
     try:

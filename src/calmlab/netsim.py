@@ -8,14 +8,18 @@ machines are swept with empty inboxes until none of them changes; if the
 sweep emitted new messages the delivery loop resumes, otherwise the network
 is quiescent and the output relations are read.
 
-``_deliver`` is that one delivery primitive, and every walk shares it; the
-walks differ only in who picks the batch. ``run_schedule`` asks a chooser:
-a seeded one (64-bit seed, reproducible) or a replay of an explicit decision
-list, which replays bit-identically and serves as a divergence witness.
-``enumerate_schedules`` tries every batch depth-first with memoization on
-canonical network states, yielding each reachable quiescent outcome once;
-it also memoises ``step``, so no machine state is stepped twice on one
-inbox, empty-inbox sweeps included.
+A message in flight is an envelope ``(dst name, src name, fact string)``,
+built once when sent; the network's ``facts`` table maps the string back to
+its ``Fact``. ``pending`` is the sorted tuple of envelopes, one entry per
+copy, and is its own canonical key. ``_deliver`` is the one delivery
+primitive, shared by every walk; a decision names each delivered envelope
+by its tail ``(src, fact)``. ``run_schedule`` asks a chooser: a seeded one
+(64-bit seed, reproducible) or a replay of an explicit decision list, which
+replays bit-identically and serves as a divergence witness.
+``enumerate_schedules`` tries every batch depth-first on an explicit stack,
+deduplicating canonical network states and memoising ``step`` (no machine
+state is stepped twice on one inbox), and yields each reachable quiescent
+outcome once.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .calmlang import ValidatedProgram
 from .relspace import Database, db_to_obj, db_union, parse_fact
@@ -141,16 +144,12 @@ def enumerate_partitionings(
 
 # --- schedules ---------------------------------------------------------------
 
-# one message in flight: (src address, dst address, fact)
-Envelope = tuple
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Either a seed for pseudo-random choices or an explicit decision list.
 
-    A decision is (machine name, tuple of envelope keys); each envelope key
-    is (src name, fact string). Decision lists replay bit-identically.
+    A decision is (machine name, tuple of envelope tails (src name, fact
+    string)). Decision lists replay bit-identically.
     The at-least-once toggle only applies to seeded schedules: a duplicated
     run's decisions under-specify the duplication points, so witnesses and
     enumeration paths are always recorded with duplication off (the
@@ -185,16 +184,17 @@ class Schedule:
 @dataclass
 class NetworkState:
     machines: dict  # Address -> MachineState
-    pending: Counter  # Envelope -> count
+    pending: tuple = ()  # sorted envelopes, one entry per copy
     steps: int = 0
+    facts: dict = field(default_factory=dict)  # fact string -> Fact; copies share it
 
     def copy(self) -> NetworkState:
-        return NetworkState(dict(self.machines), Counter(self.pending), self.steps)
+        return NetworkState(dict(self.machines), self.pending, self.steps, self.facts)
 
     def semantic_key(self):
         return (
             tuple(self.machines[a].semantic_key() for a in sorted(self.machines, key=lambda x: x.name)),
-            frozenset(self.pending.items()),
+            self.pending,
         )
 
 
@@ -245,20 +245,23 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
             f for f, addr in part.assignment.items() if addr == a
         )
         machines[a] = init_machine(vp, a, local, part.machines)
-    return NetworkState(machines=machines, pending=Counter())
+    return NetworkState(machines=machines)
 
 
 def _enqueue(state: NetworkState, src: Address, outbound: dict) -> None:
+    sent = []
     for dst, facts in outbound.items():
         if dst not in state.machines:
             raise RoutingError(f"message addressed to unknown machine {dst}")
-        for f in facts:
-            state.pending[(src, dst, f)] += 1
+        texts = {str(f): f for f in facts}
+        state.facts.update(texts)
+        sent += [(dst.name, src.name, text) for text in texts]
+    state.pending = tuple(sorted(state.pending + tuple(sent)))
 
 
 def _sweep(state: NetworkState, budget: int, stepper) -> bool:
     """Step every machine with an empty inbox, through ``stepper(machine,
-    facts)``, until none changes.
+    ())``, until none changes.
 
     This both seeds derivations from local input at run start and settles
     event-dependent rules once a machine's inbox has drained. Machine step
@@ -282,36 +285,31 @@ def _sweep(state: NetworkState, budget: int, stepper) -> bool:
             return True
 
 
-def _envelope_key(env: Envelope) -> tuple:
-    """An envelope as a decision names it: (src name, fact string)."""
-    return env[0].name, str(env[2])
-
-
-def _inboxes(pending: Counter) -> dict:
-    """Pending envelopes grouped by destination, destinations in name order,
-    each inbox sorted by envelope key."""
+def _inboxes(pending: tuple) -> dict:
+    """Pending envelopes grouped by destination name, in envelope order,
+    each duplicated envelope listed once."""
     out: dict = {}
-    for env in sorted(pending, key=lambda e: (e[1].name, *_envelope_key(e))):
-        out.setdefault(env[1], []).append(env)
+    for env in dict.fromkeys(pending):
+        out.setdefault(env[0], []).append(env)
     return out
 
 
 def _deliver(state: NetworkState, envs, stepper) -> tuple:
-    """The one delivery primitive: take the batch ``envs`` (pending
+    """The one delivery primitive: take the batch ``envs`` (distinct pending
     envelopes, all to one machine) out of ``state.pending``, step that
-    machine on their facts with ``stepper(machine, facts)``, commit its new
-    state and enqueue what it sends. Returns the replayable decision."""
-    dst = envs[0][1]
-    batch = sorted(envs, key=_envelope_key)
+    machine with ``stepper(machine, fact strings)``, commit its new state
+    and enqueue what it sends. Returns the replayable decision."""
+    batch = sorted(envs)
+    rest = list(state.pending)
     for env in batch:
-        state.pending[env] -= 1
-        if not state.pending[env]:
-            del state.pending[env]
-    res = stepper(state.machines[dst], [fact for _, _, fact in batch])
+        rest.remove(env)
+    state.pending = tuple(rest)
+    dst = Address(batch[0][0])
+    res = stepper(state.machines[dst], [text for _, _, text in batch])
     state.steps += 1
     state.machines[dst] = res.new_state
     _enqueue(state, dst, res.outbound)
-    return dst.name, tuple(map(_envelope_key, batch))
+    return dst.name, tuple(env[1:] for env in batch)
 
 
 def _outputs(state: NetworkState) -> tuple:
@@ -333,7 +331,7 @@ class _SeededChooser:
         self.deliveries = 0
         self._dup_done = 0
 
-    def choose(self, pending: Counter) -> list:
+    def choose(self, pending: tuple) -> list:
         inboxes = _inboxes(pending)
         envs = inboxes[self.rng.choice(list(inboxes))]
         chosen = [env for env in envs if self.rng.random() < 0.5]
@@ -342,21 +340,21 @@ class _SeededChooser:
         self.deliveries += len(chosen)
         return chosen
 
-    def maybe_duplicate(self, pending: Counter) -> None:
-        if not self.duplicate_every or not pending:
+    def maybe_duplicate(self, state: NetworkState) -> None:
+        if not self.duplicate_every or not state.pending:
             return
         if self.deliveries // self.duplicate_every > self._dup_done:
             self._dup_done += 1
-            envs = [env for inbox in _inboxes(pending).values() for env in inbox]
+            envs = list(dict.fromkeys(state.pending))
             env = envs[self.rng.randrange(len(envs))]
-            pending[env] += 1
+            state.pending = tuple(sorted(state.pending + (env,)))
 
 
 class _ReplayChooser:
     def __init__(self, decisions: tuple):
         self.decisions = list(decisions)
 
-    def choose(self, pending: Counter) -> list:
+    def choose(self, pending: tuple) -> list:
         if not self.decisions:
             raise ReplayError("schedule exhausted while messages are still pending")
         dst_name, keys = self.decisions.pop(0)
@@ -364,18 +362,17 @@ class _ReplayChooser:
             raise ReplayError("decision lists the same message twice in one batch")
         if not keys:
             raise ReplayError("decision delivers an empty batch")
-        by_key = {_envelope_key(env): env for env in pending if env[1].name == dst_name}
         chosen = []
         for key in keys:
-            env = by_key.get(tuple(key))
-            if env is None:
+            env = (dst_name, *key)
+            if env not in pending:
                 raise ReplayError(
                     f"decision delivers {key} to {dst_name} but it is not pending"
                 )
             chosen.append(env)
         return chosen
 
-    def maybe_duplicate(self, pending: Counter) -> None:
+    def maybe_duplicate(self, state: NetworkState) -> None:
         pass
 
 
@@ -391,19 +388,22 @@ def run_schedule(
     else:
         chooser = _SeededChooser(schedule.seed or 0, schedule.duplicate_every)
 
+    def stepper(machine: MachineState, texts: list):
+        return step(machine, [state.facts[text] for text in texts])
+
     decisions: list = []
     trace: list = []
-    ok = _sweep(state, step_budget, step)
+    ok = _sweep(state, step_budget, stepper)
     while ok and state.pending:
         at = state.steps
-        dst, keys = _deliver(state, chooser.choose(state.pending), step)
+        dst, keys = _deliver(state, chooser.choose(state.pending), stepper)
         decisions.append((dst, keys))
         trace.extend((src, dst, fact, at) for src, fact in keys)
-        chooser.maybe_duplicate(state.pending)
+        chooser.maybe_duplicate(state)
         if state.steps >= step_budget:
             ok = False
         elif not state.pending:
-            ok = _sweep(state, step_budget, step)
+            ok = _sweep(state, step_budget, stepper)
 
     per_machine, union = _outputs(state)
     return RunOutcome(
@@ -433,12 +433,21 @@ class EnumerationResult:
     states_explored: int
 
 
-def _batches(pending: Counter):
+def _batches(pending: tuple):
     """Every nonempty subset of every machine's inbox: machines in name
     order, larger batches first (fair-delivery bias)."""
     for envs in _inboxes(pending).values():
         for k in range(len(envs), 0, -1):
             yield from itertools.combinations(envs, k)
+
+
+def _unwind(path: tuple) -> tuple:
+    """The decisions on a path ``(decision, parent)``, root path ``()`` first."""
+    decisions = []
+    while path:
+        decision, path = path
+        decisions.append(decision)
+    return tuple(reversed(decisions))
 
 
 def enumerate_schedules(
@@ -449,58 +458,64 @@ def enumerate_schedules(
 ) -> EnumerationResult:
     """Depth-first walk of every (machine, inbox-subset) delivery choice,
     deduplicated by canonical network state. The walk stops as soon as it
-    has met ``bound`` distinct states or ``stop_after_distinct`` outcomes."""
+    has met ``bound`` distinct states or ``stop_after_distinct`` outcomes.
+    The stack is explicit and a path is a parent-pointer chain. A state is
+    marked seen on entry: no state is its own descendant, since every
+    delivery grows a machine's state or shrinks ``pending``."""
 
     step_memo: dict = {}
 
-    def memo_step(mstate: MachineState, facts: list):
+    def memo_step(mstate: MachineState, texts: list):
         # step reads its inbox as a set and never sees the sender
-        key = (mstate.semantic_key(), frozenset(facts))
+        key = (mstate.semantic_key(), frozenset(texts))
         res = step_memo.get(key)
         if res is None:
-            res = step_memo[key] = step(mstate, facts)
+            res = step_memo[key] = step(mstate, [initial.facts[text] for text in texts])
         return res
 
     # outcomes are keyed by the union output: that is the observable the
     # confluence question compares
     outcomes: dict = {}  # union-output Database -> EnumOutcome, first-found order
-    memo: dict = {}  # state key -> frozenset of output keys below it
+    seen: set = set()  # keys of the states entered
     states = 0
     truncated = False  # a branch ran out of step budget
     stopped = False  # the state bound or stop_after_distinct ended the walk
+    stack: list = []  # (state, path, untried batches) frames
 
-    def explore(state: NetworkState, path: tuple) -> frozenset:
+    def enter(state: NetworkState, path: tuple) -> None:
+        """Push the frame that expands ``state``, unless it is quiescent
+        (its outcome is then recorded), already seen, or past the bound."""
         nonlocal states, truncated, stopped
         if not state.pending:
             if not _sweep(state, step_budget, memo_step):
                 truncated = True
-                return frozenset()
+                return
             if not state.pending:
                 per_machine, union = _outputs(state)
                 if union not in outcomes:
-                    outcomes[union] = EnumOutcome(union, per_machine, path)
+                    outcomes[union] = EnumOutcome(union, per_machine, _unwind(path))
                     if len(outcomes) == stop_after_distinct:
                         stopped = True
-                return frozenset([union])
+                return
         skey = state.semantic_key()
-        hit = memo.get(skey)
-        if hit is not None:
-            return hit
+        if skey in seen:
+            return
         if states >= bound:
             stopped = True
-            return frozenset()
+            return
         states += 1
-        found: set = set()
-        for batch in _batches(state.pending):
-            if stopped:
-                break
-            child = state.copy()
-            decision = _deliver(child, batch, memo_step)
-            found |= explore(child, path + (decision,))
-        memo[skey] = frozenset(found)
-        return memo[skey]
+        seen.add(skey)
+        stack.append((state, path, _batches(state.pending)))
 
-    explore(initial.copy(), ())
+    enter(initial.copy(), ())
+    while stack and not stopped:
+        state, path, batches = stack[-1]
+        batch = next(batches, None)
+        if batch is None:
+            stack.pop()
+        else:
+            child = state.copy()
+            enter(child, (_deliver(child, batch, memo_step), path))
     return EnumerationResult(
         outcomes=list(outcomes.values()),
         complete=not (truncated or stopped),

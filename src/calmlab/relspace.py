@@ -6,6 +6,7 @@ argument tuples. That is the one shape the engine reads and writes; a
 fixture text, JSON, membership tests and the readers ``facts`` and
 ``relation``. Databases are immutable values and every operation here is a
 pure function, so they can be shared between concurrent executors freely.
+A database caches its hash, so it is cheap inside the enumerator's state keys.
 ``db_union`` and ``db_leq`` give the join-semilattice used to state
 monotonicity: a program is monotone when growing its input under ``db_leq``
 can only grow its output.
@@ -89,7 +90,9 @@ class Database:
         return self.relations == other.relations
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.relations.items()))
+        if "_hash" not in self.__dict__:  # computed once: databases never change
+            object.__setattr__(self, "_hash", hash(frozenset(self.relations.items())))
+        return self._hash
 
     def __str__(self) -> str:
         return "\n".join(str(f) for f in self.facts())

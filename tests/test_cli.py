@@ -215,13 +215,42 @@ MALFORMED_CONFIGS = [
     ("mode", "bogus"),
 ]
 
+UNSTRATIFIABLE = """
+rel local_edge(src, dst) [input]
+rel nbr(@owner, @peer) [input]
+rel win(x) [output]
+rel lose(x)
+win(X) :- local_edge(X, _), !lose(X).
+lose(X) :- local_edge(X, _), !win(X).
+"""
+
+# inputs that load_config used to accept, and that then ended in a
+# traceback with exit 1 or, for the misspelled key, were ignored:
+# (key, value, what the error line must name, test id); a program or
+# fixture value is the file's text
+FAILING_RUNS = [
+    ("machnes", 3, "'machnes'", "misspelled-key"),
+    # the fixture names @m3: a partitioning error, or a routing error under
+    # coordination, which ignores the partitioning map
+    ("machines", 2, "m3", "fixture-names-m3"),
+    ("fixture", corpus.read_text("deadlock", "fig1.facts") + "nbr(@m1, @m4)\n", "@m4",
+     "fact-missing-from-the-map"),
+    ("program", UNSTRATIFIABLE, "unstratifiable", "unstratifiable-program"),
+]
+
 
 @pytest.mark.parametrize("verb", ["run", "check", "coordination"])
-@pytest.mark.parametrize("key,value", MALFORMED_CONFIGS)
+@pytest.mark.parametrize("key,value", MALFORMED_CONFIGS + [
+    pytest.param(key, value, id=case) for key, value, _, case in FAILING_RUNS
+])
 def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, key, value):
     src = json.loads(Path(corpus_file("deadlock", "check.json")).read_text())
     src["program"] = corpus_file("deadlock", "program.calm")
     src["fixture"] = corpus_file("deadlock", "fig1.facts")
+    expect = next((e for k, v, e, _ in FAILING_RUNS if (k, v) == (key, value)), repr(key))
+    if key in ("program", "fixture"):
+        (tmp_path / key).write_text(value)
+        value = key
     src[key] = value
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(src))
@@ -230,5 +259,15 @@ def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, 
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error:") and repr(key) in lines[0]
+    assert lines[0].startswith("error:") and expect in lines[0]
+    assert "Traceback" not in err
+
+
+def test_coordination_on_fewer_than_two_machines_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(capsys, "coordination", "--machines", "1", corpus_file("deadlock", "coordination.json"))
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--machines" in errors[0]
     assert "Traceback" not in err

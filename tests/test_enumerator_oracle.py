@@ -1,0 +1,237 @@
+"""Differential test of the schedule enumerator against an unreduced oracle.
+
+``_reference_enumerate`` is the walker ``netsim.enumerate_schedules`` was
+before envelopes became their own canonical keys: pending messages in a
+``Counter`` of ``(src, dst, Fact)`` triples, every inbox re-sorted by
+``str(Fact)`` on each expansion, and a recursive depth-first walk. It shares
+nothing with the walker under test but ``init_network`` and ``step``, so the
+hypothesis test below checks that the walker finds the same outcomes, on the
+same paths and in the same order, after the same number of states.
+"""
+
+from __future__ import annotations
+
+import itertools
+import sys
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from calmlab import corpus
+from calmlab.netsim import (
+    Schedule,
+    enumerate_schedules,
+    init_network,
+    machine_addresses,
+    partitioning_from_map,
+    run_schedule,
+)
+from calmlab.relspace import Database, db_to_json, db_union, parse_facts
+from calmlab.transducer import step
+
+# --- the oracle: the Counter-based recursive walker ----------------------------
+
+
+def _key(env) -> tuple:
+    return env[0].name, str(env[2])
+
+
+def _inboxes(pending: Counter) -> dict:
+    out: dict = {}
+    for env in sorted(pending, key=lambda e: (e[1].name, *_key(e))):
+        out.setdefault(env[1], []).append(env)
+    return out
+
+
+def _enqueue(pending: Counter, src, outbound: dict) -> None:
+    for dst, facts in outbound.items():
+        for f in facts:
+            pending[(src, dst, f)] += 1
+
+
+def _sweep(machines: dict, pending: Counter, steps: list, budget: int, stepper) -> bool:
+    while True:
+        any_change = False
+        for a in sorted(machines, key=lambda x: x.name):
+            if steps[0] >= budget:
+                return False
+            m = machines[a]
+            res = stepper(m, ())
+            steps[0] += 1
+            if res.changed(m):
+                machines[a] = res.new_state
+                _enqueue(pending, a, res.outbound)
+                any_change = True
+        if not any_change:
+            return True
+
+
+def _outputs(machines: dict) -> tuple:
+    per_machine = {
+        a.name: m.persisted.restrict(m.program.output_rels) for a, m in machines.items()
+    }
+    union = Database({})
+    for db in per_machine.values():
+        union = db_union(union, db)
+    return per_machine, union
+
+
+def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
+                         stop_after_distinct: int | None = None):
+    """(outcomes as (union, per-machine, decisions), complete, states)."""
+    step_memo: dict = {}
+
+    def memo_step(mstate, facts):
+        key = (mstate.semantic_key(), frozenset(facts))
+        if key not in step_memo:
+            step_memo[key] = step(mstate, facts)
+        return step_memo[key]
+
+    outcomes: dict = {}
+    memo: dict = {}
+    states = 0
+    truncated = stopped = False
+
+    def explore(machines: dict, pending: Counter, steps: list, path: tuple) -> frozenset:
+        nonlocal states, truncated, stopped
+        if not pending:
+            if not _sweep(machines, pending, steps, step_budget, memo_step):
+                truncated = True
+                return frozenset()
+            if not pending:
+                per_machine, union = _outputs(machines)
+                if union not in outcomes:
+                    outcomes[union] = (union, per_machine, path)
+                    if len(outcomes) == stop_after_distinct:
+                        stopped = True
+                return frozenset([union])
+        skey = (
+            tuple(machines[a].semantic_key() for a in sorted(machines, key=lambda x: x.name)),
+            frozenset(pending.items()),
+        )
+        if skey in memo:
+            return memo[skey]
+        if states >= bound:
+            stopped = True
+            return frozenset()
+        states += 1
+        found: set = set()
+        for envs in _inboxes(pending).values():
+            for k in range(len(envs), 0, -1):
+                for batch in itertools.combinations(envs, k):
+                    if stopped:
+                        break
+                    child, rest = dict(machines), Counter(pending)
+                    dst = batch[0][1]
+                    batch = sorted(batch, key=_key)
+                    for env in batch:
+                        rest[env] -= 1
+                        if not rest[env]:
+                            del rest[env]
+                    res = memo_step(child[dst], [f for _, _, f in batch])
+                    child_steps = [steps[0] + 1]
+                    child[dst] = res.new_state
+                    _enqueue(rest, dst, res.outbound)
+                    decision = (dst.name, tuple(map(_key, batch)))
+                    found |= explore(child, rest, child_steps, path + (decision,))
+        memo[skey] = frozenset(found)
+        return memo[skey]
+
+    explore(dict(machines), Counter(), [0], ())
+    return list(outcomes.values()), not (truncated or stopped), states
+
+
+# --- generated networks --------------------------------------------------------
+
+NODES = ("root", "o1", "o2")
+
+
+@st.composite
+def networks(draw):
+    """The deadlock or gc program on a 2-4 edge graph over 2-3 machines. Each
+    machine holds its own row of the full ``nbr`` mesh; every other fact is
+    placed at random."""
+    name = draw(st.sampled_from(["deadlock", "gc"]))
+    machines = machine_addresses(draw(st.integers(2, 3)))
+    pairs = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES))
+    edges = draw(st.lists(pairs, min_size=2, max_size=4, unique=True))
+    lines = [f"local_edge({x}, {y})" for x, y in edges]
+    if name == "gc":
+        objects = draw(st.lists(st.sampled_from(NODES[1:]), min_size=1, unique=True))
+        lines += ["root_input(root)"] + [f"obj({x})" for x in objects]
+    mapping: dict = {a.name: [f"nbr({a}, {b})" for b in machines if b != a] for a in machines}
+    for line in lines:
+        mapping[draw(st.sampled_from(machines)).name].append(line)
+    fixture = Database.from_facts(parse_facts("\n".join(sum(mapping.values(), []))))
+    part = partitioning_from_map(fixture, machines, mapping)
+    return init_network(corpus.load_program(name), fixture, part)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.sampled_from([40, 400]), st.sampled_from([None, None, 1]))
+def test_walk_matches_the_counter_oracle(net, bound, stop_after_distinct):
+    res = enumerate_schedules(net, bound=bound, stop_after_distinct=stop_after_distinct)
+    want, complete, states = _reference_enumerate(
+        net.machines, bound, stop_after_distinct=stop_after_distinct
+    )
+    got = [(o.union_output, o.per_machine_outputs, o.decisions) for o in res.outcomes]
+    assert got == want
+    assert (res.complete, res.states_explored) == (complete, states)
+    for o in res.outcomes:
+        replay = run_schedule(net, Schedule(decisions=o.decisions))
+        assert replay.quiesced and replay.decisions == o.decisions
+        assert db_to_json(replay.union_output) == db_to_json(o.union_output)
+        assert replay.per_machine_outputs == o.per_machine_outputs
+    if res.complete:
+        found = {o.union_output for o in res.outcomes}
+        for seed in range(3):
+            assert run_schedule(net, Schedule(seed=seed)).union_output in found
+
+
+# --- depth ---------------------------------------------------------------------
+
+RELAY = """
+rel next(n, m) [input]
+rel start(n) [input]
+rel peer(@p) [input]
+chan token(@dest, n)
+rel seen(n) [output]
+
+seen(N) :- start(N).
+seen(N) :- token(_, N).
+token(P, M) :- seen(N), next(N, M), peer(P).
+"""
+
+
+def _depth() -> int:
+    frame, n = sys._getframe(), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def test_walk_deeper_than_the_recursion_limit():
+    # two machines pass one token back and forth: every state has exactly
+    # one pending message, so the walk is one path of ``hops`` deliveries
+    from calmlab.calmlang import parse_program, validate_program
+
+    hops = 200
+    vp = validate_program(parse_program(RELAY))
+    machines = machine_addresses(2)
+    mapping = {
+        "m1": ["start(0)", "peer(@m2)"] + [f"next({i}, {i + 1})" for i in range(0, hops, 2)],
+        "m2": ["peer(@m1)"] + [f"next({i}, {i + 1})" for i in range(1, hops, 2)],
+    }
+    fixture = Database.from_facts(parse_facts("\n".join(sum(mapping.values(), []))))
+    net = init_network(vp, fixture, partitioning_from_map(fixture, machines, mapping))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_depth() + 100)
+    try:
+        res = enumerate_schedules(net)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert res.complete and res.states_explored == hops
+    [outcome] = res.outcomes
+    assert len(outcome.decisions) == hops
+    assert outcome.union_output.size() == hops + 1
