@@ -1,15 +1,23 @@
-"""Recursive-descent parser for .calm sources."""
+"""Recursive-descent parser for .calm sources and fixture files.
+
+A fixture file is written in the program grammar: each line holds one
+ground rule head, a literal whose terms are all values (no variables,
+wildcards or aggregates), and ``#`` starts a comment. Its lattice
+constructors are evaluated by the engine's own head-term evaluation.
+"""
 
 from __future__ import annotations
 
 from ..lexer import LexError, Token, tokenize
 from ..values import Address, Int, Symbol, Text
+from .printer import term_to_text
 from .syntax import (
     AggTerm,
     BoolOrTerm,
     ColSpec,
     Comparison,
     Const,
+    EvalError,
     GSetTerm,
     Literal,
     MaxIntTerm,
@@ -20,6 +28,8 @@ from .syntax import (
     TwoPTerm,
     Var,
     Wildcard,
+    eval_head_term,
+    term_vars,
 )
 
 AGG_KINDS = ("count", "min", "max")
@@ -55,7 +65,10 @@ class _Parser:
         return t
 
     def fail(self, msg: str, tok: Token):
-        raise ParseError(msg, tok.line, tok.col, self.filename)
+        self.fail_at(msg, (tok.line, tok.col))
+
+    def fail_at(self, msg: str, pos: tuple):
+        raise ParseError(msg, *pos, self.filename)
 
     # --- program ---------------------------------------------------------
 
@@ -194,14 +207,11 @@ class _Parser:
             self.take()
             return Wildcard((t.line, t.col))
         if t.kind == "INT":
-            self.take()
-            return Const(Int(int(t.text)), (t.line, t.col))
+            return self.const(t, lambda text: Int(int(text)))
         if t.kind == "STRING":
-            self.take()
-            return Const(Text(t.text), (t.line, t.col))
+            return self.const(t, Text)
         if t.kind == "ADDR":
-            self.take()
-            return Const(Address(t.text), (t.line, t.col))
+            return self.const(t, Address)
         if t.kind == "IDENT":
             if t.text in AGG_KINDS and self.peek(1).kind == "LT":
                 if not head:
@@ -238,9 +248,17 @@ class _Parser:
                 tomb = self.scalar_term_set()
                 self.take("RBRACE")
                 return TwoPTerm(tuple(added), tuple(tomb), (t.line, t.col))
-            self.take()
-            return Const(Symbol(t.text), (t.line, t.col))
+            return self.const(t, Symbol)
         self.fail(f"expected a term, found {t.text!r}", t)
+
+    def const(self, tok: Token, make) -> Const:
+        """The constant ``make(tok.text)``; a malformed value (an integer
+        out of range, a bad symbol or address name) fails at the token."""
+        self.take()
+        try:
+            return Const(make(tok.text), (tok.line, tok.col))
+        except ValueError as e:
+            self.fail(str(e), tok)
 
     def expect_label(self, label: str) -> None:
         t = self.take("IDENT", f"'{label}'")
@@ -268,11 +286,45 @@ class _Parser:
         self.take("RBRACE")
         return elems
 
+    def ground_literal(self) -> tuple:
+        """A rule head whose terms are all values, as (relation, values)."""
+        lit = self.literal(head=True)
+        values = []
+        for term in lit.args:
+            free = [term] if isinstance(term, (Wildcard, AggTerm)) else term_vars(term)
+            if free:
+                self.fail_at(f"expected a value, found {term_to_text(free[0])!r}", free[0].pos)
+            try:
+                values.append(eval_head_term(term, {}))
+            except EvalError as e:
+                self.fail_at(e.message, e.pos)
+        return lit.relation, tuple(values)
 
-def parse_program(text: str, filename: str = "<input>") -> Program:
-    """Parse source text into a Program AST, positions retained."""
+
+def _parser(text: str, filename: str) -> _Parser:
     try:
         toks = tokenize(text, filename)
     except LexError as e:
         raise ParseError(e.message, e.line, e.col, filename) from None
-    return _Parser(toks, filename).program()
+    return _Parser(toks, filename)
+
+
+def parse_program(text: str, filename: str = "<input>") -> Program:
+    """Parse source text into a Program AST, positions retained."""
+    return _parser(text, filename).program()
+
+
+def parse_ground_literals(text: str, filename: str = "<input>") -> list:
+    """Parse fixture text, one ground literal per line, into (relation,
+    values) pairs."""
+    p = _parser(text, filename)
+    out = []
+    while p.peek().kind != "EOF":
+        line = p.peek().line
+        out.append(p.ground_literal())
+        last, nxt = p.toks[p.pos - 1], p.peek()
+        if last.line != line:
+            p.fail("a fact must fit on one line", last)
+        if nxt.kind != "EOF" and nxt.line == line:
+            p.fail(f"expected one fact per line, found {nxt.text!r}", nxt)
+    return out

@@ -1,10 +1,13 @@
-"""AST node types. Every node keeps its source position for diagnostics;
-positions are excluded from structural equality so a parse/print round trip
-compares equal."""
+"""AST node types and term evaluation. Every node keeps its source position
+for diagnostics; positions are excluded from structural equality so a
+parse/print round trip compares equal."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .. import lattices
+from ..values import Int
 
 Pos = tuple  # (line, col)
 
@@ -145,3 +148,54 @@ def term_vars(t) -> list[Var]:
 
 def literal_vars(lit: Literal) -> list[Var]:
     return [v for a in lit.args for v in term_vars(a)]
+
+
+# --- term evaluation ---------------------------------------------------------
+
+
+class EvalError(Exception):
+    """Runtime typing failure while instantiating a head (e.g. maxint over
+    a non-integer binding), at the offending term's position."""
+
+    def __init__(self, message: str, pos: Pos = NOPOS):
+        self.message = message
+        self.pos = pos
+        super().__init__(message)
+
+
+def eval_term(term, env: dict):
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, Const):
+        return term.value
+    raise EvalError(f"cannot evaluate term {term!r}")
+
+
+def eval_scalar(term, env: dict):
+    v = eval_term(term, env)
+    if lattices.is_lattice(v):
+        raise EvalError("lattice value where a scalar is required")
+    return v
+
+
+def eval_head_term(term, env: dict):
+    """The value of a head term under ``env``; a ground term needs none."""
+    if isinstance(term, Var):
+        return env[term.name]
+    if isinstance(term, Const):
+        return term.value
+    if isinstance(term, GSetTerm):
+        return lattices.GSet(frozenset(eval_scalar(e, env) for e in term.elems))
+    if isinstance(term, MaxIntTerm):
+        v = eval_scalar(term.arg, env)
+        if not isinstance(v, Int):
+            raise EvalError(f"maxint() needs an integer, got {v}", term.arg.pos)
+        return lattices.MaxInt(v.value)
+    if isinstance(term, BoolOrTerm):
+        return lattices.BoolOr(bool(term.arg.value))
+    if isinstance(term, TwoPTerm):
+        return lattices.TwoPSet(
+            frozenset(eval_scalar(e, env) for e in term.added),
+            frozenset(eval_scalar(e, env) for e in term.tombstoned),
+        )
+    return eval_term(term, env)

@@ -17,11 +17,10 @@ from . import corpus as corpus_mod
 from . import monocheck
 from .calmlang import ParseError, ValidationError, parse_program, validate_program
 from .config import MODES, ConfigError, load_config
-from .lexer import LexError
 from .monocheck import UnstratifiableError
 from .netsim import PartitioningError, Schedule, init_network, run_schedule
-from .relspace import FactSyntaxError, canonical_json, db_to_obj
-from .transducer import RoutingError
+from .relspace import canonical_json, db_to_obj
+from .transducer import EvalError, RoutingError
 from .verdicts import (
     OUTCOME_CONFLUENT,
     OUTCOME_DIVERGENT,
@@ -31,8 +30,8 @@ from .verdicts import (
     detect_coordination,
 )
 
-USER_ERRORS = (ConfigError, ParseError, ValidationError, LexError, FactSyntaxError,
-               PartitioningError, RoutingError, UnstratifiableError, OSError)
+USER_ERRORS = (ConfigError, ParseError, ValidationError, EvalError, PartitioningError,
+               RoutingError, UnstratifiableError, OSError)
 
 
 def _print_json(obj) -> None:

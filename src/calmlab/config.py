@@ -17,7 +17,7 @@ from .netsim import (
     machine_addresses,
     partitioning_from_map,
 )
-from .relspace import Database, load_facts
+from .relspace import Database, SchemaError, load_facts
 
 
 class ConfigError(Exception):
@@ -51,9 +51,7 @@ class RunConfig:
             return colocated(self.fixture, addrs, addrs[0])
         if spec == "hash":
             return hash_partitioning(self.fixture, addrs)
-        if isinstance(spec, dict):
-            return partitioning_from_map(self.fixture, addrs, spec)
-        raise ConfigError(f"bad partitioning spec {spec!r}")
+        return partitioning_from_map(self.fixture, addrs, spec)
 
 
 def default_seed() -> int:
@@ -76,33 +74,51 @@ def _int_field(obj: dict, key: str, default: int, path: Path, least: int | None 
     return value
 
 
+def _path_field(obj: dict, key: str, path: Path) -> Path:
+    """A required file path of the config, relative to the config file."""
+    if key not in obj:
+        raise ConfigError(f"config {path} is missing {key!r}")
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ConfigError(f"config {path}: {key!r} must be a file path, got {value!r}")
+    return path.parent / value
+
+
+def _partitioning_field(obj: dict, path: Path):
+    """"colocate", "hash", or a map from machine name to a list of facts."""
+    spec = obj.get("partitioning", "colocate")
+    if spec in ("colocate", "hash") or isinstance(spec, dict) and all(
+        isinstance(facts, list) and all(isinstance(f, str) for f in facts) for facts in spec.values()
+    ):
+        return spec
+    raise ConfigError(
+        f"config {path}: 'partitioning' must be \"colocate\", \"hash\" or a map from "
+        f"machine names to lists of facts, got {spec!r}"
+    )
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
-    base = path.parent
-    for key in ("program", "fixture"):
-        if key not in obj:
-            raise ConfigError(f"config {path} is missing {key!r}")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, got {obj!r}")
+    program_path = _path_field(obj, "program", path)
+    fixture_path = _path_field(obj, "fixture", path)
     for key in obj:
         if key not in KEYS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-    program_path = base / obj["program"]
-    fixture_path = base / obj["fixture"]
     try:
         source = program_path.read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read program {program_path}: {e}") from None
     vp = validate_program(parse_program(source, str(program_path)))
-    fixture = load_facts(fixture_path)
-    for fact in fixture.facts():
-        schema = vp.schemas.get(fact.relation)
-        if schema is None or not schema.is_input:
-            raise ConfigError(
-                f"fixture fact {fact} is not in an input-marked relation of the program"
-            )
+    try:
+        fixture = load_facts(fixture_path)
+    except SchemaError as e:
+        raise ConfigError(f"fixture {fixture_path}: {e}") from None
     mode = obj.get("mode", "exhaustive")
     if mode not in MODES:
         raise ConfigError(f"config {path}: 'mode' must be one of {', '.join(MODES)}, got {mode!r}")
@@ -110,7 +126,7 @@ def load_config(path) -> RunConfig:
         program=vp,
         fixture=fixture,
         machines=_int_field(obj, "machines", 1, path, least=1),
-        partitioning_spec=obj.get("partitioning", "colocate"),
+        partitioning_spec=_partitioning_field(obj, path),
         seed=_int_field(obj, "seed", 0, path) if "seed" in obj else default_seed(),
         step_budget=_int_field(obj, "step_budget", 10_000, path, least=1),
         duplicate_every=_int_field(obj, "duplicate_every", 0, path, least=0),

@@ -1,7 +1,8 @@
-"""Tokenizer shared by the program parser and the fact-file reader."""
+"""Tokenizer of the program parser, which reads fixture files too."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -22,25 +23,27 @@ class Token:
     col: int
 
 
-_PUNCT = [
-    # longest first
-    (":-", "ARROW"),
-    ("!=", "NEQ"),
-    ("<=", "LE"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    ("[", "LBRACKET"),
-    ("]", "RBRACKET"),
-    (",", "COMMA"),
-    (".", "DOT"),
-    (":", "COLON"),
-    ("<", "LT"),
-    (">", "GT"),
-    ("=", "EQ"),
-    ("!", "BANG"),
-]
+_PUNCT = {
+    ":-": "ARROW",
+    "!=": "NEQ",
+    "<=": "LE",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "{": "LBRACE",
+    "}": "RBRACE",
+    "[": "LBRACKET",
+    "]": "RBRACKET",
+    ",": "COMMA",
+    ".": "DOT",
+    ":": "COLON",
+    "<": "LT",
+    ">": "GT",
+    "=": "EQ",
+    "!": "BANG",
+}
+
+# identifier characters after the first; \w is exactly str.isalnum() or "_"
+_IDENT_REST = re.compile(r"\w*")
 
 
 def _is_ident_start(c: str) -> bool:
@@ -89,8 +92,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             j = i + 1
             if j >= n or not _is_ident_start(text[j]):
                 raise LexError("expected machine name after '@'", line, col, filename)
-            while j < n and _is_ident_char(text[j]):
-                j += 1
+            j = _IDENT_REST.match(text, j).end()
             toks.append(Token("ADDR", text[i + 1 : j], start_line, start_col))
             col += j - i
             i = j
@@ -122,9 +124,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             i = j + 1
             continue
         if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
+            j = _IDENT_REST.match(text, i + 1).end()
             word = text[i:j]
             if word == "_":
                 kind = "WILD"
@@ -136,13 +136,11 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             col += j - i
             i = j
             continue
-        for sym, kind in _PUNCT:
-            if text.startswith(sym, i):
-                toks.append(Token(kind, sym, start_line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
+        sym = text[i : i + 2] if text[i : i + 2] in _PUNCT else c  # longest first
+        if sym not in _PUNCT:
             raise LexError(f"unexpected character {c!r}", line, col, filename)
+        toks.append(Token(_PUNCT[sym], sym, start_line, start_col))
+        i += len(sym)
+        col += len(sym)
     toks.append(Token("EOF", "", line, col))
     return toks

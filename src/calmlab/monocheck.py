@@ -12,6 +12,7 @@ affect the verdict.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .calmlang import ValidatedProgram, ValidatedRule
@@ -153,76 +154,27 @@ def dependency_graph(vp: ValidatedProgram) -> tuple:
 
 
 def _find_strict_cycle(edges) -> tuple | None:
-    """Return a relation cycle containing a strict edge, if one exists."""
+    """Return a relation cycle containing a strict edge, if one exists.
+
+    The first strict edge head -> body, in (head, body) order, whose body
+    reaches its head closes a cycle through the shortest path back. Every
+    node on such a path shares the edge's strongly connected component.
+    """
     adj: dict[str, list] = {}
     for e in edges:
-        adj.setdefault(e.head, []).append(e)
+        adj.setdefault(e.head, []).append(e.body)
         adj.setdefault(e.body, [])
-
-    # Tarjan SCCs, then look for a strict edge inside an SCC.
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[frozenset] = []
-    counter = [0]
-
-    def strongconnect(v: str) -> None:
-        work = [(v, iter(sorted(adj[v], key=lambda e: e.body)))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
-        stack.append(v)
-        on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for e in it:
-                w = e.body
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(adj[w], key=lambda e2: e2.body))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                sccs.append(frozenset(comp))
-
-    for v in sorted(adj):
-        if v not in index:
-            strongconnect(v)
-
-    scc_of = {v: comp for comp in sccs for v in comp}
+    for succs in adj.values():
+        succs.sort()
     for e in sorted(edges, key=lambda e: (e.head, e.body)):
-        if e.kind in ("negative", "aggregate") and scc_of[e.head] is scc_of[e.body]:
-            # reconstruct a short cycle head -> body -> ... -> head inside the SCC
-            comp = scc_of[e.head]
-            path = _shortest_path(e.body, e.head, adj, comp)
+        if e.kind in ("negative", "aggregate"):
+            path = _shortest_path(e.body, e.head, adj)
             if path:
                 return tuple([e.head] + path[:-1])
-            return (e.head, e.body)
     return None
 
 
-def _shortest_path(src: str, dst: str, adj: dict, comp: frozenset) -> list | None:
-    from collections import deque
-
+def _shortest_path(src: str, dst: str, adj: dict) -> list | None:
     prev: dict[str, str | None] = {src: None}
     q = deque([src])
     while q:
@@ -235,9 +187,8 @@ def _shortest_path(src: str, dst: str, adj: dict, comp: frozenset) -> list | Non
                 node = prev[node]
             path.reverse()
             return path
-        for e in sorted(adj[v], key=lambda e: e.body):
-            w = e.body
-            if w in comp and w not in prev:
+        for w in adj[v]:
+            if w not in prev:
                 prev[w] = v
                 q.append(w)
     return None

@@ -99,7 +99,7 @@ def partitioning_from_map(input_db: Database, machines: tuple, mapping: dict) ->
             raise PartitioningError(f"unknown machine {mname!r} in partitioning map")
         addr = by_addr[mname.lstrip("@")]
         for s in fact_strs:
-            f = parse_fact(s)
+            f = parse_fact(s, f"partitioning map entry {mname!r}")
             if f in assignment:
                 raise PartitioningError(f"fact {f} assigned to more than one machine")
             assignment[f] = addr
@@ -232,9 +232,13 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
     for f in input_db.facts():
         if f not in part.assignment:
             raise PartitioningError(f"input fact {f} not assigned to any machine")
-        if not vp.schemas.get(f.relation) or not vp.schemas[f.relation].is_input:
+        schema = vp.schemas.get(f.relation)
+        if schema is None or not schema.is_input:
+            raise PartitioningError(f"fixture fact {f} is not in an input-marked relation")
+        if len(f.args) != schema.arity:
             raise PartitioningError(
-                f"fixture fact {f} is not in an input-marked relation"
+                f"fixture fact {f} has arity {len(f.args)}, "
+                f"but {f.relation} is declared with arity {schema.arity}"
             )
     for f in part.assignment:
         if f not in input_db:

@@ -12,8 +12,10 @@ monotonicity: a program is monotone when growing its input under ``db_leq``
 can only grow its output.
 
 External text format (fixture files): one fact per line, ``relname(v1, v2)``,
-``#`` starts a comment. Canonical JSON serialization sorts relations by name
-and facts by the total value order, so equal databases serialize to
+``#`` starts a comment. A fact is a ground rule head, read by the program
+parser (``calmlang.parser.parse_ground_literals``), so fixtures and programs
+share one grammar for values. Canonical JSON serialization sorts relations
+by name and facts by the total value order, so equal databases serialize to
 byte-identical JSON regardless of construction order.
 """
 
@@ -22,22 +24,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import lattices
-from .lexer import LexError, Token, tokenize
-from .values import Address, Int, Symbol, Text, value_sort_key
+from .calmlang.parser import ParseError, parse_ground_literals
+from .values import value_sort_key
 
 
 class SchemaError(Exception):
     """Same relation name used with different arities."""
-
-
-class FactSyntaxError(Exception):
-    def __init__(self, message: str, line: int, col: int, filename: str = "<input>"):
-        self.message = message
-        self.line = line
-        self.col = col
-        self.filename = filename
-        super().__init__(f"{filename}:{line}:{col}: {message}")
 
 
 def _args_key(args: tuple) -> tuple:
@@ -136,140 +128,16 @@ def db_leq(a: Database, b: Database) -> bool:
 # --- text format -----------------------------------------------------------
 
 
-class _ValueParser:
-    """Recursive parser for ground values over a token list."""
-
-    def __init__(self, toks: list[Token], filename: str):
-        self.toks = toks
-        self.pos = 0
-        self.filename = filename
-
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
-    def take(self, kind: str | None = None) -> Token:
-        t = self.toks[self.pos]
-        if kind is not None and t.kind != kind:
-            self.fail(f"expected {kind}, found {t.text!r}", t)
-        self.pos += 1
-        return t
-
-    def fail(self, msg: str, tok: Token):
-        raise FactSyntaxError(msg, tok.line, tok.col, self.filename)
-
-    def value(self):
-        t = self.peek()
-        if t.kind == "INT":
-            self.take()
-            return Int(int(t.text))
-        if t.kind == "STRING":
-            self.take()
-            return Text(t.text)
-        if t.kind == "ADDR":
-            self.take()
-            return Address(t.text)
-        if t.kind == "IDENT":
-            if t.text == "gset":
-                self.take()
-                return lattices.GSet(self.scalar_set())
-            if t.text == "maxint":
-                self.take()
-                self.take("LPAREN")
-                n = self.take("INT")
-                self.take("RPAREN")
-                return lattices.MaxInt(int(n.text))
-            if t.text == "boolor":
-                self.take()
-                self.take("LPAREN")
-                b = self.take("IDENT")
-                if b.text not in ("true", "false"):
-                    self.fail("expected true or false", b)
-                self.take("RPAREN")
-                return lattices.BoolOr(b.text == "true")
-            if t.text == "2p":
-                self.take()
-                self.take("LBRACE")
-                label = self.take("IDENT")
-                if label.text != "added":
-                    self.fail("expected 'added'", label)
-                self.take("COLON")
-                added = self.scalar_set()
-                self.take("COMMA")
-                label = self.take("IDENT")
-                if label.text != "tomb":
-                    self.fail("expected 'tomb'", label)
-                self.take("COLON")
-                tomb = self.scalar_set()
-                self.take("RBRACE")
-                return lattices.TwoPSet(added, tomb)
-            self.take()
-            return Symbol(t.text)
-        self.fail(f"expected a value, found {t.text!r}", t)
-
-    def scalar_set(self) -> frozenset:
-        self.take("LBRACE")
-        elems = []
-        if self.peek().kind != "RBRACE":
-            while True:
-                v = self.value()
-                if lattices.is_lattice(v):
-                    self.fail("lattice values cannot nest", self.peek())
-                elems.append(v)
-                if self.peek().kind == "COMMA":
-                    self.take()
-                else:
-                    break
-        self.take("RBRACE")
-        return frozenset(elems)
-
-    def fact(self) -> Fact:
-        name = self.take("IDENT")
-        self.take("LPAREN")
-        args = []
-        if self.peek().kind != "RPAREN":
-            while True:
-                args.append(self.value())
-                if self.peek().kind == "COMMA":
-                    self.take()
-                else:
-                    break
-        self.take("RPAREN")
-        return Fact(name.text, tuple(args))
-
-
-def parse_value(text: str):
-    toks = tokenize(text)
-    p = _ValueParser(toks, "<value>")
-    v = p.value()
-    p.take("EOF")
-    return v
+def parse_facts(text: str, filename: str = "<facts>") -> list[Fact]:
+    """Parse the fixture format: one ground literal per line, '#' comments."""
+    return [Fact(name, args) for name, args in parse_ground_literals(text, filename)]
 
 
 def parse_fact(text: str, filename: str = "<fact>") -> Fact:
-    toks = tokenize(text, filename)
-    p = _ValueParser(toks, filename)
-    f = p.fact()
-    p.take("EOF")
-    return f
-
-
-def parse_facts(text: str, filename: str = "<facts>") -> list[Fact]:
-    """Parse the fixture format: one fact per line, '#' comments."""
-    facts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            toks = tokenize(line, filename)
-        except LexError as e:
-            raise FactSyntaxError(e.message, lineno, e.col, filename) from None
-        # re-anchor token positions to the real line number
-        toks = [Token(t.kind, t.text, lineno, t.col) for t in toks]
-        p = _ValueParser(toks, filename)
-        facts.append(p.fact())
-        p.take("EOF")
-    return facts
+    facts = parse_facts(text, filename)
+    if len(facts) != 1:
+        raise ParseError(f"expected one fact, found {len(facts)}", 1, 1, filename)
+    return facts[0]
 
 
 def load_facts(path) -> Database:
@@ -286,14 +154,6 @@ def db_to_obj(db: Database) -> dict:
         name: [[str(a) for a in args] for args in sorted(db.relations[name], key=_args_key)]
         for name in sorted(db.relations)
     }
-
-
-def db_from_obj(obj: dict) -> Database:
-    facts = []
-    for name, rows in obj.items():
-        for row in rows:
-            facts.append(Fact(name, tuple(parse_value(cell) for cell in row)))
-    return Database.from_facts(facts)
 
 
 def canonical_json(obj) -> str:

@@ -35,16 +35,7 @@ from operator import itemgetter
 
 from . import lattices
 from .calmlang import ValidatedProgram, ValidatedRule
-from .calmlang.syntax import (
-    BoolOrTerm,
-    Const,
-    GSetTerm,
-    Literal,
-    MaxIntTerm,
-    Negation,
-    TwoPTerm,
-    Var,
-)
+from .calmlang.syntax import EvalError, Literal, Negation, Var, eval_head_term, eval_scalar
 from .calmlang.validate import BIND, Probe
 from .relspace import Database, Fact
 from .values import Address, Int, value_sort_key
@@ -59,11 +50,6 @@ class DivergenceError(Exception):
 class RoutingError(Exception):
     """Inbox or outbound fact cannot be routed (undeclared relation or a
     non-address in a channel's first column)."""
-
-
-class EvalError(Exception):
-    """Runtime typing failure while instantiating a head (e.g. maxint over
-    a non-integer binding)."""
 
 
 # --- query evaluation --------------------------------------------------------
@@ -149,41 +135,6 @@ def _bind(binds: tuple, tup: tuple, env: dict) -> dict | None:
     return out
 
 
-def _eval_term(term, env: dict):
-    if isinstance(term, Var):
-        return env[term.name]
-    if isinstance(term, Const):
-        return term.value
-    raise EvalError(f"cannot evaluate term {term!r}")
-
-
-def _scalar(term, env: dict):
-    v = _eval_term(term, env)
-    if lattices.is_lattice(v):
-        raise EvalError("lattice value where a scalar is required")
-    return v
-
-
-def _eval_head_term(term, env: dict):
-    if isinstance(term, Var):
-        return env[term.name]
-    if isinstance(term, GSetTerm):
-        return lattices.GSet(frozenset(_scalar(e, env) for e in term.elems))
-    if isinstance(term, MaxIntTerm):
-        v = _scalar(term.arg, env)
-        if not isinstance(v, Int):
-            raise EvalError(f"maxint() needs an integer, got {v}")
-        return lattices.MaxInt(v.value)
-    if isinstance(term, BoolOrTerm):
-        return lattices.BoolOr(bool(term.arg.value))
-    if isinstance(term, TwoPTerm):
-        return lattices.TwoPSet(
-            frozenset(_scalar(e, env) for e in term.added),
-            frozenset(_scalar(e, env) for e in term.tombstoned),
-        )
-    return _eval_term(term, env)
-
-
 def _compare(op: str, left, right) -> bool:
     if op == "=":
         return left == right
@@ -227,7 +178,7 @@ def _solve(rule: ValidatedRule, space: _Space, delta_at: int | None, delta: set,
             return
         elem, probe = plan[i], probes[i]
         if probe is None:  # Comparison
-            if _compare(elem.op, _scalar(elem.left, env), _scalar(elem.right, env)):
+            if _compare(elem.op, eval_scalar(elem.left, env), eval_scalar(elem.right, env)):
                 rec(i + 1, env)
         elif isinstance(elem, Negation):
             if not candidates(i, elem.literal, probe, env):
@@ -248,7 +199,7 @@ def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> list:
     out: list = []
     if rule.agg is None:
         def emit(env):
-            out.append(tuple([_eval_head_term(t, env) for t in head_args]))
+            out.append(tuple([eval_head_term(t, env) for t in head_args]))
 
         _solve(rule, space, delta_at, delta, emit)
         return out
@@ -256,7 +207,7 @@ def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> list:
 
     def collect(env):
         key = tuple(
-            _eval_head_term(t, env)
+            eval_head_term(t, env)
             for i, t in enumerate(head_args)
             if i != rule.agg_pos
         )
@@ -287,40 +238,44 @@ def _query(
     levels = max(stratum_of.values(), default=0) + 1
     space = _Space(vp, persisted, inbox)
 
-    for level in range(levels):
-        rules = [
-            r for r in vp.rules if stratum_of.get(r.rule.head.relation, 0) == level
-        ]
-        if not rules:
-            continue
-        # aggregates within a stratum see only completed lower strata, so an
-        # aggregate rule fires once, in the naive round
-        delta: dict[str, set] = {}
-        for r in rules:
-            for tup in _fire_rule(r, space, None, set()):
-                if space.add(r.rule.head.relation, tup):
-                    delta.setdefault(r.rule.head.relation, set()).add(tup)
-        rounds = 0
-        while delta:
-            rounds += 1
-            if rounds > bound:
-                raise DivergenceError(
-                    f"stratum {level} did not reach a fixpoint within {bound} rounds"
-                )
-            new_delta: dict[str, set] = {}
+    try:
+        for level in range(levels):
+            rules = [
+                r for r in vp.rules if stratum_of.get(r.rule.head.relation, 0) == level
+            ]
+            if not rules:
+                continue
+            # aggregates within a stratum see only completed lower strata, so an
+            # aggregate rule fires once, in the naive round
+            delta: dict[str, set] = {}
             for r in rules:
-                if r.agg is not None:
-                    continue
-                for pos, elem in enumerate(r.plan):
-                    if not isinstance(elem, Literal):
+                for tup in _fire_rule(r, space, None, set()):
+                    if space.add(r.rule.head.relation, tup):
+                        delta.setdefault(r.rule.head.relation, set()).add(tup)
+            rounds = 0
+            while delta:
+                rounds += 1
+                if rounds > bound:
+                    raise DivergenceError(
+                        f"stratum {level} did not reach a fixpoint within {bound} rounds"
+                    )
+                new_delta: dict[str, set] = {}
+                for r in rules:
+                    if r.agg is not None:
                         continue
-                    d = delta.get(elem.relation)
-                    if not d or elem.relation in vp.channel_rels:
-                        continue
-                    for tup in _fire_rule(r, space, pos, d):
-                        if space.add(r.rule.head.relation, tup):
-                            new_delta.setdefault(r.rule.head.relation, set()).add(tup)
-            delta = new_delta
+                    for pos, elem in enumerate(r.plan):
+                        if not isinstance(elem, Literal):
+                            continue
+                        d = delta.get(elem.relation)
+                        if not d or elem.relation in vp.channel_rels:
+                            continue
+                        for tup in _fire_rule(r, space, pos, d):
+                            if space.add(r.rule.head.relation, tup):
+                                new_delta.setdefault(r.rule.head.relation, set()).add(tup)
+                delta = new_delta
+    except EvalError as e:
+        line, col = e.pos
+        raise EvalError(f"{vp.program.filename}:{line}:{col}: {e.message}", e.pos) from None
     return space
 
 

@@ -49,6 +49,14 @@ def test_analyze_invalid_program_exit_two(tmp_path, capsys):
     assert "bad.calm" in err
 
 
+def test_analyze_malformed_constant_exit_two_at_the_token(tmp_path, capsys):
+    bad = tmp_path / "bad.calm"
+    bad.write_text("rel r(x) [input]\nrel s(x) [output]\ns(X) :- r(X).\ns(99999999999999999999).\n")
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err == f"error: {bad}:4:3: integer out of 64-bit range: 99999999999999999999\n"
+
+
 def test_analyze_json_matches_golden(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", corpus_file("gc", "program.calm"), "--json"
@@ -224,18 +232,47 @@ win(X) :- local_edge(X, _), !lose(X).
 lose(X) :- local_edge(X, _), !win(X).
 """
 
+FIG1 = corpus.read_text("deadlock", "fig1.facts")  # 13 lines
+
+
+def local_edge_program(cols: str) -> str:
+    """A program reading the fixture's relations, local_edge with ``cols``."""
+    return (f"rel local_edge({cols}) [input]\nrel nbr(@owner, @peer) [input]\n"
+            f"rel node(x) [output]\nnode(X) :- local_edge(X{', _' * cols.count(',')}).\n")
+
+
+MAXINT_OF_SYMBOLS = local_edge_program("src, dst") + """
+rel top(m: maxint) [output]
+top(maxint(X)) :- local_edge(X, _).
+"""
+
 # inputs that load_config used to accept, and that then ended in a
-# traceback with exit 1 or, for the misspelled key, were ignored:
-# (key, value, what the error line must name, test id); a program or
-# fixture value is the file's text
+# traceback with exit 1, an answer with exit 0 or, for the misspelled key,
+# were ignored: (key, value, what the error line must name, test id); a
+# string program or fixture value is the file's text, and under the key
+# None the value is the whole config document
 FAILING_RUNS = [
     ("machnes", 3, "'machnes'", "misspelled-key"),
     # the fixture names @m3: a partitioning error, or a routing error under
     # coordination, which ignores the partitioning map
     ("machines", 2, "m3", "fixture-names-m3"),
-    ("fixture", corpus.read_text("deadlock", "fig1.facts") + "nbr(@m1, @m4)\n", "@m4",
-     "fact-missing-from-the-map"),
+    ("fixture", FIG1 + "nbr(@m1, @m4)\n", "@m4", "fact-missing-from-the-map"),
     ("program", UNSTRATIFIABLE, "unstratifiable", "unstratifiable-program"),
+    # values the lexer accepts and the value types reject, located
+    ("fixture", FIG1 + "local_edge(t1, 99999999999999999999)\n",
+     "fixture:14:16: integer out of 64-bit range", "integer-out-of-range"),
+    ("fixture", FIG1 + "nbr(@M1, @m2)\n", "fixture:14:5: invalid machine address", "capital-address"),
+    ("fixture", FIG1 + "local_edge(t1, t\u00f6)\n", "fixture:14:16: invalid symbol", "non-ascii-symbol"),
+    # fixture facts against the program's schema
+    ("program", local_edge_program("src"), "local_edge(t1, t2) has arity 2", "fact-wider-than-declared"),
+    ("program", local_edge_program("src, dst, label"), "local_edge(t1, t2) has arity 2",
+     "fact-narrower-than-declared"),
+    ("fixture", FIG1 + "local_edge(t1, t2, zz)\n", "arities [2, 3]", "relation-at-two-arities"),
+    # config shapes and run-time typing
+    ("program", 5, "'program'", "program-not-a-path"),
+    (None, ["program", "fixture"], "JSON object", "config-not-an-object"),
+    ("partitioning", {"m1": "local_edge(t1, t2)"}, "'partitioning'", "map-entry-not-a-list"),
+    ("program", MAXINT_OF_SYMBOLS, "program:7:12: maxint() needs an integer", "maxint-of-a-symbol"),
 ]
 
 
@@ -248,10 +285,13 @@ def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, 
     src["program"] = corpus_file("deadlock", "program.calm")
     src["fixture"] = corpus_file("deadlock", "fig1.facts")
     expect = next((e for k, v, e, _ in FAILING_RUNS if (k, v) == (key, value)), repr(key))
-    if key in ("program", "fixture"):
+    if key in ("program", "fixture") and isinstance(value, str):
         (tmp_path / key).write_text(value)
         value = key
-    src[key] = value
+    if key is None:
+        src = value
+    else:
+        src[key] = value
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(src))
     code, out, err = run_cli(capsys, verb, str(cfg))

@@ -1,4 +1,7 @@
+from collections import deque
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calmlab import corpus, monocheck
 from calmlab.calmlang import parse_program, validate_program
@@ -164,3 +167,110 @@ def test_report_json_stable_key_order(programs):
     )
     assert one == two
     assert '"schema_version":1' in one
+
+
+# --- the oracle: strict cycles through Tarjan's strongly connected components
+
+
+def _tarjan_strict_cycle(edges) -> tuple | None:
+    """The cycle finder as first written: Tarjan SCCs, then the first strict
+    edge (in (head, body) order) inside an SCC, closed by a BFS confined to
+    that SCC."""
+    adj: dict[str, list] = {}
+    for e in edges:
+        adj.setdefault(e.head, []).append(e)
+        adj.setdefault(e.body, [])
+
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    sccs: list[frozenset] = []
+    counter = [0]
+
+    def strongconnect(v: str) -> None:
+        work = [(v, iter(sorted(adj[v], key=lambda e: e.body)))]
+        index[v] = low[v] = counter[0]
+        counter[0] += 1
+        stack.append(v)
+        on_stack.add(v)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for e in it:
+                w = e.body
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(sorted(adj[w], key=lambda e2: e2.body))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.add(w)
+                    if w == node:
+                        break
+                sccs.append(frozenset(comp))
+
+    for v in sorted(adj):
+        if v not in index:
+            strongconnect(v)
+
+    def shortest_path(src: str, dst: str, comp: frozenset) -> list | None:
+        prev: dict[str, str | None] = {src: None}
+        q = deque([src])
+        while q:
+            v = q.popleft()
+            if v == dst:
+                path = []
+                node: str | None = v
+                while node is not None:
+                    path.append(node)
+                    node = prev[node]
+                path.reverse()
+                return path
+            for e in sorted(adj[v], key=lambda e: e.body):
+                w = e.body
+                if w in comp and w not in prev:
+                    prev[w] = v
+                    q.append(w)
+        return None
+
+    scc_of = {v: comp for comp in sccs for v in comp}
+    for e in sorted(edges, key=lambda e: (e.head, e.body)):
+        if e.kind in ("negative", "aggregate") and scc_of[e.head] is scc_of[e.body]:
+            path = shortest_path(e.body, e.head, scc_of[e.head])
+            if path:
+                return tuple([e.head] + path[:-1])
+            return (e.head, e.body)
+    return None
+
+
+dependency_edges = st.sets(
+    st.builds(
+        monocheck.DepEdge,
+        st.sampled_from("abcdef"),
+        st.sampled_from("abcdef"),
+        st.sampled_from(("positive", "positive", "negative", "aggregate")),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=400)
+@given(dependency_edges)
+def test_strict_cycle_matches_the_scc_oracle(edges):
+    assert monocheck._find_strict_cycle(edges) == _tarjan_strict_cycle(edges)

@@ -15,15 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calmlab.calmlang import parse_program, validate_program
-from calmlab.calmlang.syntax import Literal, Negation, Var, Wildcard
+from calmlab.calmlang.syntax import Literal, Negation, Var, Wildcard, eval_head_term, eval_scalar
 from calmlab.relspace import Database, Fact
 from calmlab.transducer import (
     DEFAULT_EVAL_BOUND,
     DivergenceError,
     _compare,
-    _eval_head_term,
     _query,
-    _scalar,
     single_machine_output,
 )
 from calmlab.values import Address, Int, Symbol, value_sort_key
@@ -92,7 +90,7 @@ def _rule_bindings(rule, space, delta_at, delta):
                 _match_literal(lit, tup, env) is not None for tup in space.readable(lit.relation)
             ):
                 yield from rec(i + 1, env)
-        elif _compare(elem.op, _scalar(elem.left, env), _scalar(elem.right, env)):
+        elif _compare(elem.op, eval_scalar(elem.left, env), eval_scalar(elem.right, env)):
             yield from rec(i + 1, env)
 
     yield from rec(0, {})
@@ -102,12 +100,12 @@ def _fire_rule(rule, space, delta_at, delta) -> list:
     head = rule.rule.head
     if rule.agg is None:
         return [
-            tuple(_eval_head_term(t, env) for t in head.args)
+            tuple(eval_head_term(t, env) for t in head.args)
             for env in _rule_bindings(rule, space, delta_at, delta)
         ]
     groups: dict = {}
     for env in _rule_bindings(rule, space, delta_at, delta):
-        key = tuple(_eval_head_term(t, env) for i, t in enumerate(head.args) if i != rule.agg_pos)
+        key = tuple(eval_head_term(t, env) for i, t in enumerate(head.args) if i != rule.agg_pos)
         groups.setdefault(key, set()).add(env[rule.agg.var.name])
     out = []
     for key, vals in groups.items():

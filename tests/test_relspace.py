@@ -1,19 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from calmlab.calmlang import ParseError
+from calmlab.lattices import BoolOr, GSet, MaxInt, TwoPSet
 from calmlab.relspace import (
     Database,
     Fact,
-    FactSyntaxError,
     SchemaError,
     db_leq,
     db_to_json,
     db_union,
     parse_fact,
     parse_facts,
-    parse_value,
 )
 from calmlab.values import Address, Int, Symbol, Text
 
@@ -100,6 +100,7 @@ def test_parse_fact_roundtrip_each_value_kind():
         "r(maxint(5))",
         "r(boolor(true))",
         "r(2p{added:{a, b}, tomb:{b}})",
+        "r(gset, maxint, boolor)",  # bare lattice names are symbols
     ]
     for text in facts:
         f = parse_fact(text)
@@ -113,10 +114,34 @@ def test_parse_facts_comments_and_blanks():
 
 
 def test_parse_facts_error_position():
-    with pytest.raises(FactSyntaxError) as e:
+    with pytest.raises(ParseError) as e:
         parse_facts("cart(i1)\ncart(", filename="f.facts")
     assert e.value.line == 2
     assert "f.facts" in str(e.value)
+
+
+def test_parse_facts_one_fact_per_line():
+    with pytest.raises(ParseError) as e:
+        parse_facts("cart(i1)\ncart(i2) cart(i3)", filename="f.facts")
+    assert (e.value.line, e.value.col) == (2, 10)
+    with pytest.raises(ParseError) as e:
+        parse_facts("cart(i1,\n i2)")
+    assert e.value.line == 2
+
+
+@pytest.mark.parametrize("text,col", [
+    ("r(a, X)", 6),
+    ("r(_)", 3),
+    ("r(count<X>)", 3),
+    ("r(gset{a, X})", 11),
+    ("r(maxint(a))", 10),
+    ("r(@M1)", 3),
+    ("r(9223372036854775808)", 3),
+])
+def test_parse_fact_rejects_non_values_at_the_token(text, col):
+    with pytest.raises(ParseError) as e:
+        parse_fact(text, "f.facts")
+    assert (e.value.filename, e.value.line, e.value.col) == ("f.facts", 1, col)
 
 
 def test_value_total_order_is_type_rank_then_natural():
@@ -142,20 +167,8 @@ def test_canonical_serialization_ignores_construction_order(perm):
 
 
 def test_parse_value_lattice_nesting_rejected():
-    with pytest.raises(FactSyntaxError):
-        parse_value("gset{gset{a}}")
-
-
-def test_db_json_obj_roundtrip():
-    from calmlab.relspace import db_from_obj, db_to_obj
-
-    source = db(
-        I1,
-        Fact("scores", (Int(3), Text("hi"))),
-        Fact("homes", (Address("m2"), Symbol("t1"))),
-        Fact("store", (parse_value("2p{added:{a}, tomb:{b}}"),)),
-    )
-    assert db_from_obj(db_to_obj(source)) == source
+    with pytest.raises(ParseError):
+        parse_fact("r(gset{gset{a}})")
 
 
 scalar_values = st.one_of(
@@ -168,12 +181,26 @@ scalar_values = st.one_of(
 )
 
 
+lattice_values = st.one_of(
+    st.frozensets(scalar_values, max_size=3).map(GSet),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(MaxInt),
+    st.booleans().map(BoolOr),
+    st.tuples(st.frozensets(scalar_values, max_size=3), st.frozensets(scalar_values, max_size=3)).map(
+        lambda at: TwoPSet(*at)
+    ),
+)
+
+
 @given(scalar_values)
 def test_any_scalar_value_round_trips_through_text(v):
-    assert parse_value(str(v)) == v
+    assert parse_fact(f"r({v})").args == (v,)
 
 
-@given(st.lists(scalar_values, min_size=0, max_size=4))
+@given(st.lists(st.one_of(scalar_values, lattice_values), min_size=0, max_size=4))
+@example([Text("a#b")])
+@example([Text("a\x0cb")])
+@example([Text("a\u2028b")])
 def test_any_fact_round_trips_through_text(args):
     f = Fact("r", tuple(args))
     assert parse_fact(str(f)) == f
+    assert parse_facts(f"{f}\n# comment\n{f}  # trailing\n") == [f, f]
