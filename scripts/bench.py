@@ -9,6 +9,9 @@ Workloads:
   holding the full ``nbr`` mesh of its machine. The walk is exhaustive,
   except ``6x4``, which stops at a fixed state bound.
 - ``gc``: the corpus ``gc`` check walked exhaustively, with no early stop.
+- ``gc_coordinated_sampled``: the corpus ``gc_coordinated`` check as its
+  config gives it, sampled over 24 seeds: many small non-monotone steps
+  behind a barrier, with no step memo.
 - ``tc_chain_N``: transitive closure of an N-edge chain on one machine.
 
 Each workload runs once, in this process, and the whole set takes well
@@ -37,6 +40,7 @@ from calmlab.netsim import (
 )
 from calmlab.relspace import Database, parse_facts
 from calmlab.transducer import single_machine_output
+from calmlab.verdicts import check_confluence
 
 RING_6X4_BOUND = 30_000
 
@@ -79,13 +83,23 @@ def gc_network():
     return init_network(cfg.program, cfg.fixture, cfg.partitioning())
 
 
+def gc_coordinated_sampled() -> dict:
+    cfg = load_config(corpus.config_path("gc_coordinated", "check.json"))
+    start = time.perf_counter()
+    v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode=cfg.mode, seeds=cfg.seeds)
+    return {"seconds": round(time.perf_counter() - start, 3), "outcome": v.outcome,
+            "runs": v.runs_examined}
+
+
 WORKLOADS = {
     "deadlock_ring_5x3": lambda: walk(ring_network(5, 3)),
     "deadlock_ring_6x3": lambda: walk(ring_network(6, 3)),
     "deadlock_ring_6x4": lambda: walk(ring_network(6, 4), bound=RING_6X4_BOUND),
     "gc": lambda: walk(gc_network()),
+    "gc_coordinated_sampled": gc_coordinated_sampled,
     "tc_chain_100": lambda: tc_chain(100),
     "tc_chain_200": lambda: tc_chain(200),
+    "tc_chain_400": lambda: tc_chain(400),
 }
 
 

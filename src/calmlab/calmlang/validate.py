@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..lattices import VARIANT_NAMES, is_lattice
 from ..values import Address
 from .syntax import (
     AggTerm,
@@ -69,11 +70,11 @@ class Schema:
     def arity(self) -> int:
         return len(self.cols)
 
-    @property
+    @cached_property
     def lattice_cols(self) -> tuple:
         return tuple(i for i, c in enumerate(self.cols) if c.lattice)
 
-    @property
+    @cached_property
     def scalar_cols(self) -> tuple:
         return tuple(i for i, c in enumerate(self.cols) if not c.lattice)
 
@@ -103,6 +104,11 @@ class ValidatedRule:
     agg: AggTerm | None
     agg_pos: int | None
 
+    @cached_property
+    def reads(self) -> tuple:
+        """(plan position, relation) of each positive literal."""
+        return tuple((i, e.relation) for i, e in enumerate(self.plan) if isinstance(e, Literal))
+
 
 @dataclass(frozen=True)
 class ValidatedProgram:
@@ -127,6 +133,32 @@ class ValidatedProgram:
         from .. import monocheck  # monocheck imports this package
 
         return {rel: i for i, layer in enumerate(monocheck.stratify(self)) for rel in layer}
+
+    @cached_property
+    def strata(self) -> tuple:
+        """Per stratum, lowest first, the rules whose head it holds."""
+        levels = max(self.stratum_of.values(), default=0) + 1
+        return tuple(
+            tuple(r for r in self.rules if self.stratum_of.get(r.rule.head.relation, 0) == level)
+            for level in range(levels)
+        )
+
+    @cached_property
+    def lattice_rels(self) -> frozenset:
+        return frozenset(n for n, s in self.schemas.items() if s.lattice_cols)
+
+    @cached_property
+    def refire(self) -> frozenset:
+        """Indexes of the rules that a step must fire naively even on a
+        closed state: those with an event head or a negated event or
+        channel, whose facts do not outlive one step, and those with a
+        lattice head, whose facts the step merges away."""
+        kind = {n: s.kind for n, s in self.schemas.items()}
+        return frozenset(
+            r.index for r in self.rules
+            if kind[r.rule.head.relation] == "event" or r.rule.head.relation in self.lattice_rels
+            or any(kind[n.literal.relation] != "persisted" for n in r.negations)
+        )
 
 
 def _reserved_schemas() -> dict:
@@ -174,16 +206,22 @@ def _check_decl(d: RelDecl, filename: str) -> Schema:
     return Schema(d.name, d.cols, kind, d.is_input, d.is_output)
 
 
-def _check_const_for_col(value, col: ColSpec, rel: str, pos, filename: str) -> None:
+def value_error(value, col: ColSpec, rel: str) -> str | None:
+    """Why ``value`` cannot sit in column ``col`` of ``rel``, or None. Program
+    constants and fixture values obey this one rule: only an address goes
+    in an ``@`` column and only there, a lattice column takes a value of its
+    own lattice, and any other column takes no lattice value."""
+    where = f"column {col.name} of {rel}"
     if col.role == "addr":
-        if not isinstance(value, Address):
-            raise ValidationError(
-                f"column {col.name} of {rel} holds machine addresses", pos, filename
-            )
-    elif isinstance(value, Address):
-        raise ValidationError(
-            f"column {col.name} of {rel} is not an address column", pos, filename
-        )
+        return None if isinstance(value, Address) else f"{where} holds machine addresses"
+    if isinstance(value, Address):
+        return f"{where} is not an address column"
+    if col.lattice:
+        if VARIANT_NAMES.get(type(value)) != col.lattice:
+            return f"{where} holds {col.lattice} values"
+    elif is_lattice(value):
+        return f"{where} is not a lattice column"
+    return None
 
 
 def _check_literal_against_schema(
@@ -198,7 +236,6 @@ def _check_literal_against_schema(
     for i, arg in enumerate(lit.args):
         col = schema.cols[i]
         if isinstance(arg, Const):
-            _check_const_for_col(arg.value, col, lit.relation, arg.pos, filename)
             if col.lattice:
                 raise ValidationError(
                     f"column {col.name} of {lit.relation} is a {col.lattice} lattice column; "
@@ -206,6 +243,9 @@ def _check_literal_against_schema(
                     arg.pos,
                     filename,
                 )
+            error = value_error(arg.value, col, lit.relation)
+            if error:
+                raise ValidationError(error, arg.pos, filename)
         elif isinstance(arg, LATTICE_TERM_TYPES):
             if not head:
                 raise ValidationError(

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calmlang import ValidatedProgram, parse_program, validate_program
+from .calmlang.validate import value_error
 from .netsim import (
     Partitioning,
     colocated,
@@ -97,6 +98,19 @@ def _partitioning_field(obj: dict, path: Path):
     )
 
 
+def _check_fixture_values(vp: ValidatedProgram, fixture: Database, path: Path) -> None:
+    """Every fixture value against its column. A fact of an undeclared
+    relation or of the wrong arity is left to ``netsim.init_network``."""
+    for f in fixture.facts():
+        schema = vp.schemas.get(f.relation)
+        if schema is None or schema.arity != len(f.args):
+            continue
+        for value, col in zip(f.args, schema.cols):
+            error = value_error(value, col, f.relation)
+            if error:
+                raise ConfigError(f"fixture {path}: {f}: {error}")
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -119,6 +133,7 @@ def load_config(path) -> RunConfig:
         fixture = load_facts(fixture_path)
     except SchemaError as e:
         raise ConfigError(f"fixture {fixture_path}: {e}") from None
+    _check_fixture_values(vp, fixture, fixture_path)
     mode = obj.get("mode", "exhaustive")
     if mode not in MODES:
         raise ConfigError(f"config {path}: 'mode' must be one of {', '.join(MODES)}, got {mode!r}")

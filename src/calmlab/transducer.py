@@ -23,6 +23,24 @@ index for them costs more than the scan it replaces. Once built, an index is
 kept current as tuples are derived. The semi-naive delta gets its own index
 for each rule firing.
 
+Steps are incremental. Persisted facts only grow, so a state that an
+earlier step committed (``iteration > 0``) is closed: its persisted
+relations are the persisted part of that step's fixpoint, and every channel
+fact they derive is already in ``sent``. A rule over persisted relations
+alone can then derive nothing new until one of them grows; a negated one
+growing only removes derivations. So a step seeds each stratum's first
+round with what changed: this inbox, the input facts it adds, and the new
+tuples of the strata below. A rule fires once per positive literal over a
+changed relation, reading just the changed tuples there, and is skipped
+without one. Some rules still fire naively (``ValidatedProgram.refire``):
+those with an event head or a negated event or channel, since events and
+the inbox last one step; those with a lattice head, since the merge after
+the fixpoint replaced the facts they derived; and aggregates over a changed
+relation, whose value moves. Relations with lattice columns count as wholly
+changed: their facts are merged after the fixpoint, so no rule has joined
+the merged facts yet. A state of iteration 0 (fresh from ``init_machine``),
+``evaluate`` and ``single_machine_output`` run a full naive first round.
+
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
 quiescence detection by no-op probing sound.
@@ -75,11 +93,14 @@ class _Space:
 
     def __init__(self, vp: ValidatedProgram, persisted: dict, inbox: dict):
         self.channels = vp.channel_rels
-        # non-channel relations: persisted contents plus anything derived
-        self.facts: dict[str, set] = {r: set(ts) for r, ts in persisted.items()}
+        # non-channel relations: persisted contents plus anything derived;
+        # a relation's set is copied on its first new tuple, so one that
+        # gains nothing stays the caller's (frozen) set
+        self.facts: dict = dict(persisted)
         # channel relations: readable side is the inbox only
         self.inbox: dict = inbox
         self.outbound: dict[str, set] = {}
+        self.owned: set = set()  # relations whose set this space has copied
         # relation -> probe columns -> (key getter, key -> tuples)
         self.indexes: dict[str, dict] = {}
         self.scanned: set = set()  # (relation, probe columns) probed once
@@ -105,12 +126,13 @@ class _Space:
 
     def add(self, rel: str, tup: tuple) -> bool:
         """Record a derived tuple; returns True if new."""
-        if rel in self.channels:
-            bucket = self.outbound.setdefault(rel, set())
-        else:
-            bucket = self.facts.setdefault(rel, set())
+        bucket_of = self.outbound if rel in self.channels else self.facts
+        bucket = bucket_of.get(rel, ())
         if tup in bucket:
             return False
+        if rel not in self.owned:
+            self.owned.add(rel)
+            bucket = bucket_of[rel] = set(bucket)
         bucket.add(tup)
         # a channel's indexes cover its inbox, which derivations never touch
         if rel not in self.channels and rel in self.indexes:
@@ -232,28 +254,51 @@ def _query(
     persisted: dict,
     inbox: dict,
     bound: int = DEFAULT_EVAL_BOUND,
+    changed: dict | None = None,
 ) -> _Space:
-    """Stratified semi-naive fixpoint. Returns the filled fact space."""
-    stratum_of = vp.stratum_of
-    levels = max(stratum_of.values(), default=0) + 1
+    """Stratified semi-naive fixpoint. Returns the filled fact space.
+
+    Without ``changed`` each stratum's first round fires every rule naively.
+    With it (relation -> tuples, see ``step``) the persisted facts are closed
+    under the rules, and the first round fires naively only the rules of
+    ``vp.refire`` and aggregates over a changed relation; any other rule
+    fires once per positive literal over a changed relation, with that
+    literal reading the changed tuples. A stratum's new tuples join
+    ``changed`` for the strata above it.
+    """
     space = _Space(vp, persisted, inbox)
+    channels = vp.channel_rels
+
+    def fire(r: ValidatedRule, delta_at, delta, new: dict) -> None:
+        head = r.rule.head.relation
+        for tup in _fire_rule(r, space, delta_at, delta):
+            # derived channel facts are outbound, no rule reads them
+            if space.add(head, tup) and head not in channels:
+                new.setdefault(head, set()).add(tup)
+
+    def fire_on(r: ValidatedRule, delta: dict, new: dict) -> None:
+        for pos, rel in r.reads:
+            if rel in delta:
+                fire(r, pos, delta[rel], new)
 
     try:
-        for level in range(levels):
-            rules = [
-                r for r in vp.rules if stratum_of.get(r.rule.head.relation, 0) == level
-            ]
-            if not rules:
-                continue
+        for level, rules in enumerate(vp.strata):
             # aggregates within a stratum see only completed lower strata, so an
-            # aggregate rule fires once, in the naive round
+            # aggregate rule fires once, in the first round
             delta: dict[str, set] = {}
             for r in rules:
-                for tup in _fire_rule(r, space, None, set()):
-                    if space.add(r.rule.head.relation, tup):
-                        delta.setdefault(r.rule.head.relation, set()).add(tup)
+                if changed is None or r.index in vp.refire or r.agg is not None and any(
+                    lit.relation in changed
+                    for lit in (*r.positives, *(n.literal for n in r.negations))
+                ):
+                    fire(r, None, (), delta)
+                elif r.agg is None:
+                    fire_on(r, changed, delta)
             rounds = 0
             while delta:
+                if changed is not None:
+                    for rel, tups in delta.items():
+                        changed.setdefault(rel, set()).update(tups)
                 rounds += 1
                 if rounds > bound:
                     raise DivergenceError(
@@ -261,17 +306,8 @@ def _query(
                     )
                 new_delta: dict[str, set] = {}
                 for r in rules:
-                    if r.agg is not None:
-                        continue
-                    for pos, elem in enumerate(r.plan):
-                        if not isinstance(elem, Literal):
-                            continue
-                        d = delta.get(elem.relation)
-                        if not d or elem.relation in vp.channel_rels:
-                            continue
-                        for tup in _fire_rule(r, space, pos, d):
-                            if space.add(r.rule.head.relation, tup):
-                                new_delta.setdefault(r.rule.head.relation, set()).add(tup)
+                    if r.agg is None:
+                        fire_on(r, delta, new_delta)
                 delta = new_delta
     except EvalError as e:
         line, col = e.pos
@@ -379,6 +415,7 @@ def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepRes
     vp = state.program
     persisted = dict(state.persisted.relations)
     inbox_events: dict[str, set] = {}
+    new_inputs: dict[str, set] = {}
     for f in inbox:
         schema = vp.schemas.get(f.relation)
         if schema is None:
@@ -386,19 +423,23 @@ def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepRes
         if schema.kind == "channel":
             inbox_events.setdefault(f.relation, set()).add(f.args)
         elif schema.is_input:
-            persisted[f.relation] = persisted.get(f.relation, frozenset()) | {f.args}
+            if f.args not in persisted.get(f.relation, ()):
+                new_inputs.setdefault(f.relation, set()).add(f.args)
         else:
             raise RoutingError(
                 f"inbox fact {f} is neither a channel nor an input relation fact"
             )
+    for rel, tups in new_inputs.items():
+        persisted[rel] = persisted.get(rel, frozenset()) | tups
 
-    space = _query(vp, persisted, inbox_events, bound)
+    changed = None
+    if state.iteration:  # committed by an earlier step: closed, see the module docstring
+        lattice = {rel: set(persisted[rel]) for rel in vp.lattice_rels if rel in persisted}
+        changed = {**inbox_events, **new_inputs, **lattice}
+    space = _query(vp, persisted, inbox_events, bound, changed)
 
-    new_persisted: dict[str, set] = {}
-    for rel, tups in space.facts.items():
-        schema = vp.schemas.get(rel)
-        if schema is not None and schema.kind == "persisted":
-            new_persisted[rel] = _fold_lattice(rel, tups, vp)
+    new_persisted = {rel: _fold_lattice(rel, tups, vp) for rel, tups in space.facts.items()
+                     if vp.schemas[rel].kind == "persisted"}
 
     outbound: dict[Address, set] = {}
     sent = set(state.sent)

@@ -246,6 +246,12 @@ rel top(m: maxint) [output]
 top(maxint(X)) :- local_edge(X, _).
 """
 
+GSET_SEED = """
+rel seed(s: gset) [input]
+rel store(s: gset) [output]
+store(S) :- seed(S).
+"""
+
 # inputs that load_config used to accept, and that then ended in a
 # traceback with exit 1, an answer with exit 0 or, for the misspelled key,
 # were ignored: (key, value, what the error line must name, test id); a
@@ -273,6 +279,15 @@ FAILING_RUNS = [
     (None, ["program", "fixture"], "JSON object", "config-not-an-object"),
     ("partitioning", {"m1": "local_edge(t1, t2)"}, "'partitioning'", "map-entry-not-a-list"),
     ("program", MAXINT_OF_SYMBOLS, "program:7:12: maxint() needs an integer", "maxint-of-a-symbol"),
+    # fixture values against their columns; several keys at once take a
+    # tuple of keys and a tuple of values
+    (("program", "fixture", "partitioning"), (GSET_SEED, "seed(b)\n", "colocate"),
+     "fixture: seed(b): column s of seed holds gset values", "scalar-in-a-lattice-column"),
+    (("fixture", "machines", "partitioning"), (FIG1.replace("@", ""), 2, "colocate"),
+     "fixture: nbr(m1, m2): column owner of nbr holds machine addresses", "symbol-in-an-address-column"),
+    ("fixture", FIG1 + "local_edge(gset{a}, t2)\n",
+     "fixture: local_edge(gset{a}, t2): column src of local_edge is not a lattice column",
+     "lattice-value-in-a-scalar-column"),
 ]
 
 
@@ -285,13 +300,14 @@ def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, 
     src["program"] = corpus_file("deadlock", "program.calm")
     src["fixture"] = corpus_file("deadlock", "fig1.facts")
     expect = next((e for k, v, e, _ in FAILING_RUNS if (k, v) == (key, value)), repr(key))
-    if key in ("program", "fixture") and isinstance(value, str):
-        (tmp_path / key).write_text(value)
-        value = key
-    if key is None:
-        src = value
-    else:
-        src[key] = value
+    for k, v in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
+        if k in ("program", "fixture") and isinstance(v, str):
+            (tmp_path / k).write_text(v)
+            v = k
+        if k is None:
+            src = v
+        else:
+            src[k] = v
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(src))
     code, out, err = run_cli(capsys, verb, str(cfg))

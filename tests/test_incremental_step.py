@@ -1,0 +1,80 @@
+"""Incremental steps against from-scratch steps.
+
+A state that an earlier step committed is closed under its rules, so
+``step`` fires only what this step's inbox, new inputs, events and lattice
+relations touch (see the ``transducer`` module docstring). The oracle is
+the same state stepped with a full naive first round, which is what
+``step`` does for a state of iteration 0.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from hypothesis import example, given, settings
+from strategies import DECLS, inbox_runs, instances, programs
+
+from calmlab import corpus, transducer
+from calmlab.calmlang import parse_program, validate_program
+from calmlab.relspace import Database, parse_facts
+from calmlab.transducer import init_machine, step
+from calmlab.values import Address
+
+ME, PEER = Address("m1"), Address("m2")
+
+FEATURES = DECLS + """
+d0(X, Y) :- e(X, Y).
+d0(X, Z) :- d0(X, Y), e(Y, Z).
+ev(X) :- d0(X, _), !u(X).
+acc(X, gset{Y}) :- e(X, Y).
+acc(Y, S) :- acc(X, S), f(X, Y).
+d1(X, Y) :- msg(_, X, Y), !ev(X).
+d1(X, Y) :- acc(X, S), acc(Y, S).
+d1(X, S) :- acc(X, S).
+g(X, count<Y>) :- d0(X, Y).
+d2(X, N) :- g(X, N), !ev(X).
+msg(P, X, Y) :- peer(P), d0(X, Y).
+"""
+FEATURE_INPUT = ({rel: set(ts) for rel, ts in Database.from_facts(parse_facts(
+    "e(a, b)\ne(b, 1)\nf(a, b)\nf(b, a)\nu(a)\npeer(@m2)\n")).relations.items()}, {})
+FEATURE_RUN = [
+    parse_facts("msg(@m1, a, 2)\ne(b, 2)"),
+    [],
+    parse_facts("u(b)\nmsg(@m2, b, 1)\ne(1, 2)"),
+    parse_facts("e(a, b)\nf(1, a)"),
+]
+
+
+@example(FEATURES, FEATURE_INPUT, FEATURE_RUN)
+@settings(max_examples=250, deadline=None)
+@given(programs(), instances(), inbox_runs())
+def test_incremental_steps_match_from_scratch_steps(source, instance, run):
+    vp = validate_program(parse_program(source))
+    local = Database({rel: frozenset(ts) for rel, ts in instance[0].items()})
+    state = init_machine(vp, ME, local, (ME, PEER))
+    for inbox in [[], *run, []]:
+        got = step(state, inbox)
+        want = step(replace(state, iteration=0), inbox)
+        assert got.new_state.persisted == want.new_state.persisted
+        assert got.new_state.sent == want.new_state.sent
+        assert got.outbound == want.outbound
+        state = got.new_state
+
+
+def test_a_quiesced_transitive_closure_step_fires_no_rule(monkeypatch):
+    vp = corpus.load_program("transitive_closure")
+    chain = Database.from_facts(parse_facts("\n".join(f"edge(n{i}, n{i + 1})" for i in range(8))))
+    fired = []
+    fire_rule = transducer._fire_rule
+
+    def counting(rule, *args):
+        fired.append(rule.index)
+        return fire_rule(rule, *args)
+
+    monkeypatch.setattr(transducer, "_fire_rule", counting)
+    first = step(init_machine(vp, ME, chain, (ME,)), [])
+    assert fired  # iteration 0: a full naive round
+    fired.clear()
+    again = step(first.new_state, [])
+    assert fired == []
+    assert again.new_state.persisted == first.new_state.persisted and not again.outbound
