@@ -8,7 +8,8 @@ constructors are evaluated by the engine's own head-term evaluation.
 
 from __future__ import annotations
 
-from ..lexer import LexError, Token, tokenize
+from ..errors import ParseError
+from ..lexer import Token, tokenize
 from ..values import Address, Int, Symbol, Text
 from .printer import term_to_text
 from .syntax import (
@@ -38,18 +39,9 @@ QUALIFIERS = ("persisted", "event", "input", "output")
 COMPARE_OPS = {"EQ": "=", "NEQ": "!=", "LT": "<", "LE": "<="}
 
 
-class ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int, filename: str = "<input>"):
-        self.message = message
-        self.line = line
-        self.col = col
-        self.filename = filename
-        super().__init__(f"{filename}:{line}:{col}: {message}")
-
-
 class _Parser:
-    def __init__(self, toks: list[Token], filename: str):
-        self.toks = toks
+    def __init__(self, text: str, filename: str):
+        self.toks = tokenize(text, filename)
         self.pos = 0
         self.filename = filename
 
@@ -68,7 +60,7 @@ class _Parser:
         self.fail_at(msg, (tok.line, tok.col))
 
     def fail_at(self, msg: str, pos: tuple):
-        raise ParseError(msg, *pos, self.filename)
+        raise ParseError(msg, pos, self.filename)
 
     # --- program ---------------------------------------------------------
 
@@ -297,27 +289,19 @@ class _Parser:
             try:
                 values.append(eval_head_term(term, {}))
             except EvalError as e:
-                self.fail_at(e.message, e.pos)
+                self.fail_at(e.message, (e.line, e.col))
         return lit.relation, tuple(values)
-
-
-def _parser(text: str, filename: str) -> _Parser:
-    try:
-        toks = tokenize(text, filename)
-    except LexError as e:
-        raise ParseError(e.message, e.line, e.col, filename) from None
-    return _Parser(toks, filename)
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
     """Parse source text into a Program AST, positions retained."""
-    return _parser(text, filename).program()
+    return _Parser(text, filename).program()
 
 
 def parse_ground_literals(text: str, filename: str = "<input>") -> list:
     """Parse fixture text, one ground literal per line, into (relation,
     values) pairs."""
-    p = _parser(text, filename)
+    p = _Parser(text, filename)
     out = []
     while p.peek().kind != "EOF":
         line = p.peek().line

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .. import lattices
+from ..errors import CalmlabError
 from ..values import Int
 
 Pos = tuple  # (line, col)
@@ -153,14 +154,9 @@ def literal_vars(lit: Literal) -> list[Var]:
 # --- term evaluation ---------------------------------------------------------
 
 
-class EvalError(Exception):
+class EvalError(CalmlabError):
     """Runtime typing failure while instantiating a head (e.g. maxint over
     a non-integer binding), at the offending term's position."""
-
-    def __init__(self, message: str, pos: Pos = NOPOS):
-        self.message = message
-        self.pos = pos
-        super().__init__(message)
 
 
 def eval_term(term, env: dict):
@@ -168,13 +164,13 @@ def eval_term(term, env: dict):
         return env[term.name]
     if isinstance(term, Const):
         return term.value
-    raise EvalError(f"cannot evaluate term {term!r}")
+    raise EvalError(f"cannot evaluate term {term!r}", term.pos)
 
 
 def eval_scalar(term, env: dict):
     v = eval_term(term, env)
     if lattices.is_lattice(v):
-        raise EvalError("lattice value where a scalar is required")
+        raise EvalError("lattice value where a scalar is required", term.pos)
     return v
 
 

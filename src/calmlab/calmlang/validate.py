@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from ..errors import CalmlabError
 from ..lattices import VARIANT_NAMES, is_lattice
 from ..values import Address
 from .syntax import (
@@ -49,12 +50,8 @@ RESERVED_RELATIONS = ("id", "all")
 _LATTICE_OF_TERM = {GSetTerm: "gset", MaxIntTerm: "maxint", BoolOrTerm: "boolor", TwoPTerm: "2p"}
 
 
-class ValidationError(Exception):
-    def __init__(self, message: str, pos=(0, 0), filename: str = "<input>"):
-        self.message = message
-        self.line, self.col = pos
-        self.filename = filename
-        super().__init__(f"{filename}:{self.line}:{self.col}: {message}")
+class ValidationError(CalmlabError):
+    """A program that parses but breaks a static rule, at its position."""
 
 
 @dataclass(frozen=True)
@@ -169,38 +166,32 @@ def _reserved_schemas() -> dict:
     }
 
 
-def _check_decl(d: RelDecl, filename: str) -> Schema:
+def _check_decl(d: RelDecl) -> Schema:
     if d.name in RESERVED_RELATIONS:
-        raise ValidationError(
-            f"relation name {d.name!r} is reserved", d.pos, filename
-        )
+        raise ValidationError(f"relation name {d.name!r} is reserved", d.pos)
     if d.channel:
         if not d.cols or d.cols[0].role != "addr":
             raise ValidationError(
                 f"channel relation {d.name} needs an address-typed first column "
                 f"(write it as @{d.cols[0].name if d.cols else 'dest'})",
                 d.pos,
-                filename,
             )
         if d.is_input or d.is_output:
             raise ValidationError(
                 f"channel relation {d.name} cannot be marked input or output",
                 d.pos,
-                filename,
             )
     if d.persistence == "event" and (d.is_input or d.is_output):
         raise ValidationError(
             f"event relation {d.name} cannot be marked input or output "
             "(fixture facts and quiescent reads need persisted state)",
             d.pos,
-            filename,
         )
     has_lattice = any(c.lattice for c in d.cols)
     if has_lattice and (d.channel or d.persistence == "event"):
         raise ValidationError(
             f"relation {d.name}: lattice columns are only allowed in persisted relations",
             d.pos,
-            filename,
         )
     kind = "channel" if d.channel else d.persistence
     return Schema(d.name, d.cols, kind, d.is_input, d.is_output)
@@ -224,14 +215,11 @@ def value_error(value, col: ColSpec, rel: str) -> str | None:
     return None
 
 
-def _check_literal_against_schema(
-    lit: Literal, schema: Schema, head: bool, filename: str
-) -> None:
+def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> None:
     if len(lit.args) != schema.arity:
         raise ValidationError(
             f"{lit.relation} has arity {schema.arity}, used with {len(lit.args)} argument(s)",
             lit.pos,
-            filename,
         )
     for i, arg in enumerate(lit.args):
         col = schema.cols[i]
@@ -241,21 +229,19 @@ def _check_literal_against_schema(
                     f"column {col.name} of {lit.relation} is a {col.lattice} lattice column; "
                     "use a variable or a lattice constructor",
                     arg.pos,
-                    filename,
                 )
             error = value_error(arg.value, col, lit.relation)
             if error:
-                raise ValidationError(error, arg.pos, filename)
+                raise ValidationError(error, arg.pos)
         elif isinstance(arg, LATTICE_TERM_TYPES):
             if not head:
                 raise ValidationError(
-                    "lattice constructors are only allowed in rule heads", arg.pos, filename
+                    "lattice constructors are only allowed in rule heads", arg.pos
                 )
             if col.lattice is None:
                 raise ValidationError(
                     f"column {col.name} of {lit.relation} is not a lattice column",
                     arg.pos,
-                    filename,
                 )
             want = _LATTICE_OF_TERM[type(arg)]
             if want != col.lattice:
@@ -263,17 +249,12 @@ def _check_literal_against_schema(
                     f"column {col.name} of {lit.relation} is {col.lattice}, "
                     f"constructor builds {want}",
                     arg.pos,
-                    filename,
                 )
         elif isinstance(arg, AggTerm):
             if not head:
-                raise ValidationError(
-                    "aggregates may appear in rule heads only", arg.pos, filename
-                )
+                raise ValidationError("aggregates may appear in rule heads only", arg.pos)
             if col.lattice:
-                raise ValidationError(
-                    f"aggregate cannot target lattice column {col.name}", arg.pos, filename
-                )
+                raise ValidationError(f"aggregate cannot target lattice column {col.name}", arg.pos)
 
 
 def _probe(lit: Literal, bound: set) -> Probe:
@@ -292,25 +273,23 @@ def _probe(lit: Literal, bound: set) -> Probe:
     return Probe(tuple(cols), tuple(key), tuple(binds))
 
 
-def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> ValidatedRule:
+def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
     head = rule.head
     if head.relation not in schemas:
-        raise ValidationError(f"undeclared relation {head.relation}", head.pos, filename)
+        raise ValidationError(f"undeclared relation {head.relation}", head.pos)
     head_schema = schemas[head.relation]
     if head_schema.reserved:
-        raise ValidationError(
-            f"cannot derive into reserved relation {head.relation}", head.pos, filename
-        )
-    _check_literal_against_schema(head, head_schema, head=True, filename=filename)
+        raise ValidationError(f"cannot derive into reserved relation {head.relation}", head.pos)
+    _check_literal_against_schema(head, head_schema, head=True)
 
     aggs = [(i, a) for i, a in enumerate(head.args) if isinstance(a, AggTerm)]
     if len(aggs) > 1:
-        raise ValidationError("at most one aggregate per rule head", head.pos, filename)
+        raise ValidationError("at most one aggregate per rule head", head.pos)
     agg_pos, agg = aggs[0] if aggs else (None, None)
 
     for a in head.args:
         if isinstance(a, Wildcard):
-            raise ValidationError("wildcard not allowed in rule head", a.pos, filename)
+            raise ValidationError("wildcard not allowed in rule head", a.pos)
 
     positives: list[Literal] = []
     negations: list[Negation] = []
@@ -325,8 +304,8 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
 
     for lit in positives + [n.literal for n in negations]:
         if lit.relation not in schemas:
-            raise ValidationError(f"undeclared relation {lit.relation}", lit.pos, filename)
-        _check_literal_against_schema(lit, schemas[lit.relation], head=False, filename=filename)
+            raise ValidationError(f"undeclared relation {lit.relation}", lit.pos)
+        _check_literal_against_schema(lit, schemas[lit.relation], head=False)
 
     for n in negations:
         schema = schemas[n.literal.relation]
@@ -335,7 +314,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
                 f"relation {n.literal.relation} has lattice columns and cannot "
                 "appear under negation",
                 n.pos,
-                filename,
             )
 
     bound: set[str] = set()
@@ -354,20 +332,16 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
                 raise ValidationError(
                     f"head variable {v.name} does not appear in a positive body literal",
                     v.pos,
-                    filename,
                 )
     if agg is not None and agg.var.name in head_var_names:
         raise ValidationError(
             f"aggregate variable {agg.var.name} also appears as a grouping term",
             agg.pos,
-            filename,
         )
     if not rule.body:
         for a in head.args:
             if term_vars(a):
-                raise ValidationError(
-                    "ground-fact rule head must not contain variables", head.pos, filename
-                )
+                raise ValidationError("ground-fact rule head must not contain variables", head.pos)
 
     for n in negations:
         for v in literal_vars(n.literal):
@@ -375,7 +349,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
                 raise ValidationError(
                     f"variable {v.name} under negation is not bound by a positive literal",
                     v.pos,
-                    filename,
                 )
     for c in comparisons:
         for side in (c.left, c.right):
@@ -384,12 +357,9 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
                     raise ValidationError(
                         f"variable {v.name} in comparison is not bound by a positive literal",
                         v.pos,
-                        filename,
                     )
             if isinstance(side, LATTICE_TERM_TYPES + (AggTerm,)):
-                raise ValidationError(
-                    "comparisons operate on scalar terms", c.pos, filename
-                )
+                raise ValidationError("comparisons operate on scalar terms", c.pos)
 
     # evaluation plan: join positives in source order, attach each filter
     # at the earliest point where its variables are bound
@@ -436,12 +406,14 @@ def _validate_rule(rule: Rule, index: int, schemas: dict, filename: str) -> Vali
 
 
 def validate_program(program: Program) -> ValidatedProgram:
-    """Run all safety/arity/channel/lattice checks; raises ValidationError."""
-    filename = program.filename
+    """Run all safety/arity/channel/lattice checks; raises ValidationError
+    located in the program's file."""
     schemas = _reserved_schemas()
-    for d in program.decls:
-        schemas[d.name] = _check_decl(d, filename)
-    rules = tuple(
-        _validate_rule(r, i, schemas, filename) for i, r in enumerate(program.rules)
-    )
+    try:
+        for d in program.decls:
+            schemas[d.name] = _check_decl(d)
+        rules = tuple(_validate_rule(r, i, schemas) for i, r in enumerate(program.rules))
+    except ValidationError as e:
+        e.filename = program.filename
+        raise
     return ValidatedProgram(program=program, schemas=schemas, rules=rules)

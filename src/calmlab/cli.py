@@ -1,9 +1,11 @@
 """Command-line front door.
 
 Verbs: analyze, run, check, coordination, corpus list. Exit codes follow the
-verdicts: for analyze 0 means monotone, 1 non-monotone, 2 parse/validation
-error; for check 0 confluent, 1 divergent, 2 inconclusive; for coordination
-0 free, 1 required, 2 inconclusive; for run 0 quiesced, 2 not. All reports
+verdicts: for analyze 0 means monotone, 1 non-monotone; for check 0
+confluent, 1 divergent, 2 inconclusive; for coordination 0 free, 1
+required, 2 inconclusive; for run 0 quiesced, 2 not. Under every verb a user
+error (a ``CalmlabError`` or an unreadable or unwritable file) prints one
+``error:`` line and exits 2, so exit 1 is always a verdict. All reports
 carry a schema_version field and serialize with stable key order.
 """
 
@@ -11,16 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import monocheck
-from .calmlang import ParseError, ValidationError, parse_program, validate_program
+from .calmlang import parse_program, validate_program
 from .config import MODES, ConfigError, load_config
-from .monocheck import UnstratifiableError
-from .netsim import PartitioningError, Schedule, init_network, run_schedule
+from .errors import CalmlabError, read_text
+from .netsim import Schedule, init_network, run_schedule
 from .relspace import canonical_json, db_to_obj
-from .transducer import EvalError, RoutingError
 from .verdicts import (
     OUTCOME_CONFLUENT,
     OUTCOME_DIVERGENT,
@@ -30,8 +30,7 @@ from .verdicts import (
     detect_coordination,
 )
 
-USER_ERRORS = (ConfigError, ParseError, ValidationError, EvalError, PartitioningError,
-               RoutingError, UnstratifiableError, OSError)
+USER_ERRORS = (CalmlabError, OSError)
 
 
 def _print_json(obj) -> None:
@@ -56,8 +55,7 @@ def _budget(flag: int | None, configured: int) -> int:
 
 
 def cmd_analyze(args) -> int:
-    source = Path(args.program).read_text(encoding="utf-8")
-    vp = validate_program(parse_program(source, args.program))
+    vp = validate_program(parse_program(read_text(args.program, "program"), args.program))
     report = monocheck.analyze_program(vp)
     obj = report.to_obj(vp)
     if args.json:
@@ -171,9 +169,6 @@ def cmd_coordination(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    if args.corpus_cmd != "list":
-        print("usage: calmlab corpus list", file=sys.stderr)
-        return 2
     if args.json:
         _print_json(
             {

@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .calmlang import ValidatedProgram, parse_program, validate_program
 from .calmlang.validate import value_error
+from .errors import CalmlabError, read_text
 from .netsim import (
     Partitioning,
     colocated,
@@ -18,11 +19,11 @@ from .netsim import (
     machine_addresses,
     partitioning_from_map,
 )
-from .relspace import Database, SchemaError, load_facts
+from .relspace import Database, load_facts
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(CalmlabError):
+    """A config file that does not describe a run."""
 
 
 MODES = ("exhaustive", "sampled")
@@ -114,8 +115,8 @@ def _check_fixture_values(vp: ValidatedProgram, fixture: Database, path: Path) -
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+        obj = json.loads(read_text(path, "config"))
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ConfigError(f"cannot read config {path}: {e}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"config {path} must hold a JSON object, got {obj!r}")
@@ -124,15 +125,8 @@ def load_config(path) -> RunConfig:
     for key in obj:
         if key not in KEYS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
-    try:
-        source = program_path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read program {program_path}: {e}") from None
-    vp = validate_program(parse_program(source, str(program_path)))
-    try:
-        fixture = load_facts(fixture_path)
-    except SchemaError as e:
-        raise ConfigError(f"fixture {fixture_path}: {e}") from None
+    vp = validate_program(parse_program(read_text(program_path, "program"), str(program_path)))
+    fixture = load_facts(fixture_path)
     _check_fixture_values(vp, fixture, fixture_path)
     mode = obj.get("mode", "exhaustive")
     if mode not in MODES:

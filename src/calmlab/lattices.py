@@ -22,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import CalmlabError
 from .values import value_sort_key
 
 
-class LatticeTypeError(TypeError):
-    """merge/leq applied across different lattice variants."""
+class LatticeTypeError(CalmlabError):
+    """merge/leq applied across different lattice variants, or to a value
+    that is not a lattice value."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,6 +101,8 @@ def variant_name(v) -> str:
 
 
 def _require_same_variant(a, b) -> None:
+    if not (is_lattice(a) and is_lattice(b)):
+        raise LatticeTypeError(f"{b if is_lattice(a) else a} is not a lattice value")
     if type(a) is not type(b):
         raise LatticeTypeError(
             f"cannot combine lattice variants {variant_name(a)} and {variant_name(b)}"

@@ -5,14 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-
-class LexError(Exception):
-    def __init__(self, message: str, line: int, col: int, filename: str = "<input>"):
-        self.message = message
-        self.line = line
-        self.col = col
-        self.filename = filename
-        super().__init__(f"{filename}:{line}:{col}: {message}")
+from .errors import ParseError
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,7 +84,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
         if c == "@":
             j = i + 1
             if j >= n or not _is_ident_start(text[j]):
-                raise LexError("expected machine name after '@'", line, col, filename)
+                raise ParseError("expected machine name after '@'", (line, col), filename)
             j = _IDENT_REST.match(text, j).end()
             toks.append(Token("ADDR", text[i + 1 : j], start_line, start_col))
             col += j - i
@@ -102,7 +95,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             buf: list[str] = []
             while j < n and text[j] != '"':
                 if text[j] == "\n":
-                    raise LexError("unterminated string", start_line, start_col, filename)
+                    raise ParseError("unterminated string", (start_line, start_col), filename)
                 if text[j] == "\\" and j + 1 < n:
                     esc = text[j + 1]
                     if esc == "n":
@@ -112,13 +105,13 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
                     elif esc in ('"', "\\"):
                         buf.append(esc)
                     else:
-                        raise LexError(f"bad escape '\\{esc}'", line, col, filename)
+                        raise ParseError(f"bad escape '\\{esc}'", (line, col), filename)
                     j += 2
                 else:
                     buf.append(text[j])
                     j += 1
             if j >= n:
-                raise LexError("unterminated string", start_line, start_col, filename)
+                raise ParseError("unterminated string", (start_line, start_col), filename)
             toks.append(Token("STRING", "".join(buf), start_line, start_col))
             col += j + 1 - i
             i = j + 1
@@ -138,7 +131,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             continue
         sym = text[i : i + 2] if text[i : i + 2] in _PUNCT else c  # longest first
         if sym not in _PUNCT:
-            raise LexError(f"unexpected character {c!r}", line, col, filename)
+            raise ParseError(f"unexpected character {c!r}", (line, col), filename)
         toks.append(Token(_PUNCT[sym], sym, start_line, start_col))
         i += len(sym)
         col += len(sym)

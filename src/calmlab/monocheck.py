@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.printer import rule_to_text
+from .errors import CalmlabError
 
 REASON_NEGATION = "negation"
 REASON_AGGREGATION = "aggregation"
@@ -25,12 +26,13 @@ REASON_MEMBERSHIP = "membership-query"
 SCHEMA_VERSION = 1
 
 
-class UnstratifiableError(Exception):
-    def __init__(self, cycle: tuple):
+class UnstratifiableError(CalmlabError):
+    def __init__(self, cycle: tuple, filename: str | None = None):
         self.cycle = cycle
         super().__init__(
             "program is unstratifiable: cycle through negation/aggregation: "
-            + " -> ".join(cycle + (cycle[0],))
+            + " -> ".join(cycle + (cycle[0],)),
+            filename=filename,
         )
 
 
@@ -205,7 +207,7 @@ def stratify(vp: ValidatedProgram) -> list:
     edges = dependency_graph(vp)
     cycle = _find_strict_cycle(edges)
     if cycle is not None:
-        raise UnstratifiableError(cycle)
+        raise UnstratifiableError(cycle, vp.program.filename)
 
     rels = set()
     for r in vp.rules:

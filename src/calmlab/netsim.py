@@ -30,6 +30,7 @@ import zlib
 from dataclasses import dataclass, field
 
 from .calmlang import ValidatedProgram
+from .errors import CalmlabError
 from .relspace import Database, db_to_obj, db_union, parse_fact
 from .transducer import MachineState, RoutingError, init_machine, step
 from .values import Address
@@ -38,11 +39,12 @@ DEFAULT_STEP_BUDGET = 10_000
 DEFAULT_ENUM_BOUND = 1_000_000
 
 
-class PartitioningError(Exception):
-    """Input fact unassigned, assigned twice, or unknown to the fixture."""
+class PartitioningError(CalmlabError):
+    """Input fact unassigned, assigned twice, unknown to the fixture, or
+    unfit for the program or the network."""
 
 
-class ReplayError(Exception):
+class ReplayError(CalmlabError):
     """Explicit schedule decision does not match the pending message set."""
 
 
@@ -53,8 +55,8 @@ def machine_addresses(m: int) -> tuple:
 def addresses_in(db: Database) -> frozenset:
     """Machine addresses mentioned by fact arguments (gossip targets etc.).
 
-    A fixture can only run on networks containing all of them: sending to an
-    address outside the network is a routing error by design.
+    A fixture can only run on networks containing all of them; ``init_network``
+    rejects any other.
     """
     out = set()
     for f in db.facts():
@@ -228,10 +230,10 @@ class RunOutcome:
 
 
 def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -> NetworkState:
-    """Machines hold their assigned input facts plus id/all; nothing pending."""
+    """Machines hold their assigned input facts plus id/all; nothing pending.
+    Every fixture fact must fit the program and name only machines of the
+    network; ``part`` must assign exactly the fixture's facts."""
     for f in input_db.facts():
-        if f not in part.assignment:
-            raise PartitioningError(f"input fact {f} not assigned to any machine")
         schema = vp.schemas.get(f.relation)
         if schema is None or not schema.is_input:
             raise PartitioningError(f"fixture fact {f} is not in an input-marked relation")
@@ -240,9 +242,9 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
                 f"fixture fact {f} has arity {len(f.args)}, "
                 f"but {f.relation} is declared with arity {schema.arity}"
             )
-    for f in part.assignment:
-        if f not in input_db:
-            raise PartitioningError(f"assigned fact {f} is not in the input fixture")
+        for a in f.args:
+            if isinstance(a, Address) and a not in part.machines:
+                raise PartitioningError(f"fixture fact {f} names {a}, which is not in the network")
     machines = {}
     for a in part.machines:
         local = Database.from_facts(

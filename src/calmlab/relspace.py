@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .calmlang.parser import ParseError, parse_ground_literals
+from .calmlang.parser import parse_ground_literals
+from .errors import CalmlabError, ParseError, read_text
 from .values import value_sort_key
 
 
-class SchemaError(Exception):
+class SchemaError(CalmlabError):
     """Same relation name used with different arities."""
 
 
@@ -136,13 +137,17 @@ def parse_facts(text: str, filename: str = "<facts>") -> list[Fact]:
 def parse_fact(text: str, filename: str = "<fact>") -> Fact:
     facts = parse_facts(text, filename)
     if len(facts) != 1:
-        raise ParseError(f"expected one fact, found {len(facts)}", 1, 1, filename)
+        raise ParseError(f"expected one fact, found {len(facts)}", (1, 1), filename)
     return facts[0]
 
 
 def load_facts(path) -> Database:
-    with open(path, encoding="utf-8") as fh:
-        return Database.from_facts(parse_facts(fh.read(), filename=str(path)))
+    facts = parse_facts(read_text(path, "fixture"), filename=str(path))
+    try:
+        return Database.from_facts(facts)
+    except SchemaError as e:
+        e.filename = str(path)
+        raise
 
 
 # --- canonical serialization -----------------------------------------------

@@ -13,6 +13,13 @@ local database. Relations behave by persistence class:
   buffers facts for the Send phase (locally addressed sends come back through
   the inbox on a later iteration, they are never visible early).
 
+A stratum's fixpoint needs no round bound. Every round but the last adds a
+tuple, and the tuples range over a finite set: the language has no
+arithmetic, a lattice constructor builds its value from bound scalars, and
+an aggregate fires once, over lower strata that are already complete. So
+every value a rule derives comes from the finitely many values of the
+program, the database and the inbox, or from one aggregate firing.
+
 Joins look tuples up by each literal's probe columns, fixed at validation
 (see ``calmlang.validate``). A literal with no bound column scans its
 relation; one with every column bound is a set-membership test; any other
@@ -55,17 +62,12 @@ from . import lattices
 from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.syntax import EvalError, Literal, Negation, Var, eval_head_term, eval_scalar
 from .calmlang.validate import BIND, Probe
+from .errors import CalmlabError
 from .relspace import Database, Fact
 from .values import Address, Int, value_sort_key
 
-DEFAULT_EVAL_BOUND = 10_000
 
-
-class DivergenceError(Exception):
-    """Evaluation exceeded its per-stratum iteration bound."""
-
-
-class RoutingError(Exception):
+class RoutingError(CalmlabError):
     """Inbox or outbound fact cannot be routed (undeclared relation or a
     non-address in a channel's first column)."""
 
@@ -249,13 +251,7 @@ def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> list:
     return out
 
 
-def _query(
-    vp: ValidatedProgram,
-    persisted: dict,
-    inbox: dict,
-    bound: int = DEFAULT_EVAL_BOUND,
-    changed: dict | None = None,
-) -> _Space:
+def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | None = None) -> _Space:
     """Stratified semi-naive fixpoint. Returns the filled fact space.
 
     Without ``changed`` each stratum's first round fires every rule naively.
@@ -282,7 +278,7 @@ def _query(
                 fire(r, pos, delta[rel], new)
 
     try:
-        for level, rules in enumerate(vp.strata):
+        for rules in vp.strata:
             # aggregates within a stratum see only completed lower strata, so an
             # aggregate rule fires once, in the first round
             delta: dict[str, set] = {}
@@ -294,24 +290,18 @@ def _query(
                     fire(r, None, (), delta)
                 elif r.agg is None:
                     fire_on(r, changed, delta)
-            rounds = 0
             while delta:
                 if changed is not None:
                     for rel, tups in delta.items():
                         changed.setdefault(rel, set()).update(tups)
-                rounds += 1
-                if rounds > bound:
-                    raise DivergenceError(
-                        f"stratum {level} did not reach a fixpoint within {bound} rounds"
-                    )
                 new_delta: dict[str, set] = {}
                 for r in rules:
                     if r.agg is None:
                         fire_on(r, delta, new_delta)
                 delta = new_delta
     except EvalError as e:
-        line, col = e.pos
-        raise EvalError(f"{vp.program.filename}:{line}:{col}: {e.message}", e.pos) from None
+        e.filename = vp.program.filename
+        raise
     return space
 
 
@@ -319,7 +309,7 @@ def _to_db(tuples: dict) -> Database:
     return Database({rel: frozenset(tups) for rel, tups in tuples.items() if tups})
 
 
-def evaluate(db: Database, vp: ValidatedProgram, bound: int = DEFAULT_EVAL_BOUND) -> Database:
+def evaluate(db: Database, vp: ValidatedProgram) -> Database:
     """Pure fixpoint of the program over one database, no network.
 
     Facts of channel relations in ``db`` are treated as this iteration's
@@ -333,7 +323,7 @@ def evaluate(db: Database, vp: ValidatedProgram, bound: int = DEFAULT_EVAL_BOUND
         if schema is None:
             raise RoutingError(f"fact for undeclared relation {rel}")
         (inbox if schema.kind == "channel" else persisted)[rel] = tups
-    space = _query(vp, persisted, inbox, bound)
+    space = _query(vp, persisted, inbox)
     merged = dict(space.facts)
     for rel, tups in space.outbound.items():
         merged[rel] = merged.get(rel, set()) | tups
@@ -365,7 +355,13 @@ def _fold_lattice(rel: str, tups: set, vp: ValidatedProgram) -> set:
         slot = merged.setdefault(key, {i: None for i in lat_cols})
         for i in lat_cols:
             cur = slot[i]
-            slot[i] = tup[i] if cur is None else lattices.merge(cur, tup[i])
+            try:
+                slot[i] = tup[i] if cur is None else lattices.merge(cur, tup[i])
+            except lattices.LatticeTypeError as e:
+                col = schema.cols[i]
+                raise lattices.LatticeTypeError(
+                    f"{e.message} in column {col.name} of {rel}", col.pos, vp.program.filename
+                ) from None
     out = set()
     for key, slot in merged.items():
         tup = [None] * schema.arity
@@ -410,7 +406,7 @@ def init_machine(vp: ValidatedProgram, address: Address, local_input: Database,
     return MachineState(address=address, persisted=_to_db(tuples), program=vp)
 
 
-def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepResult:
+def step(state: MachineState, inbox) -> StepResult:
     """One Ingest -> Query -> Send iteration. Pure: returns the new state."""
     vp = state.program
     persisted = dict(state.persisted.relations)
@@ -436,7 +432,7 @@ def step(state: MachineState, inbox, bound: int = DEFAULT_EVAL_BOUND) -> StepRes
     if state.iteration:  # committed by an earlier step: closed, see the module docstring
         lattice = {rel: set(persisted[rel]) for rel in vp.lattice_rels if rel in persisted}
         changed = {**inbox_events, **new_inputs, **lattice}
-    space = _query(vp, persisted, inbox_events, bound, changed)
+    space = _query(vp, persisted, inbox_events, changed)
 
     new_persisted = {rel: _fold_lattice(rel, tups, vp) for rel, tups in space.facts.items()
                      if vp.schemas[rel].kind == "persisted"}

@@ -122,8 +122,7 @@ def check_confluence(
 
     if mode != "sampled":
         raise ValueError(f"unknown confluence mode {mode!r}")
-    distinct: dict = {}
-    order: list = []
+    distinct: dict = {}  # union output -> first run reaching it, in run order
     quiescent_runs = 0
     for i in range(seeds):
         run = run_schedule(initial, Schedule(seed=base_seed + i), step_budget=step_budget)
@@ -133,12 +132,11 @@ def check_confluence(
         key = run.union_output
         if key not in distinct:
             distinct[key] = run
-            order.append(run)
         if len(distinct) >= 2:
             break
     if len(distinct) >= 2:
         w = tuple(
-            (Schedule(decisions=r.decisions), r.union_output) for r in order[:2]
+            (Schedule(decisions=r.decisions), r.union_output) for r in distinct.values()
         )
         return ConfluenceVerdict("sampled", OUTCOME_DIVERGENT, len(distinct), w, quiescent_runs)
     if quiescent_runs == 0:

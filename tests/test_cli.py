@@ -49,6 +49,14 @@ def test_analyze_invalid_program_exit_two(tmp_path, capsys):
     assert "bad.calm" in err
 
 
+def test_analyze_non_utf8_program_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.calm"
+    bad.write_bytes(b"rel r(x) [input]\n\xff\n")
+    code, out, err = run_cli(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read program {bad}: ") and len(err.splitlines()) == 1
+
+
 def test_analyze_malformed_constant_exit_two_at_the_token(tmp_path, capsys):
     bad = tmp_path / "bad.calm"
     bad.write_text("rel r(x) [input]\nrel s(x) [output]\ns(X) :- r(X).\ns(99999999999999999999).\n")
@@ -252,11 +260,35 @@ rel store(s: gset) [output]
 store(S) :- seed(S).
 """
 
+# b's maxint column gets a gset from a and a maxint from its second rule
+LATTICE_MIX = """rel seed(x) [input]
+rel a(x, s: gset)
+rel b(x, s: maxint) [output]
+a(X, gset{X}) :- seed(X).
+b(X, S) :- a(X, S).
+b(X, maxint(1)) :- seed(X).
+"""
+
+GSET_COMPARE = """rel seed(x) [input]
+rel a(x, s: gset)
+rel c(x, s) [output]
+a(X, gset{X}) :- seed(X).
+c(X, S) :- a(X, S), S < X.
+"""
+
+# two symbols for one key of b's maxint column, merged after the fixpoint
+SCALARS_IN_MAXINT = """rel seed(x) [input]
+rel b(x, s: maxint) [output]
+b(X, S) :- seed(X), seed(S).
+"""
+
+NOT_UTF8 = b"\xff\n"
+
 # inputs that load_config used to accept, and that then ended in a
 # traceback with exit 1, an answer with exit 0 or, for the misspelled key,
 # were ignored: (key, value, what the error line must name, test id); a
-# string program or fixture value is the file's text, and under the key
-# None the value is the whole config document
+# string program or fixture value is the file's text, a bytes value its raw
+# contents, and under the key None the value is the whole config document
 FAILING_RUNS = [
     ("machnes", 3, "'machnes'", "misspelled-key"),
     # the fixture names @m3: a partitioning error, or a routing error under
@@ -288,6 +320,21 @@ FAILING_RUNS = [
     ("fixture", FIG1 + "local_edge(gset{a}, t2)\n",
      "fixture: local_edge(gset{a}, t2): column src of local_edge is not a lattice column",
      "lattice-value-in-a-scalar-column"),
+    # run-time lattice typing and comparisons, located in the program file
+    (("program", "fixture", "partitioning"), (LATTICE_MIX, "seed(k)\n", "colocate"),
+     "program:3:10: cannot combine lattice variants gset and maxint in column s of b",
+     "lattice-variants-mixed"),
+    (("program", "fixture", "partitioning"), (GSET_COMPARE, "seed(k)\n", "colocate"),
+     "program:5:21: lattice value where a scalar is required", "comparison-over-a-gset"),
+    (("program", "fixture", "partitioning"), (SCALARS_IN_MAXINT, "seed(k)\nseed(j)\n", "colocate"),
+     "program:2:10: j is not a lattice value in column s of b", "scalars-merged-in-a-lattice-column"),
+    (("program", "partitioning"), (UNSTRATIFIABLE, "colocate"),
+     "program: program is unstratifiable", "unstratifiable-program-names-its-file"),
+    # files that are not UTF-8, and a config nested too deep for the JSON reader
+    ("program", NOT_UTF8, "cannot read program", "program-not-utf8"),
+    ("fixture", FIG1.encode() + NOT_UTF8, "cannot read fixture", "fixture-not-utf8"),
+    (None, b'{"program": "program.calm"}' + NOT_UTF8, "cannot read config", "config-not-utf8"),
+    (None, b"[" * 100_000 + b"]" * 100_000, "cannot read config", "config-nested-too-deep"),
 ]
 
 
@@ -301,15 +348,15 @@ def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, 
     src["fixture"] = corpus_file("deadlock", "fig1.facts")
     expect = next((e for k, v, e, _ in FAILING_RUNS if (k, v) == (key, value)), repr(key))
     for k, v in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
-        if k in ("program", "fixture") and isinstance(v, str):
-            (tmp_path / k).write_text(v)
+        if k in ("program", "fixture") and isinstance(v, (str, bytes)):
+            (tmp_path / k).write_bytes(v if isinstance(v, bytes) else v.encode())
             v = k
         if k is None:
             src = v
         else:
             src[k] = v
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps(src))
+    cfg.write_bytes(src if isinstance(src, bytes) else json.dumps(src).encode())
     code, out, err = run_cli(capsys, verb, str(cfg))
     assert code == 2
     assert out == ""

@@ -193,11 +193,20 @@ def test_duplication_toggle_preserves_monotone_outcome(programs):
     assert plain.union_output == dup.union_output
 
 
-def test_sending_to_unknown_address_is_routing_error(programs, fixtures):
+def test_fixture_naming_an_unknown_address_is_rejected_before_the_run(programs, fixtures):
     fixture = fixtures[("deadlock", "fig1.facts")]  # names m2 and m3
     part = colocated(fixture, machine_addresses(2), Address("m1"))
-    net = init_network(programs["deadlock"], fixture, part)
-    with pytest.raises(RoutingError):
+    with pytest.raises(PartitioningError, match="@m3"):
+        init_network(programs["deadlock"], fixture, part)
+
+
+def test_sending_to_unknown_address_is_routing_error():
+    vp = validate_program(parse_program(
+        "rel seed(x) [input]\nchan ping(@dest, x)\nping(@m9, X) :- seed(X).\n"
+    ))
+    db = Database.from_facts(parse_facts("seed(a)"))
+    net = init_network(vp, db, colocated(db, machine_addresses(2), Address("m1")))
+    with pytest.raises(RoutingError, match="@m9"):
         run_schedule(net, Schedule(seed=0))
 
 

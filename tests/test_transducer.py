@@ -8,7 +8,6 @@ from calmlab.calmlang import parse_program, validate_program
 from calmlab.lattices import TwoPSet, leq as lattice_leq
 from calmlab.relspace import Database, Fact, db_leq, parse_fact, parse_facts
 from calmlab.transducer import (
-    DivergenceError,
     RoutingError,
     _query,
     evaluate,
@@ -63,11 +62,21 @@ def test_evaluate_rejects_undeclared_relation():
         evaluate(Database.from_facts(parse_facts("mystery(a)")), vp_of(TC))
 
 
-def test_divergence_error_on_tiny_bound():
-    # a 6-edge chain needs several semi-naive rounds; bound=1 must trip
-    edges = "\n".join(f"edge(n{i}, n{i+1})" for i in range(6))
-    with pytest.raises(DivergenceError):
-        evaluate(Database.from_facts(parse_facts(edges)), vp_of(TC), bound=1)
+REACH = """
+rel edge(x, y) [input]
+rel start(x) [input]
+rel reach(x) [output]
+reach(X) :- start(X).
+reach(Y) :- reach(X), edge(X, Y).
+"""
+
+
+def test_reach_along_a_chain_longer_than_ten_thousand_rounds():
+    # one semi-naive round per edge: 10,001 rounds in one stratum
+    edges = {(Symbol(f"n{i}"), Symbol(f"n{i + 1}")) for i in range(10_001)}
+    db = Database({"edge": frozenset(edges), "start": frozenset({(Symbol("n0"),)})})
+    out = single_machine_output(vp_of(REACH), db)
+    assert len(out.relations["reach"]) == 10_002
 
 
 def test_comparisons_and_wildcards():
