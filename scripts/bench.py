@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the schedule enumerator and the single-machine fixpoint on fixed
-scaling families, and write the numbers as JSON.
+"""Time the schedule enumerator, the coordination detector and one-machine
+runs on fixed scaling families, and write the numbers as JSON.
 
 Workloads:
 
@@ -12,7 +12,12 @@ Workloads:
 - ``gc_coordinated_sampled``: the corpus ``gc_coordinated`` check as its
   config gives it, sampled over 24 seeds: many small non-monotone steps
   behind a barrier, with no step memo.
-- ``tc_chain_N``: transitive closure of an N-edge chain on one machine.
+- ``gc_coordinated_exhaustive``: the same check walked exhaustively under a
+  fixed state bound, which it does not finish within.
+- ``gc_coordinated_coordination``: ``detect_coordination`` on the corpus
+  ``gc_coordinated`` coordination config.
+- ``tc_chain_N``: transitive closure of an N-edge chain, one seeded run on
+  a one-machine network.
 
 Each workload runs once, in this process, and the whole set takes well
 under two minutes on a 2-vCPU VM. Usage, from the root of a checkout::
@@ -33,16 +38,19 @@ from pathlib import Path
 from calmlab import corpus
 from calmlab.config import load_config
 from calmlab.netsim import (
+    Schedule,
+    colocated,
     enumerate_schedules,
     init_network,
     machine_addresses,
     partitioning_from_map,
+    run_schedule,
 )
 from calmlab.relspace import Database, parse_facts
-from calmlab.transducer import single_machine_output
-from calmlab.verdicts import check_confluence
+from calmlab.verdicts import check_confluence, detect_coordination
 
 RING_6X4_BOUND = 30_000
+GC_COORDINATED_BOUND = 10_000
 
 
 def ring_network(n: int, m: int):
@@ -73,13 +81,15 @@ def walk(net, bound=None) -> dict:
 def tc_chain(n: int) -> dict:
     vp = corpus.load_program("transitive_closure")
     chain = Database.from_facts(parse_facts("\n".join(f"edge(n{i}, n{i + 1})" for i in range(n))))
+    machines = machine_addresses(1)
+    net = init_network(vp, chain, colocated(chain, machines, machines[0]))
     start = time.perf_counter()
-    out = single_machine_output(vp, chain)
-    return {"seconds": round(time.perf_counter() - start, 3), "facts": out.size()}
+    run = run_schedule(net, Schedule(seed=0))
+    return {"seconds": round(time.perf_counter() - start, 3), "facts": run.union_output.size()}
 
 
-def gc_network():
-    cfg = load_config(corpus.config_path("gc", "check.json"))
+def check_network(name: str):
+    cfg = load_config(corpus.config_path(name, "check.json"))
     return init_network(cfg.program, cfg.fixture, cfg.partitioning())
 
 
@@ -91,12 +101,29 @@ def gc_coordinated_sampled() -> dict:
             "runs": v.runs_examined}
 
 
+def gc_coordinated_coordination() -> dict:
+    cfg = load_config(corpus.config_path("gc_coordinated", "coordination.json"))
+    start = time.perf_counter()
+    r = detect_coordination(
+        cfg.program, cfg.fixture, cfg.machines,
+        schedules_per_partitioning=cfg.schedules_per_partitioning,
+        partition_cap=cfg.partition_cap,
+    )
+    return {"seconds": round(time.perf_counter() - start, 3), "verdict": r.verdict,
+            "colocated_min_messages": r.colocated_min_messages,
+            "partitionings": len(r.per_partitioning)}
+
+
 WORKLOADS = {
     "deadlock_ring_5x3": lambda: walk(ring_network(5, 3)),
     "deadlock_ring_6x3": lambda: walk(ring_network(6, 3)),
     "deadlock_ring_6x4": lambda: walk(ring_network(6, 4), bound=RING_6X4_BOUND),
-    "gc": lambda: walk(gc_network()),
+    "gc": lambda: walk(check_network("gc")),
     "gc_coordinated_sampled": gc_coordinated_sampled,
+    "gc_coordinated_exhaustive": lambda: walk(
+        check_network("gc_coordinated"), bound=GC_COORDINATED_BOUND
+    ),
+    "gc_coordinated_coordination": gc_coordinated_coordination,
     "tc_chain_100": lambda: tc_chain(100),
     "tc_chain_200": lambda: tc_chain(200),
     "tc_chain_400": lambda: tc_chain(400),
@@ -110,7 +137,7 @@ def main(argv=None) -> int:
     results = {}
     for name, run in WORKLOADS.items():
         results[name] = run()
-        print(f"{name:20s} {json.dumps(results[name])}", flush=True)
+        print(f"{name:28s} {json.dumps(results[name])}", flush=True)
     report = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

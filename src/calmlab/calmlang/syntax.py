@@ -120,10 +120,6 @@ class RelDecl:
     is_output: bool = False
     pos: Pos = field(default=NOPOS, compare=False)
 
-    @property
-    def arity(self) -> int:
-        return len(self.cols)
-
 
 @dataclass(frozen=True)
 class Program:

@@ -10,8 +10,10 @@ matching partial order:
   has ever been tombstoned is permanently hidden from the visible view
 
 Lattice values may appear as fact arguments in persisted relations only.
-When a derived fact matches an existing fact on every non-lattice column,
-the stored fact is replaced by the column-wise merge (see transducer).
+Facts merge when a machine's iteration commits, not when they are derived:
+within one iteration, rules see each derived lattice fact unmerged, next to
+the stored one. At commit, the facts that agree on every non-lattice column
+are replaced by their column-wise merge (see transducer).
 
 Textual literals used in fixtures and programs::
 
@@ -89,7 +91,6 @@ class TwoPSet:
 LatticeValue = GSet | MaxInt | BoolOr | TwoPSet
 
 VARIANT_NAMES = {GSet: "gset", MaxInt: "maxint", BoolOr: "boolor", TwoPSet: "2p"}
-VARIANT_BY_NAME = {v: k for k, v in VARIANT_NAMES.items()}
 
 
 def is_lattice(v) -> bool:

@@ -52,20 +52,6 @@ def machine_addresses(m: int) -> tuple:
     return tuple(Address(f"m{i}") for i in range(1, m + 1))
 
 
-def addresses_in(db: Database) -> frozenset:
-    """Machine addresses mentioned by fact arguments (gossip targets etc.).
-
-    A fixture can only run on networks containing all of them; ``init_network``
-    rejects any other.
-    """
-    out = set()
-    for f in db.facts():
-        for a in f.args:
-            if isinstance(a, Address):
-                out.add(a)
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class Partitioning:
     machines: tuple  # tuple[Address]
@@ -170,17 +156,6 @@ class Schedule:
                 ]
             }
         return {"seed": self.seed, "duplicate_every": self.duplicate_every}
-
-    @staticmethod
-    def from_obj(obj) -> "Schedule":
-        if "decisions" in obj:
-            return Schedule(
-                decisions=tuple(
-                    (dst, tuple((src, fact) for src, fact in keys))
-                    for dst, keys in obj["decisions"]
-                )
-            )
-        return Schedule(seed=obj.get("seed", 0), duplicate_every=obj.get("duplicate_every", 0))
 
 
 @dataclass

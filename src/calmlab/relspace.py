@@ -87,9 +87,6 @@ class Database:
             object.__setattr__(self, "_hash", hash(frozenset(self.relations.items())))
         return self._hash
 
-    def __str__(self) -> str:
-        return "\n".join(str(f) for f in self.facts())
-
 
 def _check_arities(rels: dict) -> None:
     for name, ts in rels.items():
@@ -163,7 +160,3 @@ def db_to_obj(db: Database) -> dict:
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def db_to_json(db: Database) -> str:
-    return canonical_json(db_to_obj(db))

@@ -1,11 +1,17 @@
-"""Single-machine relational transducer: the Ingest -> Query -> Send loop.
+"""One machine of a relational transducer network: the Ingest -> Query ->
+Send loop.
+
+``step`` is the only code that computes what a program derives. One
+machine's fixpoint is one step of a fresh ``init_machine`` state; a network
+run (``netsim.run_schedule``) drives the steps of every machine.
 
 The Query phase is a stratified, semi-naive fixpoint over the machine's
 local database. Relations behave by persistence class:
 
 * persisted relations accumulate across iterations and never shrink during
-  a run; derived facts with lattice columns merge into the stored fact that
-  matches on every scalar column;
+  a run. Within one iteration, rules see each derived lattice fact unmerged,
+  next to the stored one; when the iteration commits, the facts that agree
+  on every scalar column merge column-wise into one;
 * event relations are scratch space, visible within the iteration that
   derived them and cleared afterwards;
 * channel relations are special events: a channel literal in a rule body
@@ -45,8 +51,8 @@ the inbox last one step; those with a lattice head, since the merge after
 the fixpoint replaced the facts they derived; and aggregates over a changed
 relation, whose value moves. Relations with lattice columns count as wholly
 changed: their facts are merged after the fixpoint, so no rule has joined
-the merged facts yet. A state of iteration 0 (fresh from ``init_machine``),
-``evaluate`` and ``single_machine_output`` run a full naive first round.
+the merged facts yet. A state of iteration 0, fresh from ``init_machine``,
+runs a full naive first round.
 
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
@@ -309,38 +315,7 @@ def _to_db(tuples: dict) -> Database:
     return Database({rel: frozenset(tups) for rel, tups in tuples.items() if tups})
 
 
-def evaluate(db: Database, vp: ValidatedProgram) -> Database:
-    """Pure fixpoint of the program over one database, no network.
-
-    Facts of channel relations in ``db`` are treated as this iteration's
-    inbox; channel facts in the result are the send buffer the Query phase
-    produced. Deterministic, and idempotent on the non-channel portion.
-    """
-    persisted: dict = {}
-    inbox: dict = {}
-    for rel, tups in db.relations.items():
-        schema = vp.schemas.get(rel)
-        if schema is None:
-            raise RoutingError(f"fact for undeclared relation {rel}")
-        (inbox if schema.kind == "channel" else persisted)[rel] = tups
-    space = _query(vp, persisted, inbox)
-    merged = dict(space.facts)
-    for rel, tups in space.outbound.items():
-        merged[rel] = merged.get(rel, set()) | tups
-    return _to_db(merged)
-
-
-def single_machine_output(
-    vp: ValidatedProgram, input_db: Database, address: str = "m1"
-) -> Database:
-    """Output relations computed by one machine holding the whole input."""
-    me = Address(address)
-    seeded = {**input_db.relations, "id": {(me,)}, "all": {(me,)}}
-    space = _query(vp, seeded, {})
-    return _to_db(space.facts).restrict(vp.output_rels)
-
-
-# --- lattice merge-on-insert -------------------------------------------------
+# --- lattice merge at commit -------------------------------------------------
 
 
 def _fold_lattice(rel: str, tups: set, vp: ValidatedProgram) -> set:

@@ -100,48 +100,35 @@ def check_confluence(
     witness schedules.
     """
     initial = init_network(vp, input_db, part)
+    # each mode yields its distinct (decisions, union output) pairs in
+    # first-found order, whether its search was conclusive, and its count
     if mode == "exhaustive":
         res = enumerate_schedules(
             initial, bound=budget, step_budget=step_budget, stop_after_distinct=2
         )
-        if len(res.outcomes) >= 2:
-            w = tuple(
-                (Schedule(decisions=o.decisions), o.union_output)
-                for o in res.outcomes[:2]
-            )
-            return ConfluenceVerdict(
-                "exhaustive", OUTCOME_DIVERGENT, len(res.outcomes), w, res.states_explored
-            )
-        if res.complete and len(res.outcomes) == 1:
-            return ConfluenceVerdict(
-                "exhaustive", OUTCOME_CONFLUENT, 1, (), res.states_explored
-            )
-        return ConfluenceVerdict(
-            "exhaustive", OUTCOME_INCONCLUSIVE, len(res.outcomes), (), res.states_explored
-        )
-
-    if mode != "sampled":
+        found = [(o.decisions, o.union_output) for o in res.outcomes]
+        conclusive, examined = res.complete, res.states_explored
+    elif mode == "sampled":
+        found = []
+        examined = 0  # quiescent runs
+        for i in range(seeds):
+            run = run_schedule(initial, Schedule(seed=base_seed + i), step_budget=step_budget)
+            if not run.quiesced:
+                continue
+            examined += 1
+            if all(run.union_output != out for _, out in found):
+                found.append((run.decisions, run.union_output))
+                if len(found) == 2:
+                    break
+        conclusive = examined > 0
+    else:
         raise ValueError(f"unknown confluence mode {mode!r}")
-    distinct: dict = {}  # union output -> first run reaching it, in run order
-    quiescent_runs = 0
-    for i in range(seeds):
-        run = run_schedule(initial, Schedule(seed=base_seed + i), step_budget=step_budget)
-        if not run.quiesced:
-            continue
-        quiescent_runs += 1
-        key = run.union_output
-        if key not in distinct:
-            distinct[key] = run
-        if len(distinct) >= 2:
-            break
-    if len(distinct) >= 2:
-        w = tuple(
-            (Schedule(decisions=r.decisions), r.union_output) for r in distinct.values()
-        )
-        return ConfluenceVerdict("sampled", OUTCOME_DIVERGENT, len(distinct), w, quiescent_runs)
-    if quiescent_runs == 0:
-        return ConfluenceVerdict("sampled", OUTCOME_INCONCLUSIVE, 0, (), 0)
-    return ConfluenceVerdict("sampled", OUTCOME_CONFLUENT, 1, (), quiescent_runs)
+
+    if len(found) >= 2:
+        witnesses = tuple((Schedule(decisions=d), out) for d, out in found[:2])
+        return ConfluenceVerdict(mode, OUTCOME_DIVERGENT, len(found), witnesses, examined)
+    outcome = OUTCOME_CONFLUENT if conclusive and found else OUTCOME_INCONCLUSIVE
+    return ConfluenceVerdict(mode, outcome, len(found), (), examined)
 
 
 def detect_coordination(

@@ -110,6 +110,29 @@ def test_run_trace_out_writes_jsonl(tmp_path, capsys):
     assert {"from", "to", "fact", "step"} <= set(lines[0])
 
 
+SELF_SEND = """\
+rel in(k, x) [input]
+rel acc(k, s: gset) [output]
+chan c(@d, x)
+rel out(x) [output]
+acc(K, gset{X}) :- in(K, X).
+c(M, K) :- id(M), in(K, _).
+out(X) :- c(_, X).
+"""
+
+
+def test_one_machine_run_merges_lattice_facts_and_delivers_to_itself(tmp_path, capsys):
+    # the two acc facts of one step merge into one, and the machine's
+    # message to itself is delivered
+    (tmp_path / "p.calm").write_text(SELF_SEND)
+    (tmp_path / "in.facts").write_text("in(a, 1)\nin(a, 2)\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"program": "p.calm", "fixture": "in.facts", "machines": 1}))
+    code, out, _ = run_cli(capsys, "run", str(cfg), "--json")
+    assert code == 0
+    assert json.loads(out)["union_output"] == {"acc": [["a", "gset{1, 2}"]], "out": [["a"]]}
+
+
 def test_check_cart_manifest_confluent_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "check", corpus_file("cart_manifest", "check.json"))
     assert code == 0
@@ -291,8 +314,8 @@ NOT_UTF8 = b"\xff\n"
 # contents, and under the key None the value is the whole config document
 FAILING_RUNS = [
     ("machnes", 3, "'machnes'", "misspelled-key"),
-    # the fixture names @m3: a partitioning error, or a routing error under
-    # coordination, which ignores the partitioning map
+    # the fixture names @m3, which a 2-machine network lacks: init_network
+    # rejects it under every verb
     ("machines", 2, "m3", "fixture-names-m3"),
     ("fixture", FIG1 + "nbr(@m1, @m4)\n", "@m4", "fact-missing-from-the-map"),
     ("program", UNSTRATIFIABLE, "unstratifiable", "unstratifiable-program"),

@@ -27,7 +27,7 @@ from calmlab.netsim import (
     partitioning_from_map,
     run_schedule,
 )
-from calmlab.relspace import Database, db_to_json, db_union, parse_facts
+from calmlab.relspace import Database, db_to_obj, db_union, parse_facts
 from calmlab.transducer import step
 
 # --- the oracle: the Counter-based recursive walker ----------------------------
@@ -181,7 +181,7 @@ def test_walk_matches_the_counter_oracle(net, bound, stop_after_distinct):
     for o in res.outcomes:
         replay = run_schedule(net, Schedule(decisions=o.decisions))
         assert replay.quiesced and replay.decisions == o.decisions
-        assert db_to_json(replay.union_output) == db_to_json(o.union_output)
+        assert db_to_obj(replay.union_output) == db_to_obj(o.union_output)
         assert replay.per_machine_outputs == o.per_machine_outputs
     if res.complete:
         found = {o.union_output for o in res.outcomes}

@@ -9,7 +9,6 @@ from calmlab.netsim import (
     PartitioningError,
     ReplayError,
     Schedule,
-    addresses_in,
     colocated,
     enumerate_partitionings,
     enumerate_schedules,
@@ -89,10 +88,12 @@ def test_partitioning_unknown_fact_rejected(fixtures):
 
 
 def test_fixture_fact_must_be_input_relation(programs, fixtures):
-    db = Database.from_facts(parse_facts("path(a, b)"))
-    part = colocated(db, machine_addresses(1), Address("m1"))
-    with pytest.raises(PartitioningError):
-        init_network(programs["transitive_closure"], db, part)
+    # an output relation, then one the program does not declare
+    for text in ("path(a, b)", "mystery(a)"):
+        db = Database.from_facts(parse_facts(text))
+        part = colocated(db, machine_addresses(1), Address("m1"))
+        with pytest.raises(PartitioningError, match="not in an input-marked relation"):
+            init_network(programs["transitive_closure"], db, part)
 
 
 def test_hash_partitioning_is_deterministic(fixtures):
@@ -210,13 +211,6 @@ def test_sending_to_unknown_address_is_routing_error():
         run_schedule(net, Schedule(seed=0))
 
 
-def test_addresses_in_reports_gossip_targets(fixtures):
-    assert addresses_in(fixtures[("deadlock", "fig1.facts")]) == frozenset(
-        {Address("m1"), Address("m2"), Address("m3")}
-    )
-    assert addresses_in(fixtures[("deadlock", "edges_only.facts")]) == frozenset()
-
-
 # --- exhaustive enumeration ---------------------------------------------------
 
 
@@ -320,10 +314,3 @@ def test_at_least_once_seeded_run_is_pinned():
         ("m3", (("m2", "copy(@m3, t3, t1)"),)),
     ) + (("m3", (("m1", "copy(@m3, t1, t3)"),)),) * 6
     assert (out.steps_used, out.message_count, len(out.trace)) == (25, 18, 18)
-
-
-def test_schedule_json_roundtrip():
-    s = Schedule(decisions=(("m1", (("m2", "copy(@m1, t3, t1)"),)),))
-    assert Schedule.from_obj(s.to_obj()) == s
-    seeded = Schedule(seed=9, duplicate_every=3)
-    assert Schedule.from_obj(seeded.to_obj()) == seeded

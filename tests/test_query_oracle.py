@@ -17,7 +17,7 @@ from strategies import DECLS, instances, programs
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.calmlang.syntax import Literal, Negation, Var, Wildcard, eval_head_term, eval_scalar
 from calmlab.relspace import Database, Fact
-from calmlab.transducer import _compare, _query, single_machine_output
+from calmlab.transducer import _compare, _query, init_machine, step
 from calmlab.values import Address, Int, Symbol, value_sort_key
 
 # --- the oracle: nested-loop evaluation --------------------------------------
@@ -218,4 +218,6 @@ def test_closure_of_a_200_edge_chain():
     chain = Database.from_facts(
         Fact("edge", (Symbol(f"n{i}"), Symbol(f"n{i + 1}"))) for i in range(200)
     )
-    assert len(single_machine_output(vp, chain).relation("path")) == 200 * 201 // 2 == 20_100
+    m1 = Address("m1")
+    out = step(init_machine(vp, m1, chain, (m1,)), ()).new_state.persisted
+    assert len(out.relation("path")) == 200 * 201 // 2 == 20_100

@@ -9,8 +9,9 @@ from calmlab.relspace import (
     Database,
     Fact,
     SchemaError,
+    canonical_json,
     db_leq,
-    db_to_json,
+    db_to_obj,
     db_union,
     parse_fact,
     parse_facts,
@@ -162,8 +163,8 @@ def test_value_total_order_is_type_rank_then_natural():
     )
 )
 def test_canonical_serialization_ignores_construction_order(perm):
-    base = db_to_json(Database.from_facts(perm))
-    assert base == db_to_json(Database.from_facts(list(reversed(perm))))
+    base = canonical_json(db_to_obj(Database.from_facts(perm)))
+    assert base == canonical_json(db_to_obj(Database.from_facts(list(reversed(perm)))))
 
 
 def test_parse_value_lattice_nesting_rejected():

@@ -7,19 +7,24 @@ from calmlab import corpus
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.lattices import TwoPSet, leq as lattice_leq
 from calmlab.relspace import Database, Fact, db_leq, parse_fact, parse_facts
-from calmlab.transducer import (
-    RoutingError,
-    _query,
-    evaluate,
-    init_machine,
-    single_machine_output,
-    step,
-)
+from calmlab.transducer import RoutingError, _query, init_machine, step
 from calmlab.values import Address, Symbol
+
+M1 = Address("m1")
 
 
 def vp_of(src: str):
     return validate_program(parse_program(src))
+
+
+def fresh(vp, db: Database):
+    """A one-machine network's only machine, holding ``db``."""
+    return init_machine(vp, M1, db, (M1,))
+
+
+def fixpoint(vp, db: Database) -> Database:
+    """One machine's fixpoint over ``db``: a fresh machine stepped once."""
+    return step(fresh(vp, db), ()).new_state.persisted
 
 
 TC = """
@@ -32,17 +37,17 @@ path(X, Z) :- edge(X, Y), path(Y, Z).
 
 def test_evaluate_two_cycle_reaches_self_path():
     db = Database.from_facts(parse_facts("edge(t1, t2)\nedge(t2, t1)"))
-    out = evaluate(db, vp_of(TC))
+    out = fixpoint(vp_of(TC), db)
     assert parse_fact("path(t1, t1)") in out
 
 
 def test_evaluate_empty_edges_empty_paths():
-    out = evaluate(Database({}), vp_of(TC))
+    out = fixpoint(vp_of(TC), Database({}))
     assert out.relation("path") == frozenset()
 
 
 def test_evaluate_full_figure_graph_garbage(programs, fixtures):
-    out = single_machine_output(programs["gc"], fixtures[("gc", "fig2.facts")])
+    out = fixpoint(programs["gc"], fixtures[("gc", "fig2.facts")])
     assert sorted(str(f) for f in out.relation("garbage")) == [
         "garbage(o5)",
         "garbage(o6)",
@@ -51,15 +56,13 @@ def test_evaluate_full_figure_graph_garbage(programs, fixtures):
 
 @pytest.mark.parametrize("name", [e.name for e in corpus.ENTRIES])
 def test_evaluate_idempotent_on_corpus(name, programs, fixtures):
-    vp = programs[name]
+    # a committed fixpoint is closed: stepping it again on an empty inbox
+    # derives nothing and sends nothing
     db = fixtures[(name, corpus.entry(name).fixtures[0])]
-    once = evaluate(db, vp)
-    assert evaluate(once, vp) == once
-
-
-def test_evaluate_rejects_undeclared_relation():
-    with pytest.raises(RoutingError):
-        evaluate(Database.from_facts(parse_facts("mystery(a)")), vp_of(TC))
+    once = step(fresh(programs[name], db), ()).new_state
+    twice = step(once, ())
+    assert twice.new_state.persisted == once.persisted
+    assert not twice.outbound
 
 
 REACH = """
@@ -75,7 +78,7 @@ def test_reach_along_a_chain_longer_than_ten_thousand_rounds():
     # one semi-naive round per edge: 10,001 rounds in one stratum
     edges = {(Symbol(f"n{i}"), Symbol(f"n{i + 1}")) for i in range(10_001)}
     db = Database({"edge": frozenset(edges), "start": frozenset({(Symbol("n0"),)})})
-    out = single_machine_output(vp_of(REACH), db)
+    out = fixpoint(vp_of(REACH), db)
     assert len(out.relations["reach"]) == 10_002
 
 
@@ -87,7 +90,7 @@ rel nonempty() [output]
 small(X) :- num(X), X < 3.
 nonempty() :- num(_).
 """
-    out = evaluate(Database.from_facts(parse_facts("num(1)\nnum(2)\nnum(3)")), vp_of(src))
+    out = fixpoint(vp_of(src), Database.from_facts(parse_facts("num(1)\nnum(2)\nnum(3)")))
     assert sorted(str(f) for f in out.relation("small")) == ["small(1)", "small(2)"]
     assert out.relation("nonempty") == frozenset([Fact("nonempty", ())])
 
@@ -101,7 +104,7 @@ best(W, max<N>) :- score(W, N).
 worst(min<N>) :- score(W, N).
 """
     db = Database.from_facts(parse_facts("score(a, 3)\nscore(a, 7)\nscore(b, 5)"))
-    out = evaluate(db, vp_of(src))
+    out = fixpoint(vp_of(src), db)
     assert sorted(str(f) for f in out.relation("best")) == ["best(a, 7)", "best(b, 5)"]
     assert sorted(str(f) for f in out.relation("worst")) == ["worst(3)"]
 
@@ -114,7 +117,7 @@ rel lonely(x) [output]
 lonely(X) :- single(X), !pair(_, X).
 """
     db = Database.from_facts(parse_facts("single(a)\nsingle(b)\npair(c, a)"))
-    out = evaluate(db, vp_of(src))
+    out = fixpoint(vp_of(src), db)
     assert sorted(str(f) for f in out.relation("lonely")) == ["lonely(b)"]
 
 
@@ -123,7 +126,7 @@ def test_ground_fact_rule():
 rel marker(x) [output]
 marker(here).
 """
-    out = evaluate(Database({}), vp_of(src))
+    out = fixpoint(vp_of(src), Database({}))
     assert out.relation("marker") == frozenset([Fact("marker", (Symbol("here"),))])
 
 
@@ -211,8 +214,8 @@ def test_gc_not_inflationary_across_growing_inputs(programs):
     t = Database.from_facts(
         list(s.facts()) + parse_facts("local_edge(root, o3)\nlocal_edge(o3, o4)")
     )
-    out_s = single_machine_output(gc, s)
-    out_t = single_machine_output(gc, t)
+    out_s = fixpoint(gc, s).restrict(gc.output_rels)
+    out_t = fixpoint(gc, t).restrict(gc.output_rels)
     assert parse_fact("garbage(o4)") in out_s
     assert parse_fact("garbage(o4)") not in out_t
     assert not db_leq(out_s, out_t)
@@ -246,9 +249,7 @@ def test_lattice_merge_on_insert_single_store_fact(programs):
 
 def test_no_global_cache_keeps_a_program_alive():
     vp = vp_of(TC)
-    evaluate(Database.from_facts(parse_facts("edge(t1, t2)")), vp)
-    me = Address("m1")
-    step(init_machine(vp, me, Database({}), (me,)), ())
+    fixpoint(vp, Database.from_facts(parse_facts("edge(t1, t2)")))
     ref = weakref.ref(vp)
     del vp
     gc.collect()
