@@ -28,17 +28,22 @@ def main() -> int:
         for config in sorted(entry.expected_dynamic):
             cfg = load_config(corpus.config_path(entry.name, config))
             t0 = time.monotonic()
+            # the config's knobs, passed as `calmlab check` and `calmlab
+            # coordination` pass them without flags
             if config == "coordination.json":
                 r = detect_coordination(
-                    cfg.program, cfg.fixture, cfg.machines,
+                    cfg.program, cfg.fixture, max(cfg.machines, 2),
                     schedules_per_partitioning=cfg.schedules_per_partitioning,
                     partition_cap=cfg.partition_cap,
+                    base_seed=cfg.seed,
+                    step_budget=cfg.step_budget,
                 )
                 dynamic = f"{r.verdict} (colocated_min={r.colocated_min_messages})"
             else:
                 v = check_confluence(
                     cfg.program, cfg.fixture, cfg.partitioning(),
-                    mode=cfg.mode, seeds=cfg.seeds,
+                    mode=cfg.mode, budget=cfg.enum_bound, seeds=cfg.seeds,
+                    base_seed=cfg.seed, step_budget=cfg.step_budget,
                 )
                 dynamic = f"{v.outcome} ({v.mode}, {v.distinct_outcomes} outcome(s))"
                 if rep.program_monotone and v.outcome == "divergent":

@@ -1,4 +1,4 @@
-"""The rule language: grammar, parser, validator, pretty-printer.
+"""The rule language: grammar, parser, validator, rule printer.
 
 Programs are lists of relation declarations and rules::
 
@@ -38,7 +38,6 @@ from .syntax import (
     Wildcard,
 )
 from .parser import ParseError, parse_program
-from .printer import program_to_text
 from .validate import (
     RESERVED_RELATIONS,
     Schema,
@@ -73,6 +72,5 @@ __all__ = [
     "Var",
     "Wildcard",
     "parse_program",
-    "program_to_text",
     "validate_program",
 ]

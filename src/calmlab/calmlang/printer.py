@@ -1,4 +1,5 @@
-"""Pretty-printer. Reparsing the printed text yields a structurally equal AST."""
+"""Rule printer for reports and messages. Reparsing a printed rule yields a
+structurally equal rule."""
 
 from __future__ import annotations
 
@@ -11,8 +12,6 @@ from .syntax import (
     Literal,
     MaxIntTerm,
     Negation,
-    Program,
-    RelDecl,
     TwoPTerm,
     Var,
     Wildcard,
@@ -63,34 +62,3 @@ def rule_to_text(r) -> str:
         literal_to_text(r.head),
         ", ".join(body_elem_to_text(e) for e in r.body),
     )
-
-
-def decl_to_text(d: RelDecl) -> str:
-    cols = []
-    for c in d.cols:
-        if c.role == "addr":
-            cols.append("@" + c.name)
-        elif c.lattice:
-            cols.append(f"{c.name}: {c.lattice}")
-        else:
-            cols.append(c.name)
-    quals = []
-    if not d.channel and d.persistence == "event":
-        quals.append("event")
-    if d.is_input:
-        quals.append("input")
-    if d.is_output:
-        quals.append("output")
-    kw = "chan" if d.channel else "rel"
-    text = "%s %s(%s)" % (kw, d.name, ", ".join(cols))
-    if quals:
-        text += " [%s]" % ", ".join(quals)
-    return text
-
-
-def program_to_text(p: Program) -> str:
-    lines = [decl_to_text(d) for d in p.decls]
-    if p.decls and p.rules:
-        lines.append("")
-    lines.extend(rule_to_text(r) for r in p.rules)
-    return "\n".join(lines) + "\n"

@@ -4,7 +4,9 @@ Beyond the classic datalog safety conditions (range restriction, bound
 negation, bound comparisons) this enforces the network-facing invariants:
 channel relations route on an address-typed first column, input/output
 markers only make sense on persisted relations, and lattice-typed columns
-stay out of channels, events, and negated literals.
+stay out of channels, events, and negated literals. ``fact_error`` decides
+whether a fixture fact fits the program, with the same column rule
+(``value_error``) as program constants.
 
 Validation also fixes a per-rule evaluation plan: positive literals join in
 source order and each filter (comparison or negation) runs as soon as its
@@ -97,7 +99,6 @@ class ValidatedRule:
     probes: tuple  # per plan element: its Probe, or None for a comparison
     positives: tuple  # positive body literals, source order
     negations: tuple
-    comparisons: tuple
     agg: AggTerm | None
     agg_pos: int | None
 
@@ -212,6 +213,25 @@ def value_error(value, col: ColSpec, rel: str) -> str | None:
             return f"{where} holds {col.lattice} values"
     elif is_lattice(value):
         return f"{where} is not a lattice column"
+    return None
+
+
+def fact_error(vp: ValidatedProgram, rel: str, args: tuple) -> str | None:
+    """Why the fixture fact ``rel(args)`` cannot enter a run of ``vp``, or
+    None. A fixture is an instance of the program's input: the relation is
+    declared and marked input, and the fact has its arity and values that
+    fit its columns (``value_error``)."""
+    schema = vp.schemas.get(rel)
+    if schema is None:
+        return f"relation {rel} is not declared"
+    if not schema.is_input:
+        return f"relation {rel} is not marked input"
+    if len(args) != schema.arity:
+        return f"relation {rel} has arity {schema.arity}"
+    for value, col in zip(args, schema.cols):
+        error = value_error(value, col, rel)
+        if error:
+            return error
     return None
 
 
@@ -338,11 +358,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
             f"aggregate variable {agg.var.name} also appears as a grouping term",
             agg.pos,
         )
-    if not rule.body:
-        for a in head.args:
-            if term_vars(a):
-                raise ValidationError("ground-fact rule head must not contain variables", head.pos)
-
     for n in negations:
         for v in literal_vars(n.literal):
             if v.name not in bound:
@@ -399,7 +414,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
         probes=tuple(probes),
         positives=tuple(positives),
         negations=tuple(negations),
-        comparisons=tuple(comparisons),
         agg=agg,
         agg_pos=agg_pos,
     )

@@ -1,6 +1,8 @@
 """Run configuration files: JSON documents naming a program, a fixture, the
 machine count, a partitioning (explicit map, "hash", or "colocate"), and the
-knobs of the run. Paths are resolved relative to the config file."""
+knobs of the run. Paths are resolved relative to the config file. Loading a
+config is where fixture facts enter: each must fit the program
+(``calmlang.validate.fact_error``), or the error names the fixture file."""
 
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calmlang import ValidatedProgram, parse_program, validate_program
-from .calmlang.validate import value_error
+from .calmlang.validate import fact_error
 from .errors import CalmlabError, read_text
 from .netsim import (
     Partitioning,
@@ -19,7 +21,7 @@ from .netsim import (
     machine_addresses,
     partitioning_from_map,
 )
-from .relspace import Database, load_facts
+from .relspace import Database, parse_facts
 
 
 class ConfigError(CalmlabError):
@@ -99,19 +101,6 @@ def _partitioning_field(obj: dict, path: Path):
     )
 
 
-def _check_fixture_values(vp: ValidatedProgram, fixture: Database, path: Path) -> None:
-    """Every fixture value against its column. A fact of an undeclared
-    relation or of the wrong arity is left to ``netsim.init_network``."""
-    for f in fixture.facts():
-        schema = vp.schemas.get(f.relation)
-        if schema is None or schema.arity != len(f.args):
-            continue
-        for value, col in zip(f.args, schema.cols):
-            error = value_error(value, col, f.relation)
-            if error:
-                raise ConfigError(f"fixture {path}: {f}: {error}")
-
-
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -126,14 +115,17 @@ def load_config(path) -> RunConfig:
         if key not in KEYS:
             raise ConfigError(f"config {path}: unknown key {key!r}")
     vp = validate_program(parse_program(read_text(program_path, "program"), str(program_path)))
-    fixture = load_facts(fixture_path)
-    _check_fixture_values(vp, fixture, fixture_path)
+    facts = parse_facts(read_text(fixture_path, "fixture"), str(fixture_path))
+    for f in facts:
+        error = fact_error(vp, f.relation, f.args)
+        if error:
+            raise ConfigError(f"fixture {fixture_path}: {f}: {error}")
     mode = obj.get("mode", "exhaustive")
     if mode not in MODES:
         raise ConfigError(f"config {path}: 'mode' must be one of {', '.join(MODES)}, got {mode!r}")
     return RunConfig(
         program=vp,
-        fixture=fixture,
+        fixture=Database.from_facts(facts),
         machines=_int_field(obj, "machines", 1, path, least=1),
         partitioning_spec=_partitioning_field(obj, path),
         seed=_int_field(obj, "seed", 0, path) if "seed" in obj else default_seed(),

@@ -41,7 +41,7 @@ DEFAULT_ENUM_BOUND = 1_000_000
 
 class PartitioningError(CalmlabError):
     """Input fact unassigned, assigned twice, unknown to the fixture, or
-    unfit for the program or the network."""
+    naming a machine outside the network."""
 
 
 class ReplayError(CalmlabError):
@@ -148,14 +148,12 @@ class Schedule:
     duplicate_every: int = 0  # at-least-once toggle: 0 = off
 
     def to_obj(self):
-        if self.decisions is not None:
-            return {
-                "decisions": [
-                    [dst, [[src, fact] for src, fact in keys]]
-                    for dst, keys in self.decisions
-                ]
-            }
-        return {"seed": self.seed, "duplicate_every": self.duplicate_every}
+        """A decision schedule as JSON; only those are ever reported."""
+        return {
+            "decisions": [
+                [dst, [[src, fact] for src, fact in keys]] for dst, keys in self.decisions
+            ]
+        }
 
 
 @dataclass
@@ -206,17 +204,10 @@ class RunOutcome:
 
 def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -> NetworkState:
     """Machines hold their assigned input facts plus id/all; nothing pending.
-    Every fixture fact must fit the program and name only machines of the
-    network; ``part`` must assign exactly the fixture's facts."""
+    The fixture's facts already fit the program (``config.load_config``
+    checks them); here every fixture fact must name only machines of the
+    network, and ``part`` must assign exactly the fixture's facts."""
     for f in input_db.facts():
-        schema = vp.schemas.get(f.relation)
-        if schema is None or not schema.is_input:
-            raise PartitioningError(f"fixture fact {f} is not in an input-marked relation")
-        if len(f.args) != schema.arity:
-            raise PartitioningError(
-                f"fixture fact {f} has arity {len(f.args)}, "
-                f"but {f.relation} is declared with arity {schema.arity}"
-            )
         for a in f.args:
             if isinstance(a, Address) and a not in part.machines:
                 raise PartitioningError(f"fixture fact {f} names {a}, which is not in the network")

@@ -14,9 +14,12 @@ can only grow its output.
 External text format (fixture files): one fact per line, ``relname(v1, v2)``,
 ``#`` starts a comment. A fact is a ground rule head, read by the program
 parser (``calmlang.parser.parse_ground_literals``), so fixtures and programs
-share one grammar for values. Canonical JSON serialization sorts relations
-by name and facts by the total value order, so equal databases serialize to
-byte-identical JSON regardless of construction order.
+share one grammar for values. Whether a fact fits a program (declared,
+input, arity, column types) is checked once, where a run config loads its
+fixture (``calmlang.validate.fact_error``); a database checks nothing.
+Canonical JSON serialization sorts relations by name and facts by the total
+value order, so equal databases serialize to byte-identical JSON regardless
+of construction order.
 """
 
 from __future__ import annotations
@@ -25,12 +28,8 @@ import json
 from dataclasses import dataclass, field
 
 from .calmlang.parser import parse_ground_literals
-from .errors import CalmlabError, ParseError, read_text
+from .errors import ParseError
 from .values import value_sort_key
-
-
-class SchemaError(CalmlabError):
-    """Same relation name used with different arities."""
 
 
 def _args_key(args: tuple) -> tuple:
@@ -57,7 +56,6 @@ class Database:
         rels: dict[str, set] = {}
         for f in facts:
             rels.setdefault(f.relation, set()).add(f.args)
-        _check_arities(rels)
         return Database({name: frozenset(ts) for name, ts in rels.items()})
 
     def facts(self):
@@ -88,26 +86,8 @@ class Database:
         return self._hash
 
 
-def _check_arities(rels: dict) -> None:
-    for name, ts in rels.items():
-        arities = {len(t) for t in ts}
-        if len(arities) > 1:
-            raise SchemaError(f"relation {name} used with arities {sorted(arities)}")
-
-
-def _check_compatible(a: Database, b: Database) -> None:
-    for name in a.relations.keys() & b.relations.keys():
-        na = len(next(iter(a.relations[name])))
-        nb = len(next(iter(b.relations[name])))
-        if na != nb:
-            raise SchemaError(
-                f"relation {name} has arity {na} on one side and {nb} on the other"
-            )
-
-
 def db_union(a: Database, b: Database) -> Database:
     """Set union per relation: the least upper bound under db_leq."""
-    _check_compatible(a, b)
     rels = dict(a.relations)
     for name, ts in b.relations.items():
         rels[name] = rels.get(name, frozenset()) | ts
@@ -116,7 +96,6 @@ def db_union(a: Database, b: Database) -> Database:
 
 def db_leq(a: Database, b: Database) -> bool:
     """True iff every fact of ``a`` is in ``b``."""
-    _check_compatible(a, b)
     for name, ts in a.relations.items():
         if not ts <= b.relations.get(name, frozenset()):
             return False
@@ -136,15 +115,6 @@ def parse_fact(text: str, filename: str = "<fact>") -> Fact:
     if len(facts) != 1:
         raise ParseError(f"expected one fact, found {len(facts)}", (1, 1), filename)
     return facts[0]
-
-
-def load_facts(path) -> Database:
-    facts = parse_facts(read_text(path, "fixture"), filename=str(path))
-    try:
-        return Database.from_facts(facts)
-    except SchemaError as e:
-        e.filename = str(path)
-        raise
 
 
 # --- canonical serialization -----------------------------------------------

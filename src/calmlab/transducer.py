@@ -42,17 +42,17 @@ relations are the persisted part of that step's fixpoint, and every channel
 fact they derive is already in ``sent``. A rule over persisted relations
 alone can then derive nothing new until one of them grows; a negated one
 growing only removes derivations. So a step seeds each stratum's first
-round with what changed: this inbox, the input facts it adds, and the new
-tuples of the strata below. A rule fires once per positive literal over a
-changed relation, reading just the changed tuples there, and is skipped
-without one. Some rules still fire naively (``ValidatedProgram.refire``):
-those with an event head or a negated event or channel, since events and
-the inbox last one step; those with a lattice head, since the merge after
-the fixpoint replaced the facts they derived; and aggregates over a changed
-relation, whose value moves. Relations with lattice columns count as wholly
-changed: their facts are merged after the fixpoint, so no rule has joined
-the merged facts yet. A state of iteration 0, fresh from ``init_machine``,
-runs a full naive first round.
+round with what changed: this inbox and the new tuples of the strata below.
+A rule fires once per positive literal over a changed relation, reading
+just the changed tuples there, and is skipped without one. Some rules
+still fire naively (``ValidatedProgram.refire``): those with an event head
+or a negated event or channel, since events and the inbox last one step;
+those with a lattice head, since the merge after the fixpoint replaced the
+facts they derived; and aggregates over a changed relation, whose value
+moves. Relations with lattice columns count as wholly changed: their facts
+are merged after the fixpoint, so no rule has joined the merged facts yet.
+A state of iteration 0, fresh from ``init_machine``, runs a full naive
+first round.
 
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
@@ -74,8 +74,8 @@ from .values import Address, Int, value_sort_key
 
 
 class RoutingError(CalmlabError):
-    """Inbox or outbound fact cannot be routed (undeclared relation or a
-    non-address in a channel's first column)."""
+    """An outbound channel fact that cannot be routed: a non-address in its
+    first column, or an address outside the network."""
 
 
 # --- query evaluation --------------------------------------------------------
@@ -101,22 +101,20 @@ class _Space:
 
     def __init__(self, vp: ValidatedProgram, persisted: dict, inbox: dict):
         self.channels = vp.channel_rels
-        # non-channel relations: persisted contents plus anything derived;
-        # a relation's set is copied on its first new tuple, so one that
-        # gains nothing stays the caller's (frozen) set
-        self.facts: dict = dict(persisted)
-        # channel relations: readable side is the inbox only
-        self.inbox: dict = inbox
+        # what rules read: persisted contents plus anything derived, and
+        # under the channel names the inbox only; a relation's set is copied
+        # on its first new tuple, so one that gains nothing stays the
+        # caller's set
+        self.facts: dict = {**persisted, **inbox}
+        # what channel heads derive: the messages of the Send phase
         self.outbound: dict[str, set] = {}
         self.owned: set = set()  # relations whose set this space has copied
         # relation -> probe columns -> (key getter, key -> tuples)
         self.indexes: dict[str, dict] = {}
         self.scanned: set = set()  # (relation, probe columns) probed once
 
-    def readable(self, rel: str) -> set:
-        if rel in self.channels:
-            return self.inbox.get(rel, set())
-        return self.facts.get(rel, set())
+    def readable(self, rel: str):
+        return self.facts.get(rel, ())
 
     def lookup(self, rel: str, cols: tuple, key: tuple):
         """Readable tuples of ``rel`` holding ``key`` at ``cols``. The first
@@ -382,55 +380,42 @@ def init_machine(vp: ValidatedProgram, address: Address, local_input: Database,
 
 
 def step(state: MachineState, inbox) -> StepResult:
-    """One Ingest -> Query -> Send iteration. Pure: returns the new state."""
+    """One Ingest -> Query -> Send iteration. Pure: returns the new state.
+    ``inbox`` holds the channel facts delivered to this machine; a machine
+    gets its input once, from ``init_machine``."""
     vp = state.program
-    persisted = dict(state.persisted.relations)
-    inbox_events: dict[str, set] = {}
-    new_inputs: dict[str, set] = {}
+    persisted = state.persisted.relations
+    delivered: dict[str, set] = {}
     for f in inbox:
-        schema = vp.schemas.get(f.relation)
-        if schema is None:
-            raise RoutingError(f"inbox fact for undeclared relation {f.relation}")
-        if schema.kind == "channel":
-            inbox_events.setdefault(f.relation, set()).add(f.args)
-        elif schema.is_input:
-            if f.args not in persisted.get(f.relation, ()):
-                new_inputs.setdefault(f.relation, set()).add(f.args)
-        else:
-            raise RoutingError(
-                f"inbox fact {f} is neither a channel nor an input relation fact"
-            )
-    for rel, tups in new_inputs.items():
-        persisted[rel] = persisted.get(rel, frozenset()) | tups
+        delivered.setdefault(f.relation, set()).add(f.args)
 
     changed = None
     if state.iteration:  # committed by an earlier step: closed, see the module docstring
         lattice = {rel: set(persisted[rel]) for rel in vp.lattice_rels if rel in persisted}
-        changed = {**inbox_events, **new_inputs, **lattice}
-    space = _query(vp, persisted, inbox_events, changed)
+        changed = {**delivered, **lattice}
+    space = _query(vp, persisted, delivered, changed)
 
     new_persisted = {rel: _fold_lattice(rel, tups, vp) for rel, tups in space.facts.items()
                      if vp.schemas[rel].kind == "persisted"}
 
     outbound: dict[Address, set] = {}
-    sent = set(state.sent)
+    new_sent = []
     for rel, tups in space.outbound.items():
         for tup in tups:
             dest = tup[0]
             if not isinstance(dest, Address):
                 raise RoutingError(f"channel fact {rel}{tup} has no address in column 1")
             key = (dest, Fact(rel, tup))
-            if key in sent:
-                continue
-            sent.add(key)
-            outbound.setdefault(dest, set()).add(key[1])
+            if key not in state.sent:
+                new_sent.append(key)
+                outbound.setdefault(dest, set()).add(key[1])
 
     new_state = MachineState(
         address=state.address,
         persisted=_to_db(new_persisted),
         program=vp,
         iteration=state.iteration + 1,
-        sent=frozenset(sent),
+        sent=state.sent.union(new_sent) if new_sent else state.sent,
     )
     return StepResult(
         new_state=new_state,

@@ -324,11 +324,17 @@ FAILING_RUNS = [
      "fixture:14:16: integer out of 64-bit range", "integer-out-of-range"),
     ("fixture", FIG1 + "nbr(@M1, @m2)\n", "fixture:14:5: invalid machine address", "capital-address"),
     ("fixture", FIG1 + "local_edge(t1, t\u00f6)\n", "fixture:14:16: invalid symbol", "non-ascii-symbol"),
-    # fixture facts against the program's schema
-    ("program", local_edge_program("src"), "local_edge(t1, t2) has arity 2", "fact-wider-than-declared"),
-    ("program", local_edge_program("src, dst, label"), "local_edge(t1, t2) has arity 2",
-     "fact-narrower-than-declared"),
-    ("fixture", FIG1 + "local_edge(t1, t2, zz)\n", "arities [2, 3]", "relation-at-two-arities"),
+    # fixture facts against the program's schema, each named in the fixture
+    ("program", local_edge_program("src"),
+     "fig1.facts: local_edge(t1, t2): relation local_edge has arity 1", "fact-wider-than-declared"),
+    ("program", local_edge_program("src, dst, label"),
+     "fig1.facts: local_edge(t1, t2): relation local_edge has arity 3", "fact-narrower-than-declared"),
+    ("fixture", FIG1 + "local_edge(t1, t2, zz)\n",
+     "fixture: local_edge(t1, t2, zz): relation local_edge has arity 2", "relation-at-two-arities"),
+    ("fixture", FIG1 + "mystery(a)\n",
+     "fixture: mystery(a): relation mystery is not declared", "undeclared-relation"),
+    ("fixture", FIG1 + "cycle(t1, t2)\n",
+     "fixture: cycle(t1, t2): relation cycle is not marked input", "output-relation"),
     # config shapes and run-time typing
     ("program", 5, "'program'", "program-not-a-path"),
     (None, ["program", "fixture"], "JSON object", "config-not-an-object"),

@@ -1,12 +1,17 @@
 """Regression matrix: every expected verdict recorded in the corpus registry
 is re-derived from scratch."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from calmlab import corpus, monocheck
 from calmlab.config import load_config
 from calmlab.netsim import Schedule, enumerate_schedules, init_network, run_schedule
 from calmlab.verdicts import OUTCOME_CONFLUENT, check_confluence, detect_coordination
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
@@ -121,3 +126,26 @@ def test_gc_coordinated_declares_the_unreachable_objects():
     assert v.outcome == OUTCOME_CONFLUENT
     # every sampled run agreed, so the first seed's output is the check's output
     assert _seeded_output(cfg) == garbage
+
+
+def test_corpus_matrix_script_matches_the_registry(capsys):
+    spec = importlib.util.spec_from_file_location("corpus_matrix", ROOT / "scripts" / "corpus_matrix.py")
+    matrix = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(matrix)
+    assert matrix.main() == 0
+    # a row is "entry static verdict (...) time" for an entry's first config
+    # and "verdict (...) time" for the next ones
+    rows = []
+    for line in capsys.readouterr().out.splitlines()[2:-2]:
+        words = line.split()
+        if not line.startswith(" "):
+            name, static = words[:2]
+            words = words[2:]
+        rows.append((name, static, words[0]))
+    want = [
+        (e.name, "monotone" if e.expected_static == "monotone"
+         else "non-monotone{%s}" % ",".join(sorted(e.expected_reasons)), e.expected_dynamic[c])
+        for e in corpus.ENTRIES
+        for c in sorted(e.expected_dynamic)
+    ]
+    assert rows == want

@@ -27,8 +27,8 @@ def test_every_error_class_is_a_calmlab_error():
     classes = exception_classes()
     assert sorted(c.__name__ for c in classes) == [
         "CalmlabError", "ConfigError", "EvalError", "LatticeTypeError", "ParseError",
-        "PartitioningError", "ReplayError", "RoutingError", "SchemaError",
-        "UnstratifiableError", "ValidationError", "ValueError_",
+        "PartitioningError", "ReplayError", "RoutingError", "UnstratifiableError",
+        "ValidationError", "ValueError_",
     ]
     # a malformed value; the parser reports it as a ParseError at its token
     assert [c for c in classes if not issubclass(c, CalmlabError)] == [ValueError_]

@@ -1,8 +1,8 @@
 """Incremental steps against from-scratch steps.
 
 A state that an earlier step committed is closed under its rules, so
-``step`` fires only what this step's inbox, new inputs, events and lattice
-relations touch (see the ``transducer`` module docstring). The oracle is
+``step`` fires only what this step's inbox, events and lattice relations
+touch (see the ``transducer`` module docstring). The oracle is
 the same state stepped with a full naive first round, which is what
 ``step`` does for a state of iteration 0.
 """
@@ -24,9 +24,11 @@ ME, PEER = Address("m1"), Address("m2")
 
 FEATURES = DECLS + """
 d0(X, Y) :- e(X, Y).
+d0(X, Y) :- msg(_, X, Y).
 d0(X, Z) :- d0(X, Y), e(Y, Z).
 ev(X) :- d0(X, _), !u(X).
 acc(X, gset{Y}) :- e(X, Y).
+acc(X, gset{Y}) :- msg(_, X, Y).
 acc(Y, S) :- acc(X, S), f(X, Y).
 d1(X, Y) :- msg(_, X, Y), !ev(X).
 d1(X, Y) :- acc(X, S), acc(Y, S).
@@ -38,10 +40,10 @@ msg(P, X, Y) :- peer(P), d0(X, Y).
 FEATURE_INPUT = ({rel: set(ts) for rel, ts in Database.from_facts(parse_facts(
     "e(a, b)\ne(b, 1)\nf(a, b)\nf(b, a)\nu(a)\npeer(@m2)\n")).relations.items()}, {})
 FEATURE_RUN = [
-    parse_facts("msg(@m1, a, 2)\ne(b, 2)"),
+    parse_facts("msg(@m1, a, 2)\nmsg(@m1, b, 2)"),
     [],
-    parse_facts("u(b)\nmsg(@m2, b, 1)\ne(1, 2)"),
-    parse_facts("e(a, b)\nf(1, a)"),
+    parse_facts("msg(@m2, b, 1)\nmsg(@m1, 1, 2)"),
+    parse_facts("msg(@m1, a, b)\nmsg(@m2, 1, a)"),
 ]
 
 

@@ -1,10 +1,12 @@
+import json
+import re
 from collections import Counter
 
 import pytest
 
 from calmlab import corpus, netsim
 from calmlab.calmlang import parse_program, validate_program
-from calmlab.config import load_config
+from calmlab.config import ConfigError, load_config
 from calmlab.netsim import (
     PartitioningError,
     ReplayError,
@@ -87,13 +89,16 @@ def test_partitioning_unknown_fact_rejected(fixtures):
         partitioning_from_map(fixture, machine_addresses(2), mapping)
 
 
-def test_fixture_fact_must_be_input_relation(programs, fixtures):
-    # an output relation, then one the program does not declare
-    for text in ("path(a, b)", "mystery(a)"):
-        db = Database.from_facts(parse_facts(text))
-        part = colocated(db, machine_addresses(1), Address("m1"))
-        with pytest.raises(PartitioningError, match="not in an input-marked relation"):
-            init_network(programs["transitive_closure"], db, part)
+def test_fixture_fact_must_be_input_relation(tmp_path):
+    # an output relation, then one the program does not declare: loading the
+    # config rejects each, naming the fixture file
+    program = corpus.config_path("transitive_closure", "program.calm")
+    (tmp_path / "run.json").write_text(json.dumps({"program": str(program), "fixture": "bad.facts"}))
+    for text, reason in (("path(a, b)", "path is not marked input"),
+                         ("mystery(a)", "mystery is not declared")):
+        (tmp_path / "bad.facts").write_text(text + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"bad.facts: {text}: relation {reason}")):
+            load_config(tmp_path / "run.json")
 
 
 def test_hash_partitioning_is_deterministic(fixtures):

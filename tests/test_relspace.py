@@ -8,7 +8,6 @@ from calmlab.lattices import BoolOr, GSet, MaxInt, TwoPSet
 from calmlab.relspace import (
     Database,
     Fact,
-    SchemaError,
     canonical_json,
     db_leq,
     db_to_obj,
@@ -57,12 +56,6 @@ def test_union_is_least_upper_bound():
         assert db_leq(u, ub)
 
 
-def test_union_schema_mismatch():
-    bad = Fact("cart", (Symbol("i1"), Symbol("i2")))
-    with pytest.raises(SchemaError):
-        db_union(db(I1), db(bad))
-
-
 def test_leq_empty_is_bottom():
     rng = random.Random(9)
     for _ in range(20):
@@ -80,11 +73,6 @@ def test_leq_strict_superset_reversed():
     e12 = Fact("e", (Symbol("t1"), Symbol("t2")))
     e21 = Fact("e", (Symbol("t2"), Symbol("t1")))
     assert not db_leq(db(e12, e21), db(e12))
-
-
-def test_database_rejects_mixed_arity():
-    with pytest.raises(SchemaError):
-        db(I1, Fact("cart", (Symbol("a"), Symbol("b"))))
 
 
 # --- text format ------------------------------------------------------------

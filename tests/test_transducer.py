@@ -7,7 +7,7 @@ from calmlab import corpus
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.lattices import TwoPSet, leq as lattice_leq
 from calmlab.relspace import Database, Fact, db_leq, parse_fact, parse_facts
-from calmlab.transducer import RoutingError, _query, init_machine, step
+from calmlab.transducer import _query, init_machine, step
 from calmlab.values import Address, Symbol
 
 M1 = Address("m1")
@@ -219,12 +219,6 @@ def test_gc_not_inflationary_across_growing_inputs(programs):
     assert parse_fact("garbage(o4)") in out_s
     assert parse_fact("garbage(o4)") not in out_t
     assert not db_leq(out_s, out_t)
-
-
-def test_inbox_fact_for_undeclared_relation_is_routing_error(programs):
-    m = fig1_machine1(programs, None)
-    with pytest.raises(RoutingError):
-        step(m, [parse_fact("mystery(a)")])
 
 
 def test_lattice_merge_on_insert_single_store_fact(programs):
