@@ -107,6 +107,14 @@ class ValidatedRule:
         """(plan position, relation) of each positive literal."""
         return tuple((i, e.relation) for i, e in enumerate(self.plan) if isinstance(e, Literal))
 
+    @cached_property
+    def kernel(self):
+        """The rule compiled for the engine (``transducer.compile_rule``):
+        built when the rule first fires, kept for the rule's lifetime."""
+        from .. import transducer  # transducer imports this package
+
+        return transducer.compile_rule(self)
+
 
 @dataclass(frozen=True)
 class ValidatedProgram:

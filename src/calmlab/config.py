@@ -2,7 +2,9 @@
 machine count, a partitioning (explicit map, "hash", or "colocate"), and the
 knobs of the run. Paths are resolved relative to the config file. Loading a
 config is where fixture facts enter: each must fit the program
-(``calmlang.validate.fact_error``), or the error names the fixture file."""
+(``calmlang.validate.fact_error``) and name only machines of the network, or
+the error names the fixture file; a partitioning that does not deal the
+fixture's facts to the machines is an error in the config file."""
 
 from __future__ import annotations
 
@@ -16,12 +18,14 @@ from .calmlang.validate import fact_error
 from .errors import CalmlabError, read_text
 from .netsim import (
     Partitioning,
+    PartitioningError,
     colocated,
     hash_partitioning,
     machine_addresses,
     partitioning_from_map,
 )
 from .relspace import Database, parse_facts
+from .values import Address
 
 
 class ConfigError(CalmlabError):
@@ -38,7 +42,7 @@ class RunConfig:
     program: ValidatedProgram
     fixture: Database
     machines: int
-    partitioning_spec: object  # "hash" | "colocate" | dict
+    dealt: Partitioning  # the fixture dealt to the machines
     seed: int
     step_budget: int
     duplicate_every: int
@@ -49,13 +53,7 @@ class RunConfig:
     partition_cap: int
 
     def partitioning(self) -> Partitioning:
-        addrs = machine_addresses(self.machines)
-        spec = self.partitioning_spec
-        if spec == "colocate":
-            return colocated(self.fixture, addrs, addrs[0])
-        if spec == "hash":
-            return hash_partitioning(self.fixture, addrs)
-        return partitioning_from_map(self.fixture, addrs, spec)
+        return self.dealt
 
 
 def default_seed() -> int:
@@ -101,6 +99,14 @@ def _partitioning_field(obj: dict, path: Path):
     )
 
 
+def _outside_error(args: tuple, addrs: tuple) -> str | None:
+    """Why a fixture fact with ``args`` does not fit a network of ``addrs``."""
+    for a in args:
+        if isinstance(a, Address) and a not in addrs:
+            return f"names {a}, which is not in the network"
+    return None
+
+
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -116,18 +122,32 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"config {path}: unknown key {key!r}")
     vp = validate_program(parse_program(read_text(program_path, "program"), str(program_path)))
     facts = parse_facts(read_text(fixture_path, "fixture"), str(fixture_path))
+    machines = _int_field(obj, "machines", 1, path, least=1)
+    addrs = machine_addresses(machines)
     for f in facts:
-        error = fact_error(vp, f.relation, f.args)
+        error = fact_error(vp, f.relation, f.args) or _outside_error(f.args, addrs)
         if error:
             raise ConfigError(f"fixture {fixture_path}: {f}: {error}")
+    fixture = Database.from_facts(facts)
+    spec = _partitioning_field(obj, path)
+    try:
+        if spec == "colocate":
+            part = colocated(fixture, addrs, addrs[0])
+        elif spec == "hash":
+            part = hash_partitioning(fixture, addrs)
+        else:
+            part = partitioning_from_map(fixture, addrs, spec)
+    except PartitioningError as e:
+        e.filename = str(path)
+        raise
     mode = obj.get("mode", "exhaustive")
     if mode not in MODES:
         raise ConfigError(f"config {path}: 'mode' must be one of {', '.join(MODES)}, got {mode!r}")
     return RunConfig(
         program=vp,
-        fixture=Database.from_facts(facts),
-        machines=_int_field(obj, "machines", 1, path, least=1),
-        partitioning_spec=_partitioning_field(obj, path),
+        fixture=fixture,
+        machines=machines,
+        dealt=part,
         seed=_int_field(obj, "seed", 0, path) if "seed" in obj else default_seed(),
         step_budget=_int_field(obj, "step_budget", 10_000, path, least=1),
         duplicate_every=_int_field(obj, "duplicate_every", 0, path, least=0),

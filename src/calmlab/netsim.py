@@ -204,13 +204,9 @@ class RunOutcome:
 
 def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -> NetworkState:
     """Machines hold their assigned input facts plus id/all; nothing pending.
-    The fixture's facts already fit the program (``config.load_config``
-    checks them); here every fixture fact must name only machines of the
-    network, and ``part`` must assign exactly the fixture's facts."""
-    for f in input_db.facts():
-        for a in f.args:
-            if isinstance(a, Address) and a not in part.machines:
-                raise PartitioningError(f"fixture fact {f} names {a}, which is not in the network")
+    The fixture's facts already fit the program and the network
+    (``config.load_config`` checks them), and ``part`` assigns exactly the
+    fixture's facts."""
     machines = {}
     for a in part.machines:
         local = Database.from_facts(

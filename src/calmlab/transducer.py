@@ -26,15 +26,22 @@ an aggregate fires once, over lower strata that are already complete. So
 every value a rule derives comes from the finitely many values of the
 program, the database and the inbox, or from one aggregate firing.
 
-Joins look tuples up by each literal's probe columns, fixed at validation
-(see ``calmlang.validate``). A literal with no bound column scans its
-relation; one with every column bound is a set-membership test; any other
-probes a hash index on (relation, columns). An index is built on the second
-probe of its (relation, columns) pair within one fixpoint, the first probe
-scans: most relations of a small step are probed once, and building an
-index for them costs more than the scan it replaces. Once built, an index is
-kept current as tuples are derived. The semi-naive delta gets its own index
-for each rule firing.
+Each rule compiles once, on its first firing, into a join kernel that the
+rule keeps (``ValidatedRule.kernel``, built by ``compile_rule``). Every
+variable gets an integer slot in one list per firing, which the depth-first
+walk overwrites in place; constants get pre-filled slots of their own, so
+probe keys and head tuples are ``itemgetter`` reads of the slots. Each plan
+element becomes one closure that calls the next one's. A literal looks
+tuples up by its probe columns, fixed at validation (see
+``calmlang.validate``). A literal with no bound column scans its relation;
+one with every column bound is a set-membership test; any other probes a
+hash index on (relation, columns). An index is built on the second probe of
+its (relation, columns) pair within one fixpoint, the first probe scans:
+most relations of a small step are probed once, and building an index for
+them costs more than the scan it replaces. The semi-naive delta gets its
+own index for each rule firing. A firing's head tuples enter the space as
+one set: ``_Space.add`` keeps the ones not there yet, adds just those to
+the relation's indexes, and they join the next round's delta.
 
 Steps are incremental. Persisted facts only grow, so a state that an
 earlier step committed (``iteration > 0``) is closed: its persisted
@@ -62,12 +69,24 @@ quiescence detection by no-op probing sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import partial
+from operator import eq, itemgetter, ne
 
 from . import lattices
 from .calmlang import ValidatedProgram, ValidatedRule
-from .calmlang.syntax import EvalError, Literal, Negation, Var, eval_head_term, eval_scalar
-from .calmlang.validate import BIND, Probe
+from .calmlang.syntax import (
+    LATTICE_TERM_TYPES,
+    Comparison,
+    Const,
+    EvalError,
+    Literal,
+    Negation,
+    Var,
+    eval_head_term,
+    eval_scalar,
+    term_vars,
+)
+from .calmlang.validate import BIND
 from .errors import CalmlabError
 from .relspace import Database, Fact
 from .values import Address, Int, value_sort_key
@@ -78,15 +97,7 @@ class RoutingError(CalmlabError):
     first column, or an address outside the network."""
 
 
-# --- query evaluation --------------------------------------------------------
-
-
-def _tuple_getter(cols: tuple):
-    """Reads a tuple's values at ``cols`` as a tuple (a probe key)."""
-    if len(cols) == 1:
-        (col,) = cols
-        return lambda tup: (tup[col],)
-    return itemgetter(*cols)
+# --- the fact space ----------------------------------------------------------
 
 
 def _index(tuples, get) -> dict:
@@ -116,13 +127,14 @@ class _Space:
     def readable(self, rel: str):
         return self.facts.get(rel, ())
 
-    def lookup(self, rel: str, cols: tuple, key: tuple):
-        """Readable tuples of ``rel`` holding ``key`` at ``cols``. The first
+    def lookup(self, rel: str, cols: tuple, key):
+        """Readable tuples of ``rel`` holding ``key`` at ``cols``, where a
+        key is what ``itemgetter(*cols)`` reads from a tuple. The first
         probe of a (relation, columns) pair scans; the second indexes."""
         by_cols = self.indexes.get(rel)
         entry = by_cols.get(cols) if by_cols else None
         if entry is None:
-            get = _tuple_getter(cols)
+            get = itemgetter(*cols)
             if (rel, cols) not in self.scanned:
                 self.scanned.add((rel, cols))
                 return [tup for tup in self.readable(rel) if get(tup) == key]
@@ -130,129 +142,288 @@ class _Space:
             self.indexes.setdefault(rel, {})[cols] = entry
         return entry[1].get(key, ())
 
-    def add(self, rel: str, tup: tuple) -> bool:
-        """Record a derived tuple; returns True if new."""
+    def finder(self, rel: str, cols: tuple):
+        """``lookup`` for one (relation, columns) pair: ``key -> tuples``,
+        which may return None for no tuples. Once the pair's index exists,
+        the index's own ``get``."""
+        entry = self.indexes.get(rel, {}).get(cols)
+        return entry[1].get if entry else partial(self.lookup, rel, cols)
+
+    def add(self, rel: str, tuples: set) -> set:
+        """Record derived tuples; returns the ones that are new."""
         bucket_of = self.outbound if rel in self.channels else self.facts
-        bucket = bucket_of.get(rel, ())
-        if tup in bucket:
-            return False
+        bucket = bucket_of.get(rel)
+        new = tuples - bucket if bucket else tuples
+        if not new:
+            return new
         if rel not in self.owned:
             self.owned.add(rel)
-            bucket = bucket_of[rel] = set(bucket)
-        bucket.add(tup)
+            bucket = bucket_of[rel] = set(bucket) if bucket else set()
+        bucket |= new
         # a channel's indexes cover its inbox, which derivations never touch
         if rel not in self.channels and rel in self.indexes:
             for get, index in self.indexes[rel].values():
-                index.setdefault(get(tup), []).append(tup)
-        return True
+                for tup in new:
+                    index.setdefault(get(tup), []).append(tup)
+        return new
 
 
-def _probe_key(probe: Probe, env: dict) -> tuple:
-    return tuple([env[t.name] if isinstance(t, Var) else t.value for t in probe.key])
+# --- rule kernels ------------------------------------------------------------
 
 
-def _bind(binds: tuple, tup: tuple, env: dict) -> dict | None:
-    """Extend ``env`` with a probed tuple's unbound columns; None if a
-    repeated variable disagrees."""
-    out = dict(env)
-    for col, name, mode in binds:
-        if mode == BIND:
-            out[name] = tup[col]
-        elif out[name] != tup[col]:
-            return None
-    return out
+_TESTS = {
+    "=": eq,
+    "!=": ne,
+    "<": lambda left, right: value_sort_key(left) < value_sort_key(right),
+    "<=": lambda left, right: value_sort_key(left) <= value_sort_key(right),
+}
 
 
 def _compare(op: str, left, right) -> bool:
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    ka, kb = value_sort_key(left), value_sort_key(right)
-    return ka < kb if op == "<" else ka <= kb
+    return _TESTS[op](left, right)
 
 
-def _solve(rule: ValidatedRule, space: _Space, delta_at: int | None, delta: set, emit) -> None:
-    """Call ``emit(env)`` for every variable environment satisfying the rule
-    body.
+def _env_tuple(slots: tuple):
+    """Reads the values at ``slots`` of a slot list as a tuple."""
+    if not slots:
+        return lambda env: ()
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda env: (env[slot],)
+    return itemgetter(*slots)
 
-    ``delta_at`` picks one positive-literal occurrence (by plan position)
-    that must match against ``delta`` instead of the full relation; None
-    means a full naive pass. The delta gets its own index, built on its
-    first keyed probe.
+
+def _columns(cols: tuple):
+    """Reads a tuple's values at ``cols`` (ascending) as a tuple."""
+    if cols[-1] - cols[0] == len(cols) - 1:
+        return itemgetter(slice(cols[0], cols[-1] + 1))
+    return itemgetter(*cols)
+
+
+def _dead(env) -> None:
+    """An element no binding gets past in this firing."""
+
+
+def _absent(lit: Literal, cols: tuple, key_slots: tuple):
+    """The linker of a negated literal, whose variables are all bound."""
+    rel = lit.relation
+    if not cols:  # only wildcards: absent iff the relation is empty
+        return lambda space, delta, nxt: _dead if space.readable(rel) else nxt
+    if len(cols) == len(lit.args):
+        key = _env_tuple(key_slots)
+
+        def link(space, delta, nxt):
+            src = space.readable(rel)
+            if not src:
+                return nxt
+
+            def absent(env):
+                if key(env) not in src:
+                    nxt(env)
+            return absent
+        return link
+    key = itemgetter(*key_slots)
+
+    def link(space, delta, nxt):
+        find = space.finder(rel, cols)
+
+        def absent(env):
+            if not find(key(env)):
+                nxt(env)
+        return absent
+    return link
+
+
+def _present(lit: Literal, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: int,
+             checks: tuple):
+    """The linker of a positive literal. Its tuples come from a scan (no
+    probe column), a membership test (every column probed) or a keyed
+    lookup; each binds the columns ``bind_cols`` into the slots from
+    ``lo`` on, after the ``checks`` (column, column) of a variable repeated
+    within the literal. Without binds a literal only has to match once:
+    rule outputs are sets."""
+    rel = lit.relation
+    if cols and len(cols) == len(lit.args):
+        key = _env_tuple(key_slots)
+
+        def link(space, delta, nxt):
+            src = space.readable(rel) if delta is None else delta
+            if not src:
+                return _dead
+
+            def member(env):
+                if key(env) in src:
+                    nxt(env)
+            return member
+        return link
+    key = itemgetter(*key_slots) if cols else None
+    pick = _columns(bind_cols) if bind_cols else None
+    hi = lo + len(bind_cols)
+
+    def link(space, delta, nxt):
+        src = space.readable(rel) if delta is None else delta
+        if not src:
+            return _dead
+        if cols:
+            find = space.finder(rel, cols) if delta is None else _index(delta, itemgetter(*cols)).get
+        if not bind_cols:
+            if not cols:
+                return nxt
+
+            def matched(env):
+                if find(key(env)):
+                    nxt(env)
+            return matched
+        if checks:
+            def each(env, tuples):
+                for tup in tuples:
+                    if all(tup[a] == tup[b] for a, b in checks):
+                        env[lo:hi] = pick(tup)
+                        nxt(env)
+            if not cols:
+                return lambda env: each(env, src)
+            return lambda env: each(env, find(key(env)) or ())
+        if not cols:
+            def scan(env):
+                for tup in src:
+                    env[lo:hi] = pick(tup)
+                    nxt(env)
+            return scan
+
+        def probe(env):
+            for tup in find(key(env)) or ():
+                env[lo:hi] = pick(tup)
+                nxt(env)
+        return probe
+    return link
+
+
+def _comparison(comp: Comparison, slot_of, names: dict):
+    """The linker of a comparison. A side that is a variable or constant
+    is read from its slot; a lattice value there is an EvalError at the
+    side's term, as ``eval_scalar`` raises it."""
+    test = _TESTS[comp.op]
+    left, right = comp.left, comp.right
+    if not all(isinstance(t, (Var, Const)) for t in (left, right)):
+        def compare(env, nxt):  # any other term: eval_scalar raises on it
+            bound = {name: env[slot] for name, slot in names.items()}
+            if test(eval_scalar(left, bound), eval_scalar(right, bound)):
+                nxt(env)
+        return lambda space, delta, nxt: lambda env: compare(env, nxt)
+    ls, rs = slot_of(left), slot_of(right)
+
+    def link(space, delta, nxt):
+        def compare(env):
+            a, b = env[ls], env[rs]
+            if lattices.is_lattice(a):
+                raise EvalError("lattice value where a scalar is required", left.pos)
+            if lattices.is_lattice(b):
+                raise EvalError("lattice value where a scalar is required", right.pos)
+            if test(a, b):
+                nxt(env)
+        return compare
+    return link
+
+
+def _head(args: tuple, slot_of, names: dict):
+    """Builds a head tuple from the slots; lattice constructors evaluate
+    through ``eval_head_term`` on their variables."""
+    if not any(isinstance(t, LATTICE_TERM_TYPES) for t in args):
+        return _env_tuple(tuple(slot_of(t) for t in args))
+
+    def part(term):
+        if not isinstance(term, LATTICE_TERM_TYPES):
+            return itemgetter(slot_of(term))
+        used = {v.name: names[v.name] for v in term_vars(term)}
+        return lambda env: eval_head_term(term, {name: env[slot] for name, slot in used.items()})
+
+    parts = [part(t) for t in args]
+    return lambda env: tuple([p(env) for p in parts])
+
+
+def compile_rule(rule: ValidatedRule):
+    """Compile a rule's plan into its join kernel,
+    ``kernel(space, delta_at, delta) -> set`` of the head tuples derivable
+    under the delta restriction (see ``_query``).
+
+    Each variable gets a slot in one list per firing, in plan order, so a
+    literal's fresh variables fill consecutive slots; constants get slots
+    of their own, pre-filled. Each plan element compiles to a linker that,
+    per firing, closes over its source (the relation, or ``delta`` at plan
+    position ``delta_at``) and the next element's closure. The depth-first
+    walk binds and rebinds the slots in place.
     """
-    plan, probes = rule.plan, rule.probes
-    last = len(plan)
-    delta_index = None
+    names: dict[str, int] = {}
+    template: list = []
 
-    def candidates(i: int, lit: Literal, probe: Probe, env: dict):
-        """Tuples that agree with ``env`` on the literal's probe columns."""
-        nonlocal delta_index
-        if not probe.cols:
-            return delta if i == delta_at else space.readable(lit.relation)
-        key = _probe_key(probe, env)
-        if len(key) == len(lit.args):  # every column bound: a membership test
-            source = delta if i == delta_at else space.readable(lit.relation)
-            return (key,) if key in source else ()
-        if i != delta_at:
-            return space.lookup(lit.relation, probe.cols, key)
-        if delta_index is None:
-            delta_index = _index(delta, _tuple_getter(probe.cols))
-        return delta_index.get(key, ())
+    def slot_of(term) -> int:
+        if isinstance(term, Var):
+            return names[term.name]
+        template.append(term.value)
+        return len(template) - 1
 
-    def rec(i: int, env: dict) -> None:
-        if i == last:
-            emit(env)
-            return
-        elem, probe = plan[i], probes[i]
-        if probe is None:  # Comparison
-            if _compare(elem.op, eval_scalar(elem.left, env), eval_scalar(elem.right, env)):
-                rec(i + 1, env)
-        elif isinstance(elem, Negation):
-            if not candidates(i, elem.literal, probe, env):
-                rec(i + 1, env)
+    linkers = []
+    for elem, probe in zip(rule.plan, rule.probes):
+        if probe is None:
+            linkers.append(_comparison(elem, slot_of, names))
+            continue
+        key_slots = tuple(slot_of(t) for t in probe.key)
+        if isinstance(elem, Negation):
+            linkers.append(_absent(elem.literal, probe.cols, key_slots))
+            continue
+        lo = len(template)
+        first: dict[str, int] = {}
+        for col, name, mode in probe.binds:
+            if mode == BIND:
+                first[name] = col
+                names[name] = len(template)
+                template.append(None)
+        checks = tuple((col, first[name]) for col, name, mode in probe.binds if mode != BIND)
+        linkers.append(_present(elem, probe.cols, key_slots, tuple(first.values()), lo, checks))
+    linkers.reverse()
+
+    args = rule.rule.head.args
+    agg, agg_pos = rule.agg, rule.agg_pos
+    if agg is None:
+        head = _head(args, slot_of, names)
+    else:
+        group = _head(tuple(t for i, t in enumerate(args) if i != agg_pos), slot_of, names)
+        agg_slot = names[agg.var.name]
+    last = len(linkers) - 1
+
+    def kernel(space: _Space, delta_at: int | None, delta) -> set:
+        out: set = set()
+        if agg is None:
+            def nxt(env):
+                out.add(head(env))
         else:
-            binds = probe.binds
-            for tup in candidates(i, elem, probe, env):
-                env2 = _bind(binds, tup, env) if binds else env
-                if env2 is not None:
-                    rec(i + 1, env2)
+            groups: dict[tuple, set] = {}
 
-    rec(0, {})
-
-
-def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> list:
-    """Head tuples derivable from the rule under the given delta restriction."""
-    head_args = rule.rule.head.args
-    out: list = []
-    if rule.agg is None:
-        def emit(env):
-            out.append(tuple([eval_head_term(t, env) for t in head_args]))
-
-        _solve(rule, space, delta_at, delta, emit)
+            def nxt(env):
+                groups.setdefault(group(env), set()).add(env[agg_slot])
+        for i, link in enumerate(linkers):
+            nxt = link(space, delta if last - i == delta_at else None, nxt)
+        nxt(list(template))
+        if agg is None:
+            return out
+        for key, vals in groups.items():
+            if agg.kind == "count":
+                agg_val = Int(len(vals))
+            elif agg.kind == "min":
+                agg_val = min(vals, key=value_sort_key)
+            else:
+                agg_val = max(vals, key=value_sort_key)
+            tup = list(key)
+            tup.insert(agg_pos, agg_val)
+            out.add(tuple(tup))
         return out
-    groups: dict[tuple, set] = {}
 
-    def collect(env):
-        key = tuple(
-            eval_head_term(t, env)
-            for i, t in enumerate(head_args)
-            if i != rule.agg_pos
-        )
-        groups.setdefault(key, set()).add(env[rule.agg.var.name])
+    return kernel
 
-    _solve(rule, space, delta_at, delta, collect)
-    for key, vals in groups.items():
-        if rule.agg.kind == "count":
-            agg_val = Int(len(vals))
-        elif rule.agg.kind == "min":
-            agg_val = min(vals, key=value_sort_key)
-        else:
-            agg_val = max(vals, key=value_sort_key)
-        tup = list(key)
-        tup.insert(rule.agg_pos, agg_val)
-        out.append(tuple(tup))
-    return out
+
+def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> set:
+    """Head tuples derivable from the rule under the given delta restriction."""
+    return rule.kernel(space, delta_at, delta)
 
 
 def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | None = None) -> _Space:
@@ -271,10 +442,13 @@ def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | N
 
     def fire(r: ValidatedRule, delta_at, delta, new: dict) -> None:
         head = r.rule.head.relation
-        for tup in _fire_rule(r, space, delta_at, delta):
-            # derived channel facts are outbound, no rule reads them
-            if space.add(head, tup) and head not in channels:
-                new.setdefault(head, set()).add(tup)
+        added = space.add(head, _fire_rule(r, space, delta_at, delta))
+        # derived channel facts are outbound, no rule reads them
+        if added and head not in channels:
+            if head in new:
+                new[head] |= added
+            else:
+                new[head] = added
 
     def fire_on(r: ValidatedRule, delta: dict, new: dict) -> None:
         for pos, rel in r.reads:

@@ -307,6 +307,13 @@ b(X, S) :- seed(X), seed(S).
 
 NOT_UTF8 = b"\xff\n"
 
+# deadlock/check.json's partitioning map without local_edge(t1, t3)
+MAP_WITHOUT_T1_T3 = {
+    "m1": ["local_edge(t1, t2)", "local_edge(t2, t1)", "nbr(@m1, @m2)", "nbr(@m1, @m3)"],
+    "m2": ["local_edge(t3, t1)", "nbr(@m2, @m1)", "nbr(@m2, @m3)"],
+    "m3": ["local_edge(t3, t4)", "nbr(@m3, @m1)", "nbr(@m3, @m2)"],
+}
+
 # inputs that load_config used to accept, and that then ended in a
 # traceback with exit 1, an answer with exit 0 or, for the misspelled key,
 # were ignored: (key, value, what the error line must name, test id); a
@@ -314,10 +321,22 @@ NOT_UTF8 = b"\xff\n"
 # contents, and under the key None the value is the whole config document
 FAILING_RUNS = [
     ("machnes", 3, "'machnes'", "misspelled-key"),
-    # the fixture names @m3, which a 2-machine network lacks: init_network
-    # rejects it under every verb
-    ("machines", 2, "m3", "fixture-names-m3"),
-    ("fixture", FIG1 + "nbr(@m1, @m4)\n", "@m4", "fact-missing-from-the-map"),
+    # the fixture names @m3, which a 2-machine network lacks: the config
+    # load rejects it, in the fixture, under every verb
+    ("machines", 2, "fig1.facts: nbr(@m1, @m3): names @m3, which is not in the network",
+     "fixture-names-m3"),
+    ("fixture", FIG1 + "nbr(@m1, @m4)\n",
+     "fixture: nbr(@m1, @m4): names @m4, which is not in the network", "fact-missing-from-the-map"),
+    (("machines", "partitioning"), (1, "colocate"),
+     "fig1.facts: nbr(@m1, @m2): names @m2, which is not in the network",
+     "fixture-names-m2-on-one-machine"),
+    # a partitioning map that does not deal the fixture, in the config
+    ("fixture", FIG1 + "local_edge(t4, t5)\n",
+     "bad.json: input fact local_edge(t4, t5) not assigned to any machine", "fact-outside-the-map"),
+    ("partitioning", MAP_WITHOUT_T1_T3,
+     "bad.json: input fact local_edge(t1, t3) not assigned to any machine", "map-leaves-a-fact-out"),
+    ("partitioning", {**MAP_WITHOUT_T1_T3, "m9": ["local_edge(t1, t3)"]},
+     "bad.json: unknown machine 'm9' in partitioning map", "map-names-an-unknown-machine"),
     ("program", UNSTRATIFIABLE, "unstratifiable", "unstratifiable-program"),
     # values the lexer accepts and the value types reject, located
     ("fixture", FIG1 + "local_edge(t1, 99999999999999999999)\n",

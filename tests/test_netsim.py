@@ -199,11 +199,18 @@ def test_duplication_toggle_preserves_monotone_outcome(programs):
     assert plain.union_output == dup.union_output
 
 
-def test_fixture_naming_an_unknown_address_is_rejected_before_the_run(programs, fixtures):
-    fixture = fixtures[("deadlock", "fig1.facts")]  # names m2 and m3
-    part = colocated(fixture, machine_addresses(2), Address("m1"))
-    with pytest.raises(PartitioningError, match="@m3"):
-        init_network(programs["deadlock"], fixture, part)
+def test_fixture_naming_an_unknown_address_is_rejected_before_the_run(tmp_path):
+    fixture = corpus.config_path("deadlock", "fig1.facts")  # names m2 and m3
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "program": str(corpus.config_path("deadlock", "program.calm")),
+        "fixture": str(fixture), "machines": 2,
+    }))
+    with pytest.raises(ConfigError) as raised:
+        load_config(path)
+    assert str(raised.value) == (
+        f"fixture {fixture}: nbr(@m1, @m3): names @m3, which is not in the network"
+    )
 
 
 def test_sending_to_unknown_address_is_routing_error():

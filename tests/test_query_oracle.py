@@ -170,6 +170,27 @@ FEATURE_PROGRAMS = [
     # a channel literal read from the inbox, and a channel head
     DECLS + "d0(X, Y) :- msg(_, X, Y).\nd1(D, Y) :- msg(D, X, Y), e(X, _).\n"
             "msg(P, X, Y) :- peer(P), e(X, Y).\n",
+    # zero-arity heads, negated and read: missing() holds, none() does not
+    DECLS + "rel missing() [event]\nrel none()\n"
+            "missing() :- e(X, Y), X != Y, !u(Y).\nnone() :- f(X, X).\n"
+            "d0(X, Y) :- e(X, Y), !missing().\nd1(X, X) :- u(X), missing().\n"
+            "d2(X, Y) :- f(X, Y), !none().\n",
+    # literals probed by constants only: whole tuples, a prefix, negated,
+    # and one that matches nothing
+    DECLS + "d0(X, Y) :- e(a, b), f(X, Y).\nd1(X, Y) :- e(a, _), f(X, Y), !e(b, b), !u(2).\n"
+            "d2(X, Y) :- f(X, Y), e(c, a).\n",
+    # a variable repeated within one literal (scanned, and probed by another
+    # column) and across literals
+    DECLS + "d0(X, Y) :- e(X, X), f(X, Y).\nd1(X, Y) :- msg(_, X, X), e(X, Y).\n"
+            "d2(Y, Y) :- peer(D), msg(D, Y, Y).\nd2(X, Z) :- u(X), e(Z, Z), f(Z, _).\n",
+    # a string constant holding a quote and a backslash, in a head, a probe
+    # and a comparison
+    DECLS + r'd0(X, "q\"b\\s") :- u(X).' "\n"
+            r'd1(X, Y) :- d0(X, "q\"b\\s"), e(X, Y).' "\n"
+            r'd2(X, Y) :- d0(X, Y), Y != "q\"b\\s".' "\n"
+            r'd2(X, Y) :- d0(X, Y), Y = "q\"b\\s".' "\n",
+    # a 30-literal chain body
+    DECLS + "d0(X0, X30) :- " + ", ".join(f"e(X{i}, X{i + 1})" for i in range(30)) + ".\n",
 ]
 FEATURE_INSTANCE = (
     {
@@ -179,7 +200,8 @@ FEATURE_INSTANCE = (
         "u": {(Symbol("b"),), (Int(1),)},
         "peer": {(Address("m2"),)},
     },
-    {"msg": {(Address("m1"), Symbol("a"), Int(2)), (Address("m2"), Symbol("b"), Int(1))}},
+    {"msg": {(Address("m1"), Symbol("a"), Int(2)), (Address("m2"), Symbol("b"), Int(1)),
+             (Address("m2"), Symbol("c"), Symbol("c"))}},
 )
 
 

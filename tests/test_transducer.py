@@ -3,9 +3,11 @@ import weakref
 
 import pytest
 
-from calmlab import corpus
+from calmlab import corpus, transducer
 from calmlab.calmlang import parse_program, validate_program
+from calmlab.config import load_config
 from calmlab.lattices import TwoPSet, leq as lattice_leq
+from calmlab.netsim import Schedule, init_network, run_schedule
 from calmlab.relspace import Database, Fact, db_leq, parse_fact, parse_facts
 from calmlab.transducer import _query, init_machine, step
 from calmlab.values import Address, Symbol
@@ -248,6 +250,66 @@ def test_no_global_cache_keeps_a_program_alive():
     del vp
     gc.collect()
     assert ref() is None
+
+
+def test_a_program_dies_with_its_last_reference_after_a_network_run():
+    cfg = load_config(corpus.config_path("gc", "run.json"))
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    assert run_schedule(net, Schedule(seed=0)).quiesced
+    assert any("kernel" in vars(r) for r in cfg.program.rules)  # compiled and kept on the rule
+    ref = weakref.ref(cfg.program)
+    gc.disable()  # no reference cycle may keep it alive either
+    try:
+        del cfg, net
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+RELAY = """
+rel edge(x, y) [input]
+rel path(x, y) [output]
+chan link(@to, x, y)
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- link(_, X, Y).
+path(X, Z) :- edge(X, Y), path(Y, Z).
+"""
+
+
+def test_stepping_twice_builds_each_rule_kernel_once(monkeypatch):
+    built, fired = [], []
+    compile_rule = transducer.compile_rule
+
+    def counting(rule):
+        built.append(rule.index)
+        kernel = compile_rule(rule)
+
+        def counted(*args):
+            fired.append(rule.index)
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(transducer, "compile_rule", counting)
+    vp = vp_of(RELAY)
+    first = step(fresh(vp, Database.from_facts(parse_facts("edge(b, c)"))), ())
+    assert sorted(set(fired)) == sorted(built) == [0, 1, 2]  # iteration 0 fires every rule
+    fired.clear()
+    second = step(first.new_state, [Fact("link", (M1, Symbol("c"), Symbol("d")))])
+    assert sorted(set(fired)) == [1, 2]  # the inbox, then the new path facts
+    assert sorted(built) == [0, 1, 2]
+    assert {str(f) for f in second.new_state.persisted.relation("path")} == {
+        "path(b, c)", "path(c, d)", "path(b, d)"}
+
+
+def test_a_120_literal_body_steps_like_a_short_one():
+    body = ", ".join(f"edge(X{i}, X{i + 1})" for i in range(120))
+    vp = vp_of(f"rel edge(x, y) [input]\nrel far(x, y) [output]\nfar(X0, X120) :- {body}.\n")
+    chain = Database.from_facts(
+        Fact("edge", (Symbol(f"n{i}"), Symbol(f"n{i + 1}"))) for i in range(125)
+    )
+    assert fixpoint(vp, chain).relation("far") == {
+        Fact("far", (Symbol(f"n{i}"), Symbol(f"n{i + 120}"))) for i in range(6)
+    }
 
 
 HOP = """
