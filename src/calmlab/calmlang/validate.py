@@ -383,6 +383,8 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                     )
             if isinstance(side, LATTICE_TERM_TYPES + (AggTerm,)):
                 raise ValidationError("comparisons operate on scalar terms", c.pos)
+            if isinstance(side, Wildcard):
+                raise ValidationError("wildcard not allowed in a comparison", side.pos)
 
     # evaluation plan: join positives in source order, attach each filter
     # at the earliest point where its variables are bound

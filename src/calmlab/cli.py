@@ -147,10 +147,12 @@ def cmd_check(args) -> int:
 
 def cmd_coordination(args) -> int:
     cfg = load_config(args.config)
+    machines = args.machines or max(cfg.machines, 2)
+    cfg.check_network(machines)
     report = detect_coordination(
         cfg.program,
         cfg.fixture,
-        args.machines or max(cfg.machines, 2),
+        machines,
         schedules_per_partitioning=cfg.schedules_per_partitioning,
         partition_cap=cfg.partition_cap,
         base_seed=args.seed if args.seed is not None else cfg.seed,

@@ -2,9 +2,11 @@
 machine count, a partitioning (explicit map, "hash", or "colocate"), and the
 knobs of the run. Paths are resolved relative to the config file. Loading a
 config is where fixture facts enter: each must fit the program
-(``calmlang.validate.fact_error``) and name only machines of the network, or
-the error names the fixture file; a partitioning that does not deal the
-fixture's facts to the machines is an error in the config file."""
+(``calmlang.validate.fact_error``), or the error names the fixture file.
+Only the verb knows the network it runs on: ``RunConfig.check_network``
+rejects a fixture fact naming a machine outside it, in the fixture file,
+and a partitioning that does not deal the fixture's facts to the machines
+is an error in the config file."""
 
 from __future__ import annotations
 
@@ -39,10 +41,12 @@ KEYS = ("program", "fixture", "machines", "partitioning", "seed", "step_budget",
 
 @dataclass
 class RunConfig:
+    path: Path
     program: ValidatedProgram
+    fixture_path: Path
     fixture: Database
     machines: int
-    dealt: Partitioning  # the fixture dealt to the machines
+    partitioning_spec: object  # "hash" | "colocate" | dict
     seed: int
     step_budget: int
     duplicate_every: int
@@ -52,8 +56,31 @@ class RunConfig:
     schedules_per_partitioning: int
     partition_cap: int
 
+    def check_network(self, machines: int) -> None:
+        """Every fixture fact must name only machines of a network of
+        ``machines``, the one a verb runs on."""
+        addrs = machine_addresses(machines)
+        for f in self.fixture.facts():
+            for a in f.args:
+                if isinstance(a, Address) and a not in addrs:
+                    raise ConfigError(
+                        f"fixture {self.fixture_path}: {f}: names {a}, which is not in the network"
+                    )
+
     def partitioning(self) -> Partitioning:
-        return self.dealt
+        """The fixture dealt to the config's ``machines``."""
+        self.check_network(self.machines)
+        addrs = machine_addresses(self.machines)
+        spec = self.partitioning_spec
+        try:
+            if spec == "colocate":
+                return colocated(self.fixture, addrs, addrs[0])
+            if spec == "hash":
+                return hash_partitioning(self.fixture, addrs)
+            return partitioning_from_map(self.fixture, addrs, spec)
+        except PartitioningError as e:
+            e.filename = str(self.path)
+            raise
 
 
 def default_seed() -> int:
@@ -99,14 +126,6 @@ def _partitioning_field(obj: dict, path: Path):
     )
 
 
-def _outside_error(args: tuple, addrs: tuple) -> str | None:
-    """Why a fixture fact with ``args`` does not fit a network of ``addrs``."""
-    for a in args:
-        if isinstance(a, Address) and a not in addrs:
-            return f"names {a}, which is not in the network"
-    return None
-
-
 def load_config(path) -> RunConfig:
     path = Path(path)
     try:
@@ -122,32 +141,20 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"config {path}: unknown key {key!r}")
     vp = validate_program(parse_program(read_text(program_path, "program"), str(program_path)))
     facts = parse_facts(read_text(fixture_path, "fixture"), str(fixture_path))
-    machines = _int_field(obj, "machines", 1, path, least=1)
-    addrs = machine_addresses(machines)
     for f in facts:
-        error = fact_error(vp, f.relation, f.args) or _outside_error(f.args, addrs)
+        error = fact_error(vp, f.relation, f.args)
         if error:
             raise ConfigError(f"fixture {fixture_path}: {f}: {error}")
-    fixture = Database.from_facts(facts)
-    spec = _partitioning_field(obj, path)
-    try:
-        if spec == "colocate":
-            part = colocated(fixture, addrs, addrs[0])
-        elif spec == "hash":
-            part = hash_partitioning(fixture, addrs)
-        else:
-            part = partitioning_from_map(fixture, addrs, spec)
-    except PartitioningError as e:
-        e.filename = str(path)
-        raise
     mode = obj.get("mode", "exhaustive")
     if mode not in MODES:
         raise ConfigError(f"config {path}: 'mode' must be one of {', '.join(MODES)}, got {mode!r}")
     return RunConfig(
+        path=path,
         program=vp,
-        fixture=fixture,
-        machines=machines,
-        dealt=part,
+        fixture_path=fixture_path,
+        fixture=Database.from_facts(facts),
+        machines=_int_field(obj, "machines", 1, path, least=1),
+        partitioning_spec=_partitioning_field(obj, path),
         seed=_int_field(obj, "seed", 0, path) if "seed" in obj else default_seed(),
         step_budget=_int_field(obj, "step_budget", 10_000, path, least=1),
         duplicate_every=_int_field(obj, "duplicate_every", 0, path, least=0),

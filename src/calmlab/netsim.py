@@ -204,9 +204,9 @@ class RunOutcome:
 
 def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -> NetworkState:
     """Machines hold their assigned input facts plus id/all; nothing pending.
-    The fixture's facts already fit the program and the network
-    (``config.load_config`` checks them), and ``part`` assigns exactly the
-    fixture's facts."""
+    The fixture's facts already fit the program and name only machines of
+    the network (the verbs check them through ``config.RunConfig``), and
+    ``part`` assigns exactly the fixture's facts."""
     machines = {}
     for a in part.machines:
         local = Database.from_facts(

@@ -77,13 +77,11 @@ from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.syntax import (
     LATTICE_TERM_TYPES,
     Comparison,
-    Const,
     EvalError,
     Literal,
     Negation,
     Var,
     eval_head_term,
-    eval_scalar,
     term_vars,
 )
 from .calmlang.validate import BIND
@@ -183,21 +181,15 @@ def _compare(op: str, left, right) -> bool:
     return _TESTS[op](left, right)
 
 
-def _env_tuple(slots: tuple):
-    """Reads the values at ``slots`` of a slot list as a tuple."""
-    if not slots:
-        return lambda env: ()
-    if len(slots) == 1:
-        (slot,) = slots
-        return lambda env: (env[slot],)
-    return itemgetter(*slots)
-
-
-def _columns(cols: tuple):
-    """Reads a tuple's values at ``cols`` (ascending) as a tuple."""
-    if cols[-1] - cols[0] == len(cols) - 1:
-        return itemgetter(slice(cols[0], cols[-1] + 1))
-    return itemgetter(*cols)
+def _tuple_at(positions: tuple):
+    """Reads the values at ``positions`` of a slot list or a tuple as a
+    tuple, where ``itemgetter(*positions)`` reads a lone value bare."""
+    if not positions:
+        return lambda seq: ()
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return itemgetter(*positions)
 
 
 def _dead(env) -> None:
@@ -210,7 +202,7 @@ def _absent(lit: Literal, cols: tuple, key_slots: tuple):
     if not cols:  # only wildcards: absent iff the relation is empty
         return lambda space, delta, nxt: _dead if space.readable(rel) else nxt
     if len(cols) == len(lit.args):
-        key = _env_tuple(key_slots)
+        key = _tuple_at(key_slots)
 
         def link(space, delta, nxt):
             src = space.readable(rel)
@@ -244,7 +236,7 @@ def _present(lit: Literal, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: 
     rule outputs are sets."""
     rel = lit.relation
     if cols and len(cols) == len(lit.args):
-        key = _env_tuple(key_slots)
+        key = _tuple_at(key_slots)
 
         def link(space, delta, nxt):
             src = space.readable(rel) if delta is None else delta
@@ -257,7 +249,7 @@ def _present(lit: Literal, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: 
             return member
         return link
     key = itemgetter(*key_slots) if cols else None
-    pick = _columns(bind_cols) if bind_cols else None
+    pick = _tuple_at(bind_cols)
     hi = lo + len(bind_cols)
 
     def link(space, delta, nxt):
@@ -298,18 +290,12 @@ def _present(lit: Literal, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: 
     return link
 
 
-def _comparison(comp: Comparison, slot_of, names: dict):
-    """The linker of a comparison. A side that is a variable or constant
-    is read from its slot; a lattice value there is an EvalError at the
-    side's term, as ``eval_scalar`` raises it."""
+def _comparison(comp: Comparison, slot_of):
+    """The linker of a comparison. Each side, a variable or a constant
+    (``calmlang.validate`` allows no other term), is read from its slot; a
+    lattice value there is an EvalError at the side's term."""
     test = _TESTS[comp.op]
     left, right = comp.left, comp.right
-    if not all(isinstance(t, (Var, Const)) for t in (left, right)):
-        def compare(env, nxt):  # any other term: eval_scalar raises on it
-            bound = {name: env[slot] for name, slot in names.items()}
-            if test(eval_scalar(left, bound), eval_scalar(right, bound)):
-                nxt(env)
-        return lambda space, delta, nxt: lambda env: compare(env, nxt)
     ls, rs = slot_of(left), slot_of(right)
 
     def link(space, delta, nxt):
@@ -329,7 +315,7 @@ def _head(args: tuple, slot_of, names: dict):
     """Builds a head tuple from the slots; lattice constructors evaluate
     through ``eval_head_term`` on their variables."""
     if not any(isinstance(t, LATTICE_TERM_TYPES) for t in args):
-        return _env_tuple(tuple(slot_of(t) for t in args))
+        return _tuple_at(tuple(slot_of(t) for t in args))
 
     def part(term):
         if not isinstance(term, LATTICE_TERM_TYPES):
@@ -365,7 +351,7 @@ def compile_rule(rule: ValidatedRule):
     linkers = []
     for elem, probe in zip(rule.plan, rule.probes):
         if probe is None:
-            linkers.append(_comparison(elem, slot_of, names))
+            linkers.append(_comparison(elem, slot_of))
             continue
         key_slots = tuple(slot_of(t) for t in probe.key)
         if isinstance(elem, Negation):

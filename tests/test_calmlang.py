@@ -154,6 +154,13 @@ def test_wildcard_not_in_head():
         validate_program(parse_program(MINI_DECLS + "path(X, _) :- edge(X, X)."))
 
 
+def test_wildcard_not_in_comparison():
+    with pytest.raises(ValidationError) as raised:
+        validate_program(parse_program(MINI_DECLS + "path(X, X) :- edge(X, X), X != _."))
+    assert "wildcard not allowed in a comparison" in str(raised.value)
+    assert (raised.value.line, raised.value.col) == (4, 32)
+
+
 def test_address_constant_only_in_address_columns():
     with pytest.raises(ValidationError):
         validate_program(parse_program(MINI_DECLS + "path(X, @m1) :- edge(X, X)."))

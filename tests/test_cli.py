@@ -321,22 +321,12 @@ MAP_WITHOUT_T1_T3 = {
 # contents, and under the key None the value is the whole config document
 FAILING_RUNS = [
     ("machnes", 3, "'machnes'", "misspelled-key"),
-    # the fixture names @m3, which a 2-machine network lacks: the config
-    # load rejects it, in the fixture, under every verb
+    # the fixture names @m3 (@m4), which a 2-machine (3-machine) network
+    # lacks, and every verb runs on that network: rejected in the fixture
     ("machines", 2, "fig1.facts: nbr(@m1, @m3): names @m3, which is not in the network",
      "fixture-names-m3"),
     ("fixture", FIG1 + "nbr(@m1, @m4)\n",
      "fixture: nbr(@m1, @m4): names @m4, which is not in the network", "fact-missing-from-the-map"),
-    (("machines", "partitioning"), (1, "colocate"),
-     "fig1.facts: nbr(@m1, @m2): names @m2, which is not in the network",
-     "fixture-names-m2-on-one-machine"),
-    # a partitioning map that does not deal the fixture, in the config
-    ("fixture", FIG1 + "local_edge(t4, t5)\n",
-     "bad.json: input fact local_edge(t4, t5) not assigned to any machine", "fact-outside-the-map"),
-    ("partitioning", MAP_WITHOUT_T1_T3,
-     "bad.json: input fact local_edge(t1, t3) not assigned to any machine", "map-leaves-a-fact-out"),
-    ("partitioning", {**MAP_WITHOUT_T1_T3, "m9": ["local_edge(t1, t3)"]},
-     "bad.json: unknown machine 'm9' in partitioning map", "map-names-an-unknown-machine"),
     ("program", UNSTRATIFIABLE, "unstratifiable", "unstratifiable-program"),
     # values the lexer accepts and the value types reject, located
     ("fixture", FIG1 + "local_edge(t1, 99999999999999999999)\n",
@@ -378,6 +368,8 @@ FAILING_RUNS = [
      "program:2:10: j is not a lattice value in column s of b", "scalars-merged-in-a-lattice-column"),
     (("program", "partitioning"), (UNSTRATIFIABLE, "colocate"),
      "program: program is unstratifiable", "unstratifiable-program-names-its-file"),
+    ("program", local_edge_program("src, dst") + "node(X) :- local_edge(X, Y), X != _.\n",
+     "program:5:35: wildcard not allowed in a comparison", "wildcard-in-a-comparison"),
     # files that are not UTF-8, and a config nested too deep for the JSON reader
     ("program", NOT_UTF8, "cannot read program", "program-not-utf8"),
     ("fixture", FIG1.encode() + NOT_UTF8, "cannot read fixture", "fixture-not-utf8"),
@@ -385,16 +377,30 @@ FAILING_RUNS = [
     (None, b"[" * 100_000 + b"]" * 100_000, "cannot read config", "config-nested-too-deep"),
 ]
 
+# inputs that run and check reject, in the same shape as FAILING_RUNS, and
+# that coordination runs: it deals the fixture itself, on at least 2 machines
+DEALT_BY_THE_CONFIG = [
+    # a partitioning map that does not deal the fixture, in the config
+    ("fixture", FIG1 + "local_edge(t4, t5)\n",
+     "bad.json: input fact local_edge(t4, t5) not assigned to any machine", "fact-outside-the-map"),
+    ("partitioning", MAP_WITHOUT_T1_T3,
+     "bad.json: input fact local_edge(t1, t3) not assigned to any machine", "map-leaves-a-fact-out"),
+    ("partitioning", {**MAP_WITHOUT_T1_T3, "m9": ["local_edge(t1, t3)"]},
+     "bad.json: unknown machine 'm9' in partitioning map", "map-names-an-unknown-machine"),
+    # a fixture naming @m2 in a 1-machine config, in the fixture
+    (("fixture", "machines", "partitioning"),
+     ("local_edge(t1, t2)\nlocal_edge(t2, t1)\nnbr(@m1, @m2)\nnbr(@m2, @m1)\n", 1, "colocate"),
+     "fixture: nbr(@m1, @m2): names @m2, which is not in the network",
+     "fixture-names-m2-on-one-machine"),
+]
 
-@pytest.mark.parametrize("verb", ["run", "check", "coordination"])
-@pytest.mark.parametrize("key,value", MALFORMED_CONFIGS + [
-    pytest.param(key, value, id=case) for key, value, _, case in FAILING_RUNS
-])
-def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, key, value):
+
+def write_config(tmp_path, key, value) -> str:
+    """deadlock/check.json with ``value`` under ``key``, as FAILING_RUNS
+    describes them; returns the new config's path."""
     src = json.loads(Path(corpus_file("deadlock", "check.json")).read_text())
     src["program"] = corpus_file("deadlock", "program.calm")
     src["fixture"] = corpus_file("deadlock", "fig1.facts")
-    expect = next((e for k, v, e, _ in FAILING_RUNS if (k, v) == (key, value)), repr(key))
     for k, v in zip(key, value) if isinstance(key, tuple) else [(key, value)]:
         if k in ("program", "fixture") and isinstance(v, (str, bytes)):
             (tmp_path / k).write_bytes(v if isinstance(v, bytes) else v.encode())
@@ -405,13 +411,54 @@ def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, 
             src[k] = v
     cfg = tmp_path / "bad.json"
     cfg.write_bytes(src if isinstance(src, bytes) else json.dumps(src).encode())
-    code, out, err = run_cli(capsys, verb, str(cfg))
+    return str(cfg)
+
+
+def assert_one_error_line(code, out, err, expect):
     assert code == 2
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:") and expect in lines[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["run", "check", "coordination"])
+@pytest.mark.parametrize("key,value", MALFORMED_CONFIGS + [
+    pytest.param(key, value, id=case) for key, value, _, case in FAILING_RUNS
+])
+def test_malformed_config_exits_two_with_one_error_line(tmp_path, capsys, verb, key, value):
+    expect = next((e for k, v, e, _ in FAILING_RUNS if (k, v) == (key, value)), repr(key))
+    assert_one_error_line(*run_cli(capsys, verb, write_config(tmp_path, key, value)), expect)
+
+
+@pytest.mark.parametrize("key,value,expect", [
+    pytest.param(key, value, expect, id=case) for key, value, expect, case in DEALT_BY_THE_CONFIG
+])
+def test_a_fixture_the_config_cannot_deal_fails_run_and_check_but_not_coordination(
+    tmp_path, capsys, key, value, expect
+):
+    path = write_config(tmp_path, key, value)
+    for verb in ("run", "check"):
+        assert_one_error_line(*run_cli(capsys, verb, path), expect)
+    code, out, err = run_cli(capsys, "coordination", path)
+    assert code in (0, 1) and out and err == ""
+
+
+@pytest.mark.parametrize("machines,override,expect", [
+    # over deadlock/check.json's fixture, which names @m1, @m2 and @m3
+    (3, "2", "fig1.facts: nbr(@m1, @m3): names @m3, which is not in the network"),
+    (2, "3", None),
+])
+def test_coordination_checks_the_fixture_against_the_network_it_runs_on(
+    tmp_path, capsys, machines, override, expect
+):
+    path = write_config(tmp_path, ("machines", "partitioning"), (machines, "colocate"))
+    code, out, err = run_cli(capsys, "coordination", "--machines", override, path)
+    if expect:
+        assert_one_error_line(code, out, err, expect)
+    else:
+        assert code == 1 and out.startswith("coordination-required") and err == ""
 
 
 def test_coordination_on_fewer_than_two_machines_is_a_usage_error(capsys):

@@ -206,8 +206,9 @@ def test_fixture_naming_an_unknown_address_is_rejected_before_the_run(tmp_path):
         "program": str(corpus.config_path("deadlock", "program.calm")),
         "fixture": str(fixture), "machines": 2,
     }))
+    cfg = load_config(path)
     with pytest.raises(ConfigError) as raised:
-        load_config(path)
+        cfg.partitioning()
     assert str(raised.value) == (
         f"fixture {fixture}: nbr(@m1, @m3): names @m3, which is not in the network"
     )
