@@ -10,12 +10,7 @@ whether a fixture fact fits the program, with the same column rule
 
 Validation also fixes a per-rule evaluation plan: positive literals join in
 source order and each filter (comparison or negation) runs as soon as its
-variables are bound. Next to the plan it records how the engine looks up
-each literal, positive or negated: its probe columns (the argument
-positions that hold a constant or a variable bound earlier in the plan,
-which the engine looks up instead of scanning) and its binds (the remaining
-variable occurrences, each binding a new variable or, when the variable
-repeats within the literal as in ``p(X, X)``, checking it).
+variables are bound.
 """
 
 from __future__ import annotations
@@ -78,25 +73,11 @@ class Schema:
         return tuple(i for i, c in enumerate(self.cols) if not c.lattice)
 
 
-BIND = "bind"
-CHECK = "check"
-
-
-@dataclass(frozen=True)
-class Probe:
-    """How the engine looks up one plan literal (positive or negated)."""
-
-    cols: tuple  # argument positions known before the lookup, ascending
-    key: tuple  # the Const or already-bound Var at each of those positions
-    binds: tuple  # (position, variable name, BIND | CHECK) for the other variables
-
-
 @dataclass(frozen=True)
 class ValidatedRule:
     rule: Rule
     index: int
     plan: tuple  # body elements ordered so filters run once bound
-    probes: tuple  # per plan element: its Probe, or None for a comparison
     positives: tuple  # positive body literals, source order
     negations: tuple
     agg: AggTerm | None
@@ -285,22 +266,6 @@ def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> N
                 raise ValidationError(f"aggregate cannot target lattice column {col.name}", arg.pos)
 
 
-def _probe(lit: Literal, bound: set) -> Probe:
-    """Split a literal's arguments into probe columns (constants and
-    variables in ``bound``) and binds (the other variables); wildcards are
-    neither."""
-    cols, key, binds = [], [], []
-    fresh: set[str] = set()
-    for i, arg in enumerate(lit.args):
-        if isinstance(arg, Const) or (isinstance(arg, Var) and arg.name in bound):
-            cols.append(i)
-            key.append(arg)
-        elif isinstance(arg, Var):
-            binds.append((i, arg.name, CHECK if arg.name in fresh else BIND))
-            fresh.add(arg.name)
-    return Probe(tuple(cols), tuple(key), tuple(binds))
-
-
 def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
     head = rule.head
     if head.relation not in schemas:
@@ -343,6 +308,21 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                 "appear under negation",
                 n.pos,
             )
+
+    # a head lattice column takes a bare variable only from lattice columns
+    # of its own variant: the merge at commit combines values of one lattice
+    for col, arg in zip(head_schema.cols, head.args):
+        if not (col.lattice and isinstance(arg, Var)):
+            continue
+        for lit in positives:
+            for term, src in zip(lit.args, schemas[lit.relation].cols):
+                if isinstance(term, Var) and term.name == arg.name and src.lattice != col.lattice:
+                    holds = f"{src.lattice} values" if src.lattice else "scalars"
+                    raise ValidationError(
+                        f"variable {arg.name} fills {col.lattice} column {col.name} of "
+                        f"{head.relation}, but column {src.name} of {lit.relation} holds {holds}",
+                        term.pos,
+                    )
 
     bound: set[str] = set()
     for lit in positives:
@@ -389,7 +369,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
     # evaluation plan: join positives in source order, attach each filter
     # at the earliest point where its variables are bound
     plan: list = []
-    probes: list = []
     pending = [*negations, *comparisons]
     seen: set[str] = set()
 
@@ -404,7 +383,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
             )
             if all(v.name in seen for v in vars_):
                 plan.append(f)
-                probes.append(_probe(f.literal, seen) if isinstance(f, Negation) else None)
             else:
                 still.append(f)
         pending = still
@@ -412,7 +390,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
     attach_ready()
     for lit in positives:
         plan.append(lit)
-        probes.append(_probe(lit, seen))
         seen.update(v.name for v in literal_vars(lit))
         attach_ready()
     assert not pending, "safety checks above guarantee filters become bound"
@@ -421,7 +398,6 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
         rule=rule,
         index=index,
         plan=tuple(plan),
-        probes=tuple(probes),
         positives=tuple(positives),
         negations=tuple(negations),
         agg=agg,

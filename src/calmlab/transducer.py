@@ -31,17 +31,22 @@ rule keeps (``ValidatedRule.kernel``, built by ``compile_rule``). Every
 variable gets an integer slot in one list per firing, which the depth-first
 walk overwrites in place; constants get pre-filled slots of their own, so
 probe keys and head tuples are ``itemgetter`` reads of the slots. Each plan
-element becomes one closure that calls the next one's. A literal looks
-tuples up by its probe columns, fixed at validation (see
-``calmlang.validate``). A literal with no bound column scans its relation;
-one with every column bound is a set-membership test; any other probes a
-hash index on (relation, columns). An index is built on the second probe of
-its (relation, columns) pair within one fixpoint, the first probe scans:
-most relations of a small step are probed once, and building an index for
-them costs more than the scan it replaces. The semi-naive delta gets its
-own index for each rule firing. A firing's head tuples enter the space as
-one set: ``_Space.add`` keeps the ones not there yet, adds just those to
-the relation's indexes, and they join the next round's delta.
+element becomes one closure that calls the next one's. ``compile_rule``
+alone decides how a literal looks its tuples up: a constant, or a variable
+bound earlier in the plan, makes a probe column. A literal that binds a
+variable is a binding loop (``_bind``): it scans its relation when it has
+no probe column and looks its probe columns up otherwise. A literal that
+binds none, negated or not, is an existence test (``_test``): a
+set-membership test when every column is probed, else a lookup. A variable
+repeated within one literal (``p(X, X)``) filters the literal's source once
+per firing, and a probed one indexes what is left. ``_Space.finder`` picks
+each lookup: an index is built on the second probe of its (relation,
+columns) pair within one fixpoint, the first probe scans, since most
+relations of a small step are probed once, and building an index for them
+costs more than the scan it replaces. The semi-naive delta gets its own
+index for each rule firing. A firing's head tuples enter the space as one
+set: ``_Space.add`` keeps the ones not there yet, adds just those to the
+relation's indexes, and they join the next round's delta.
 
 Steps are incremental. Persisted facts only grow, so a state that an
 earlier step committed (``iteration > 0``) is closed: its persisted
@@ -77,14 +82,13 @@ from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.syntax import (
     LATTICE_TERM_TYPES,
     Comparison,
+    Const,
     EvalError,
-    Literal,
     Negation,
     Var,
     eval_head_term,
     term_vars,
 )
-from .calmlang.validate import BIND
 from .errors import CalmlabError
 from .relspace import Database, Fact
 from .values import Address, Int, value_sort_key
@@ -140,10 +144,14 @@ class _Space:
             self.indexes.setdefault(rel, {})[cols] = entry
         return entry[1].get(key, ())
 
-    def finder(self, rel: str, cols: tuple):
-        """``lookup`` for one (relation, columns) pair: ``key -> tuples``,
-        which may return None for no tuples. Once the pair's index exists,
-        the index's own ``get``."""
+    def finder(self, rel: str, cols: tuple, delta=None):
+        """The one lookup of a (relation, columns) pair within a firing:
+        ``key -> tuples``, which may return None for no tuples. Given
+        ``delta`` (the delta, or a literal's filtered source), a per-firing
+        index over it; else ``lookup``, or the index's own ``get`` once the
+        pair's index exists."""
+        if delta is not None:
+            return _index(delta, itemgetter(*cols)).get
         entry = self.indexes.get(rel, {}).get(cols)
         return entry[1].get if entry else partial(self.lookup, rel, cols)
 
@@ -177,10 +185,6 @@ _TESTS = {
 }
 
 
-def _compare(op: str, left, right) -> bool:
-    return _TESTS[op](left, right)
-
-
 def _tuple_at(positions: tuple):
     """Reads the values at ``positions`` of a slot list or a tuple as a
     tuple, where ``itemgetter(*positions)`` reads a lone value bare."""
@@ -196,91 +200,55 @@ def _dead(env) -> None:
     """An element no binding gets past in this firing."""
 
 
-def _absent(lit: Literal, cols: tuple, key_slots: tuple):
-    """The linker of a negated literal, whose variables are all bound."""
-    rel = lit.relation
-    if not cols:  # only wildcards: absent iff the relation is empty
-        return lambda space, delta, nxt: _dead if space.readable(rel) else nxt
-    if len(cols) == len(lit.args):
-        key = _tuple_at(key_slots)
-
-        def link(space, delta, nxt):
-            src = space.readable(rel)
-            if not src:
-                return nxt
-
-            def absent(env):
-                if key(env) not in src:
-                    nxt(env)
-            return absent
-        return link
-    key = itemgetter(*key_slots)
+def _test(rel: str, cols: tuple, key_slots: tuple, arity: int, negated: bool):
+    """The linker of a literal that binds no variable: a negated one, or a
+    positive one whose variables are all bound or wildcards. It passes a
+    binding on once when whether some tuple matches differs from
+    ``negated``: rule outputs are sets."""
+    full = len(cols) == arity
+    key = _tuple_at(key_slots) if full else itemgetter(*key_slots) if cols else None
 
     def link(space, delta, nxt):
-        find = space.finder(rel, cols)
+        src = space.readable(rel) if delta is None else delta
+        if not src or not cols:  # the outcome is the same for every binding
+            return nxt if bool(src) != negated else _dead
+        if full:
+            def member(env):
+                if (key(env) in src) != negated:
+                    nxt(env)
+            return member
+        find = space.finder(rel, cols, delta)
 
-        def absent(env):
-            if not find(key(env)):
+        def exists(env):
+            if (not find(key(env))) == negated:
                 nxt(env)
-        return absent
+        return exists
     return link
 
 
-def _present(lit: Literal, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: int,
-             checks: tuple):
-    """The linker of a positive literal. Its tuples come from a scan (no
-    probe column), a membership test (every column probed) or a keyed
-    lookup; each binds the columns ``bind_cols`` into the slots from
-    ``lo`` on, after the ``checks`` (column, column) of a variable repeated
-    within the literal. Without binds a literal only has to match once:
-    rule outputs are sets."""
-    rel = lit.relation
-    if cols and len(cols) == len(lit.args):
-        key = _tuple_at(key_slots)
-
-        def link(space, delta, nxt):
-            src = space.readable(rel) if delta is None else delta
-            if not src:
-                return _dead
-
-            def member(env):
-                if key(env) in src:
-                    nxt(env)
-            return member
-        return link
+def _bind(rel: str, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: int, checks: tuple):
+    """The linker of a positive literal that binds variables. Its tuples
+    come from a scan (no probe column) or a keyed lookup; each binds the
+    columns ``bind_cols`` into the slots from ``lo`` on. A variable
+    repeated within the literal (``p(X, X)``) gives ``checks`` (column,
+    column), which filter the source once per firing."""
     key = itemgetter(*key_slots) if cols else None
     pick = _tuple_at(bind_cols)
     hi = lo + len(bind_cols)
 
     def link(space, delta, nxt):
         src = space.readable(rel) if delta is None else delta
+        if checks:
+            src = [tup for tup in src if all(tup[a] == tup[b] for a, b in checks)]
         if not src:
             return _dead
-        if cols:
-            find = space.finder(rel, cols) if delta is None else _index(delta, itemgetter(*cols)).get
-        if not bind_cols:
-            if not cols:
-                return nxt
-
-            def matched(env):
-                if find(key(env)):
-                    nxt(env)
-            return matched
-        if checks:
-            def each(env, tuples):
-                for tup in tuples:
-                    if all(tup[a] == tup[b] for a, b in checks):
-                        env[lo:hi] = pick(tup)
-                        nxt(env)
-            if not cols:
-                return lambda env: each(env, src)
-            return lambda env: each(env, find(key(env)) or ())
         if not cols:
             def scan(env):
                 for tup in src:
                     env[lo:hi] = pick(tup)
                     nxt(env)
             return scan
+        find = space.finder(rel, cols, src if checks else delta)
 
         def probe(env):
             for tup in find(key(env)) or ():
@@ -334,7 +302,8 @@ def compile_rule(rule: ValidatedRule):
 
     Each variable gets a slot in one list per firing, in plan order, so a
     literal's fresh variables fill consecutive slots; constants get slots
-    of their own, pre-filled. Each plan element compiles to a linker that,
+    of their own, pre-filled, allocated before those of the literal's
+    fresh variables. Each plan element compiles to a linker that,
     per firing, closes over its source (the relation, or ``delta`` at plan
     position ``delta_at``) and the next element's closure. The depth-first
     walk binds and rebinds the slots in place.
@@ -349,23 +318,34 @@ def compile_rule(rule: ValidatedRule):
         return len(template) - 1
 
     linkers = []
-    for elem, probe in zip(rule.plan, rule.probes):
-        if probe is None:
+    for elem in rule.plan:
+        if isinstance(elem, Comparison):
             linkers.append(_comparison(elem, slot_of))
             continue
-        key_slots = tuple(slot_of(t) for t in probe.key)
-        if isinstance(elem, Negation):
-            linkers.append(_absent(elem.literal, probe.cols, key_slots))
+        negated = isinstance(elem, Negation)
+        lit = elem.literal if negated else elem
+        # a constant or an earlier-bound variable is a probe column; a
+        # fresh variable binds at its first column and is checked at others
+        cols, key_slots, first, checks = [], [], {}, []
+        for col, arg in enumerate(lit.args):
+            if isinstance(arg, Const) or isinstance(arg, Var) and arg.name in names:
+                cols.append(col)
+                key_slots.append(slot_of(arg))
+            elif isinstance(arg, Var):
+                if arg.name in first:
+                    checks.append((col, first[arg.name]))
+                else:
+                    first[arg.name] = col
+        cols, key_slots = tuple(cols), tuple(key_slots)
+        if not first:
+            linkers.append(_test(lit.relation, cols, key_slots, len(lit.args), negated))
             continue
         lo = len(template)
-        first: dict[str, int] = {}
-        for col, name, mode in probe.binds:
-            if mode == BIND:
-                first[name] = col
-                names[name] = len(template)
-                template.append(None)
-        checks = tuple((col, first[name]) for col, name, mode in probe.binds if mode != BIND)
-        linkers.append(_present(elem, probe.cols, key_slots, tuple(first.values()), lo, checks))
+        for name in first:
+            names[name] = len(template)
+            template.append(None)
+        linkers.append(_bind(lit.relation, cols, key_slots, tuple(first.values()), lo,
+                             tuple(checks)))
     linkers.reverse()
 
     args = rule.rule.head.args
@@ -407,11 +387,6 @@ def compile_rule(rule: ValidatedRule):
     return kernel
 
 
-def _fire_rule(rule: ValidatedRule, space: _Space, delta_at, delta) -> set:
-    """Head tuples derivable from the rule under the given delta restriction."""
-    return rule.kernel(space, delta_at, delta)
-
-
 def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | None = None) -> _Space:
     """Stratified semi-naive fixpoint. Returns the filled fact space.
 
@@ -428,7 +403,7 @@ def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | N
 
     def fire(r: ValidatedRule, delta_at, delta, new: dict) -> None:
         head = r.rule.head.relation
-        added = space.add(head, _fire_rule(r, space, delta_at, delta))
+        added = space.add(head, r.kernel(space, delta_at, delta))
         # derived channel facts are outbound, no rule reads them
         if added and head not in channels:
             if head in new:
@@ -488,13 +463,7 @@ def _fold_lattice(rel: str, tups: set, vp: ValidatedProgram) -> set:
         slot = merged.setdefault(key, {i: None for i in lat_cols})
         for i in lat_cols:
             cur = slot[i]
-            try:
-                slot[i] = tup[i] if cur is None else lattices.merge(cur, tup[i])
-            except lattices.LatticeTypeError as e:
-                col = schema.cols[i]
-                raise lattices.LatticeTypeError(
-                    f"{e.message} in column {col.name} of {rel}", col.pos, vp.program.filename
-                ) from None
+            slot[i] = tup[i] if cur is None else lattices.merge(cur, tup[i])
     out = set()
     for key, slot in merged.items():
         tup = [None] * schema.arity

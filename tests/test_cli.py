@@ -283,7 +283,7 @@ rel store(s: gset) [output]
 store(S) :- seed(S).
 """
 
-# b's maxint column gets a gset from a and a maxint from its second rule
+# b's maxint column is fed a's gset column and a maxint from its second rule
 LATTICE_MIX = """rel seed(x) [input]
 rel a(x, s: gset)
 rel b(x, s: maxint) [output]
@@ -299,7 +299,7 @@ a(X, gset{X}) :- seed(X).
 c(X, S) :- a(X, S), S < X.
 """
 
-# two symbols for one key of b's maxint column, merged after the fixpoint
+# b's maxint column is fed seed's scalar column
 SCALARS_IN_MAXINT = """rel seed(x) [input]
 rel b(x, s: maxint) [output]
 b(X, S) :- seed(X), seed(S).
@@ -358,14 +358,16 @@ FAILING_RUNS = [
     ("fixture", FIG1 + "local_edge(gset{a}, t2)\n",
      "fixture: local_edge(gset{a}, t2): column src of local_edge is not a lattice column",
      "lattice-value-in-a-scalar-column"),
-    # run-time lattice typing and comparisons, located in the program file
+    # lattice columns fed other values, and a comparison over a lattice value
+    # at run time, located in the program file
     (("program", "fixture", "partitioning"), (LATTICE_MIX, "seed(k)\n", "colocate"),
-     "program:3:10: cannot combine lattice variants gset and maxint in column s of b",
+     "program:5:17: variable S fills maxint column s of b, but column s of a holds gset values",
      "lattice-variants-mixed"),
     (("program", "fixture", "partitioning"), (GSET_COMPARE, "seed(k)\n", "colocate"),
      "program:5:21: lattice value where a scalar is required", "comparison-over-a-gset"),
     (("program", "fixture", "partitioning"), (SCALARS_IN_MAXINT, "seed(k)\nseed(j)\n", "colocate"),
-     "program:2:10: j is not a lattice value in column s of b", "scalars-merged-in-a-lattice-column"),
+     "program:3:26: variable S fills maxint column s of b, but column x of seed holds scalars",
+     "scalars-merged-in-a-lattice-column"),
     (("program", "partitioning"), (UNSTRATIFIABLE, "colocate"),
      "program: program is unstratifiable", "unstratifiable-program-names-its-file"),
     ("program", local_edge_program("src, dst") + "node(X) :- local_edge(X, Y), X != _.\n",

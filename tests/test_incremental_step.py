@@ -67,13 +67,17 @@ def test_a_quiesced_transitive_closure_step_fires_no_rule(monkeypatch):
     vp = corpus.load_program("transitive_closure")
     chain = Database.from_facts(parse_facts("\n".join(f"edge(n{i}, n{i + 1})" for i in range(8))))
     fired = []
-    fire_rule = transducer._fire_rule
+    compile_rule = transducer.compile_rule
 
-    def counting(rule, *args):
-        fired.append(rule.index)
-        return fire_rule(rule, *args)
+    def counting(rule):
+        kernel = compile_rule(rule)
 
-    monkeypatch.setattr(transducer, "_fire_rule", counting)
+        def counted(*args):
+            fired.append(rule.index)
+            return kernel(*args)
+        return counted
+
+    monkeypatch.setattr(transducer, "compile_rule", counting)
     first = step(init_machine(vp, ME, chain, (ME,)), [])
     assert fired  # iteration 0: a full naive round
     fired.clear()

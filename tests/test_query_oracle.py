@@ -17,10 +17,19 @@ from strategies import DECLS, instances, programs
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.calmlang.syntax import Literal, Negation, Var, Wildcard, eval_head_term, eval_scalar
 from calmlab.relspace import Database, Fact
-from calmlab.transducer import _compare, _query, init_machine, step
+from calmlab.transducer import _query, init_machine, step
 from calmlab.values import Address, Int, Symbol, value_sort_key
 
 # --- the oracle: nested-loop evaluation --------------------------------------
+
+
+def _compare(op: str, left, right) -> bool:
+    if op == "=":
+        return left == right
+    if op == "!=":
+        return left != right
+    a, b = value_sort_key(left), value_sort_key(right)
+    return a < b if op == "<" else a <= b
 
 
 class _RefSpace:
@@ -183,6 +192,14 @@ FEATURE_PROGRAMS = [
     # column) and across literals
     DECLS + "d0(X, Y) :- e(X, X), f(X, Y).\nd1(X, Y) :- msg(_, X, X), e(X, Y).\n"
             "d2(Y, Y) :- peer(D), msg(D, Y, Y).\nd2(X, Z) :- u(X), e(Z, Z), f(Z, _).\n",
+    # literals of a recursive relation that bind nothing, read from the
+    # semi-naive delta: one probed by part of its columns, one by all
+    DECLS + "d0(X, Y) :- e(X, Y).\nd0(Y, X) :- f(X, Y), d0(X, _).\n"
+            "d0(X, Z) :- e(X, Z), d0(Z, X).\n",
+    # a repeated variable in a literal read from the delta and probed by a
+    # bound column
+    DECLS + "rel t(x, y, z)\nt(X, Y, Y) :- e(X, Y).\nt(X, Z, Y) :- f(X, Y), e(Y, Z).\n"
+            "t(X, Z, Z) :- e(X, Y), t(Y, Z, Z).\nd0(X, Z) :- t(X, Z, Z).\n",
     # a string constant holding a quote and a backslash, in a head, a probe
     # and a comparison
     DECLS + r'd0(X, "q\"b\\s") :- u(X).' "\n"
