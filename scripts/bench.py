@@ -18,9 +18,13 @@ Workloads:
   ``gc_coordinated`` coordination config.
 - ``tc_chain_N``: transitive closure of an N-edge chain, one seeded run on
   a one-machine network.
+- ``load_chain_400``: ``load_config`` on a config whose fixture is the
+  chain of ``tc_chain_400``, written to a temporary directory; the best of
+  7 loads, as it takes milliseconds.
 
-Each workload runs once, in this process, and the whole set takes well
-under two minutes on a 2-vCPU VM. Usage, from the root of a checkout::
+Each workload but ``load_chain_400`` runs once, in this process, and the
+whole set takes well under two minutes on a 2-vCPU VM. Usage, from the
+root of a checkout::
 
     PYTHONPATH=src python scripts/bench.py BENCH_<n>.json
 """
@@ -32,6 +36,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -78,14 +83,32 @@ def walk(net, bound=None) -> dict:
     }
 
 
+def chain_facts(n: int) -> str:
+    return "\n".join(f"edge(n{i}, n{i + 1})" for i in range(n))
+
+
 def tc_chain(n: int) -> dict:
     vp = corpus.load_program("transitive_closure")
-    chain = Database.from_facts(parse_facts("\n".join(f"edge(n{i}, n{i + 1})" for i in range(n))))
+    chain = Database.from_facts(parse_facts(chain_facts(n)))
     machines = machine_addresses(1)
     net = init_network(vp, chain, colocated(chain, machines, machines[0]))
     start = time.perf_counter()
     run = run_schedule(net, Schedule(seed=0))
     return {"seconds": round(time.perf_counter() - start, 3), "facts": run.union_output.size()}
+
+
+def load_chain(n: int, repeats: int = 7) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "program.calm").write_text(corpus.read_text("transitive_closure", "program.calm"))
+        (d / "chain.facts").write_text(chain_facts(n) + "\n")
+        (d / "run.json").write_text(json.dumps({"program": "program.calm", "fixture": "chain.facts"}))
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            cfg = load_config(d / "run.json")
+            best = min(best, time.perf_counter() - start)
+    return {"seconds": round(best, 5), "facts": cfg.fixture.size(), "repeats": repeats}
 
 
 def check_network(name: str):
@@ -127,6 +150,7 @@ WORKLOADS = {
     "tc_chain_100": lambda: tc_chain(100),
     "tc_chain_200": lambda: tc_chain(200),
     "tc_chain_400": lambda: tc_chain(400),
+    "load_chain_400": lambda: load_chain(400),
 }
 
 

@@ -1,4 +1,5 @@
-"""Recursive-descent parser for .calm sources and fixture files.
+"""Tokenizer and recursive-descent parser for .calm sources and fixture
+files. The tokens are those of "Lexical syntax" in docs/language.md.
 
 A fixture file is written in the program grammar: each line holds one
 ground rule head, a literal whose terms are all values (no variables,
@@ -8,8 +9,10 @@ constructors are evaluated by the engine's own head-term evaluation.
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
+
 from ..errors import ParseError
-from ..lexer import Token, tokenize
 from ..values import Address, Int, Symbol, Text
 from .printer import term_to_text
 from .syntax import (
@@ -39,6 +42,95 @@ QUALIFIERS = ("persisted", "event", "input", "output")
 COMPARE_OPS = {"EQ": "=", "NEQ": "!=", "LT": "<", "LE": "<="}
 
 
+@dataclass(slots=True)  # not frozen: a frozen one costs about 3x as much to build
+class Token:
+    kind: str  # IDENT VAR INT STRING ADDR WILD, a _PUNCT kind, or EOF
+    text: str
+    line: int
+    col: int
+
+
+_PUNCT = {
+    ":-": "ARROW", "!=": "NEQ", "<=": "LE", "(": "LPAREN", ")": "RPAREN",
+    "{": "LBRACE", "}": "RBRACE", "[": "LBRACKET", "]": "RBRACKET", ",": "COMMA",
+    ".": "DOT", ":": "COLON", "<": "LT", ">": "GT", "=": "EQ", "!": "BANG",
+}
+_SPELLED = {kind: f"'{sym}'" for sym, kind in _PUNCT.items()}
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
+
+# one alternative per token shape, the catch-all last; \w is exactly
+# str.isalnum() or '_', and [^\W\d] also takes numerals that are not
+# letters, such as '²', which tokenize() rejects
+_TOKEN = re.compile(
+    r"""(?P<ws>[ \t\r]+)
+    | (?P<nl>\n)
+    | (?P<comment>\#[^\n]*)
+    | (?P<twop>2p(?!\w))
+    | (?P<int>-?\d+)
+    | (?P<addr>@(?:[^\W\d]\w*)?)
+    | (?P<string>"(?:[^"\\\n]|\\.)*(?P<close>"?))
+    | (?P<word>[^\W\d]\w*)
+    | (?P<punct>:-|!=|<=|[(){}\[\],.:<>=!])
+    | (?P<bad>.)""",
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def tokenize(text: str, filename: str = "<input>") -> list[Token]:
+    """The tokens of ``text``, EOF last; a located ParseError at the first
+    character that starts no token."""
+    toks: list[Token] = []
+    append = toks.append
+    line, line_start, m = 1, 0, None
+    for m in _TOKEN.finditer(text):
+        shape = m.lastgroup
+        if shape == "ws" or shape == "comment":
+            continue
+        if shape == "nl":
+            line += 1
+            line_start = m.end()
+            continue
+        word, col = m.group(), m.start() - line_start + 1
+        if shape == "word":
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ParseError(f"unexpected character {word[0]!r}", (line, col), filename)
+            kind = "WILD" if word == "_" else "VAR" if word[0].isupper() else "IDENT"
+        elif shape == "punct":
+            kind = _PUNCT[word]
+        elif shape == "int":
+            kind = "INT"
+        elif shape == "twop":
+            kind = "IDENT"
+        elif shape == "addr":
+            if len(word) == 1 or not (word[1].isalpha() or word[1] == "_"):
+                raise ParseError("expected machine name after '@'", (line, col), filename)
+            kind, word = "ADDR", word[1:]
+        elif shape == "string":
+            closed = m.group("close")
+            kind, word = "STRING", word[1:-1] if closed else word[1:]
+            if "\\" in word:
+                word = _ESCAPE.sub(lambda e: _escaped(e[1], (line, col), filename), word)
+            if not closed:
+                raise ParseError("unterminated string", (line, col), filename)
+        else:
+            raise ParseError(f"unexpected character {word!r}", (line, col), filename)
+        append(Token(kind, word, line, col))
+    # after a final comment, EOF sits at the '#'
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    append(Token("EOF", "", line, end - line_start + 1))
+    return toks
+
+
+def _escaped(c: str, pos: tuple, filename: str) -> str:
+    """The character that a backslash before ``c`` stands for."""
+    if c in _ESCAPES:
+        return _ESCAPES[c]
+    # a line break such as '\r' is shown escaped, to keep the error one line
+    shown = f"'\\{c}'" if c.splitlines() == [c] else f"'\\' before {c!r}"
+    raise ParseError(f"bad escape {shown}", pos, filename)
+
+
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.toks = tokenize(text, filename)
@@ -52,9 +144,17 @@ class _Parser:
         t = self.toks[self.pos]
         if kind is not None and t.kind != kind:
             found = t.text if t.kind != "EOF" else "end of input"
-            self.fail(f"expected {what or kind}, found {found!r}", t)
+            self.fail(f"expected {what or _SPELLED.get(kind, kind)}, found {found!r}", t)
         self.pos += 1
         return t
+
+    def items(self, item, *args) -> list:
+        """``item (',' item)*``, each item parsed by ``item(*args)``."""
+        out = [item(*args)]
+        while self.peek().kind == "COMMA":
+            self.take()
+            out.append(item(*args))
+        return out
 
     def fail(self, msg: str, tok: Token):
         self.fail_at(msg, (tok.line, tok.col))
@@ -85,27 +185,12 @@ class _Parser:
         channel = kw.text == "chan"
         name = self.take("IDENT", "relation name")
         self.take("LPAREN")
-        cols: list[ColSpec] = []
-        if self.peek().kind != "RPAREN":
-            while True:
-                cols.append(self.colspec())
-                if self.peek().kind == "COMMA":
-                    self.take()
-                else:
-                    break
+        cols = self.items(self.colspec) if self.peek().kind != "RPAREN" else []
         self.take("RPAREN")
         quals: list[str] = []
         if self.peek().kind == "LBRACKET":
             self.take()
-            while True:
-                q = self.take("IDENT", "qualifier")
-                if q.text not in QUALIFIERS:
-                    self.fail(f"unknown qualifier {q.text!r}", q)
-                quals.append(q.text)
-                if self.peek().kind == "COMMA":
-                    self.take()
-                else:
-                    break
+            quals = self.items(self.qualifier)
             self.take("RBRACKET")
         if "persisted" in quals and "event" in quals:
             self.fail("relation cannot be both persisted and event", kw)
@@ -127,6 +212,12 @@ class _Parser:
             is_output="output" in quals,
             pos=(kw.line, kw.col),
         )
+
+    def qualifier(self) -> str:
+        q = self.take("IDENT", "qualifier")
+        if q.text not in QUALIFIERS:
+            self.fail(f"unknown qualifier {q.text!r}", q)
+        return q.text
 
     def colspec(self) -> ColSpec:
         t = self.peek()
@@ -150,13 +241,8 @@ class _Parser:
         body: list = []
         if self.peek().kind == "ARROW":
             self.take()
-            while True:
-                body.append(self.body_elem())
-                if self.peek().kind == "COMMA":
-                    self.take()
-                else:
-                    break
-        self.take("DOT", "'.'")
+            body = self.items(self.body_elem)
+        self.take("DOT")
         return Rule(head, tuple(body), head.pos)
 
     def body_elem(self):
@@ -179,14 +265,7 @@ class _Parser:
     def literal(self, head: bool) -> Literal:
         name = self.take("IDENT", "relation name")
         self.take("LPAREN")
-        args: list = []
-        if self.peek().kind != "RPAREN":
-            while True:
-                args.append(self.term(head=head))
-                if self.peek().kind == "COMMA":
-                    self.take()
-                else:
-                    break
+        args = self.items(self.term, head) if self.peek().kind != "RPAREN" else []
         self.take("RPAREN")
         return Literal(name.text, tuple(args), (name.line, name.col))
 
@@ -267,14 +346,7 @@ class _Parser:
 
     def scalar_term_set(self) -> list:
         self.take("LBRACE")
-        elems: list = []
-        if self.peek().kind != "RBRACE":
-            while True:
-                elems.append(self.scalar_term())
-                if self.peek().kind == "COMMA":
-                    self.take()
-                else:
-                    break
+        elems = self.items(self.scalar_term) if self.peek().kind != "RBRACE" else []
         self.take("RBRACE")
         return elems
 

@@ -157,7 +157,6 @@ def detect_coordination(
 
     rows = []
     colocated_min: int | None = None
-    colocated_conclusive = True
     for idx, part in enumerate(explored):
         is_colocated = idx < len(colocated_parts)
         initial = init_network(vp, input_db, part)
@@ -175,13 +174,11 @@ def detect_coordination(
                 "min_messages": best,
             }
         )
-        if is_colocated:
-            if best is None:
-                colocated_conclusive = False
-            elif colocated_min is None or best < colocated_min:
-                colocated_min = best
+        if is_colocated and best is not None and (colocated_min is None or best < colocated_min):
+            colocated_min = best
 
-    if colocated_min is None and not colocated_conclusive:
+    # None exactly when none of the (at least two) colocated runs quiesced
+    if colocated_min is None:
         verdict = VERDICT_INCONCLUSIVE
     elif colocated_min == 0:
         verdict = VERDICT_FREE

@@ -55,6 +55,40 @@ def test_parse_error_has_location():
     assert "bad.calm:2" in str(e.value)
 
 
+# each token shape told apart by where parsing stops, and each tokenizer
+# error at its file:line:col
+TOKENIZER_CASES = [
+    ("p(a).\n  q($).", "f.calm:2:5: unexpected character '$'"),
+    ("p(a).\n  q(@ x).", "f.calm:2:5: expected machine name after '@'"),
+    ('p("ab\n").', "f.calm:1:3: unterminated string"),
+    ('p("ab\\', "f.calm:1:3: unterminated string"),
+    ('p("a\\\nb").', "f.calm:1:3: unterminated string"),
+    ('p("a\\qb").', "f.calm:1:3: bad escape '\\q'"),
+    ('p("a\\\rb").', "f.calm:1:3: bad escape '\\' before '\\r'"),
+    ("r(X) :- X = 2p{.", "f.calm:1:16: expected 'added', found '.'"),
+    ("r(X) :- X = 2px.", "f.calm:1:14: expected '.', found 'px'"),
+    ("r(X) :- X = 2p_.", "f.calm:1:14: expected '.', found 'p_'"),
+    ("r(X) :- X = -3 3.", "f.calm:1:16: expected '.', found '3'"),
+    ("r(X) :- X = - 3.", "f.calm:1:13: unexpected character '-'"),
+    ("r(X) :- X = _ _x.", "f.calm:1:15: expected '.', found '_x'"),
+    ("p(a)\t\rq", "f.calm:1:7: expected '.', found 'q'"),
+    ("p(a) # c", "f.calm:1:6: expected '.', found 'end of input'"),
+]
+
+
+@pytest.mark.parametrize("text,error", TOKENIZER_CASES)
+def test_tokenizer_errors_and_token_boundaries(text, error):
+    with pytest.raises(ParseError) as e:
+        parse_program(text, filename="f.calm")
+    assert str(e.value) == error
+
+
+def test_parse_error_spells_the_expected_punctuation():
+    with pytest.raises(ParseError) as e:
+        parse_program("p(2px).", filename="f.calm")
+    assert str(e.value) == "f.calm:1:4: expected ')', found 'px'"
+
+
 def test_duplicate_declaration_rejected():
     with pytest.raises(ParseError) as e:
         parse_program("rel r(x)\nrel r(y)")

@@ -333,6 +333,15 @@ FAILING_RUNS = [
      "fixture:14:16: integer out of 64-bit range", "integer-out-of-range"),
     ("fixture", FIG1 + "nbr(@M1, @m2)\n", "fixture:14:5: invalid machine address", "capital-address"),
     ("fixture", FIG1 + "local_edge(t1, t\u00f6)\n", "fixture:14:16: invalid symbol", "non-ascii-symbol"),
+    # a backslash before a line break leaves the string unterminated (a
+    # file's '\r' is read as a line break); U+2028 is a bad escape, shown
+    # escaped so that the error stays one line
+    ("fixture", FIG1 + 'local_edge("a\\\nb", t1)\n',
+     "fixture:14:12: unterminated string", "backslash-before-a-newline"),
+    ("fixture", FIG1 + 'local_edge("a\\\rb", t1)\n',
+     "fixture:14:12: unterminated string", "backslash-before-a-carriage-return"),
+    ("fixture", FIG1 + 'local_edge("a\\\u2028b", t1)\n',
+     "fixture:14:12: bad escape '\\' before '\\u2028'", "backslash-before-a-line-separator"),
     # fixture facts against the program's schema, each named in the fixture
     ("program", local_edge_program("src"),
      "fig1.facts: local_edge(t1, t2): relation local_edge has arity 1", "fact-wider-than-declared"),
