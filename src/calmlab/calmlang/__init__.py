@@ -21,19 +21,16 @@ See docs/language.md for the full grammar.
 from .syntax import (
     AggTerm,
     BodyElem,
-    BoolOrTerm,
     ColSpec,
     Comparison,
     Const,
-    GSetTerm,
+    LatticeTerm,
     Literal,
-    MaxIntTerm,
     Negation,
     Program,
     RelDecl,
     Rule,
     Term,
-    TwoPTerm,
     Var,
     Wildcard,
 )
@@ -50,13 +47,11 @@ from .validate import (
 __all__ = [
     "AggTerm",
     "BodyElem",
-    "BoolOrTerm",
     "ColSpec",
     "Comparison",
     "Const",
-    "GSetTerm",
+    "LatticeTerm",
     "Literal",
-    "MaxIntTerm",
     "Negation",
     "ParseError",
     "Program",
@@ -65,7 +60,6 @@ __all__ = [
     "Rule",
     "Schema",
     "Term",
-    "TwoPTerm",
     "ValidatedProgram",
     "ValidatedRule",
     "ValidationError",

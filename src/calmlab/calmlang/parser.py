@@ -13,23 +13,21 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from ..values import Address, Int, Symbol, Text
+from ..lattices import VARIANT_NAMES
+from ..values import ESCAPES, Address, Int, Symbol, Text
 from .printer import term_to_text
 from .syntax import (
     AggTerm,
-    BoolOrTerm,
     ColSpec,
     Comparison,
     Const,
     EvalError,
-    GSetTerm,
+    LatticeTerm,
     Literal,
-    MaxIntTerm,
     Negation,
     Program,
     RelDecl,
     Rule,
-    TwoPTerm,
     Var,
     Wildcard,
     eval_head_term,
@@ -37,7 +35,7 @@ from .syntax import (
 )
 
 AGG_KINDS = ("count", "min", "max")
-LATTICE_NAMES = ("gset", "maxint", "boolor", "2p")
+LATTICE_NAMES = tuple(VARIANT_NAMES.values())
 QUALIFIERS = ("persisted", "event", "input", "output")
 COMPARE_OPS = {"EQ": "=", "NEQ": "!=", "LT": "<", "LE": "<="}
 
@@ -56,19 +54,18 @@ _PUNCT = {
     ".": "DOT", ":": "COLON", "<": "LT", ">": "GT", "=": "EQ", "!": "BANG",
 }
 _SPELLED = {kind: f"'{sym}'" for sym, kind in _PUNCT.items()}
-_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 # one alternative per token shape, the catch-all last; \w is exactly
 # str.isalnum() or '_', and [^\W\d] also takes numerals that are not
 # letters, such as '²', which tokenize() rejects
 _TOKEN = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-    | (?P<nl>\n)
-    | (?P<comment>\#[^\n]*)
+    r"""(?P<ws>[ \t]+)
+    | (?P<nl>\r\n?|\n)
+    | (?P<comment>\#[^\r\n]*)
     | (?P<twop>2p(?!\w))
     | (?P<int>-?\d+)
     | (?P<addr>@(?:[^\W\d]\w*)?)
-    | (?P<string>"(?:[^"\\\n]|\\.)*(?P<close>"?))
+    | (?P<string>"(?:[^"\\\r\n]|\\[^\r\n])*(?P<close>"?))
     | (?P<word>[^\W\d]\w*)
     | (?P<punct>:-|!=|<=|[(){}\[\],.:<>=!])
     | (?P<bad>.)""",
@@ -124,9 +121,9 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
 
 def _escaped(c: str, pos: tuple, filename: str) -> str:
     """The character that a backslash before ``c`` stands for."""
-    if c in _ESCAPES:
-        return _ESCAPES[c]
-    # a line break such as '\r' is shown escaped, to keep the error one line
+    if c in ESCAPES:
+        return ESCAPES[c]
+    # a line break such as U+2028 is shown escaped, to keep the error one line
     shown = f"'\\{c}'" if c.splitlines() == [c] else f"'\\' before {c!r}"
     raise ParseError(f"bad escape {shown}", pos, filename)
 
@@ -292,33 +289,29 @@ class _Parser:
                 v = self.take("VAR", "aggregate variable")
                 self.take("GT")
                 return AggTerm(t.text, Var(v.text, (v.line, v.col)), (t.line, t.col))
-            if t.text == "gset" and self.peek(1).kind == "LBRACE":
+            if t.text in ("gset", "2p") and self.peek(1).kind == "LBRACE":
                 self.take()
-                return GSetTerm(tuple(self.scalar_term_set()), (t.line, t.col))
-            if t.text == "maxint" and self.peek(1).kind == "LPAREN":
+                if t.text == "gset":
+                    parts = (self.scalar_term_set(),)
+                else:
+                    self.take("LBRACE")
+                    added = self.labelled_set("added")
+                    self.take("COMMA")
+                    parts = (added, self.labelled_set("tomb"))
+                    self.take("RBRACE")
+                return LatticeTerm(t.text, parts, (t.line, t.col))
+            if t.text in ("maxint", "boolor") and self.peek(1).kind == "LPAREN":
                 self.take()
                 self.take("LPAREN")
-                arg = self.scalar_term()
+                if t.text == "maxint":
+                    arg = self.scalar_term()
+                else:
+                    a = self.take("IDENT", "'true' or 'false'")
+                    if a.text not in ("true", "false"):
+                        self.fail(f"expected 'true' or 'false', found {a.text!r}", a)
+                    arg = Const(a.text == "true", (a.line, a.col))
                 self.take("RPAREN")
-                return MaxIntTerm(arg, (t.line, t.col))
-            if t.text == "boolor" and self.peek(1).kind == "LPAREN":
-                self.take()
-                self.take("LPAREN")
-                a = self.take("IDENT", "'true' or 'false'")
-                if a.text not in ("true", "false"):
-                    self.fail(f"expected 'true' or 'false', found {a.text!r}", a)
-                self.take("RPAREN")
-                return BoolOrTerm(Const(a.text == "true", (a.line, a.col)), (t.line, t.col))
-            if t.text == "2p" and self.peek(1).kind == "LBRACE":
-                self.take()
-                self.take("LBRACE")
-                self.expect_label("added")
-                added = self.scalar_term_set()
-                self.take("COMMA")
-                self.expect_label("tomb")
-                tomb = self.scalar_term_set()
-                self.take("RBRACE")
-                return TwoPTerm(tuple(added), tuple(tomb), (t.line, t.col))
+                return LatticeTerm(t.text, ((arg,),), (t.line, t.col))
             return self.const(t, Symbol)
         self.fail(f"expected a term, found {t.text!r}", t)
 
@@ -331,11 +324,13 @@ class _Parser:
         except ValueError as e:
             self.fail(str(e), tok)
 
-    def expect_label(self, label: str) -> None:
+    def labelled_set(self, label: str) -> tuple:
+        """``label: {...}`` inside a 2p constructor."""
         t = self.take("IDENT", f"'{label}'")
         if t.text != label:
             self.fail(f"expected '{label}', found {t.text!r}", t)
         self.take("COLON")
+        return self.scalar_term_set()
 
     def scalar_term(self):
         t = self.peek()
@@ -344,11 +339,11 @@ class _Parser:
             self.fail("expected a variable or scalar constant", t)
         return term
 
-    def scalar_term_set(self) -> list:
+    def scalar_term_set(self) -> tuple:
         self.take("LBRACE")
         elems = self.items(self.scalar_term) if self.peek().kind != "RBRACE" else []
         self.take("RBRACE")
-        return elems
+        return tuple(elems)
 
     def ground_literal(self) -> tuple:
         """A rule head whose terms are all values, as (relation, values)."""

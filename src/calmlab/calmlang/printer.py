@@ -3,16 +3,14 @@ structurally equal rule."""
 
 from __future__ import annotations
 
+from .. import lattices
 from .syntax import (
     AggTerm,
-    BoolOrTerm,
     Comparison,
     Const,
-    GSetTerm,
+    LatticeTerm,
     Literal,
-    MaxIntTerm,
     Negation,
-    TwoPTerm,
     Var,
     Wildcard,
 )
@@ -29,17 +27,9 @@ def term_to_text(t) -> str:
         return str(t.value)
     if isinstance(t, AggTerm):
         return f"{t.kind}<{t.var.name}>"
-    if isinstance(t, GSetTerm):
-        return "gset{%s}" % ", ".join(term_to_text(e) for e in t.elems)
-    if isinstance(t, MaxIntTerm):
-        return f"maxint({term_to_text(t.arg)})"
-    if isinstance(t, BoolOrTerm):
-        return f"boolor({term_to_text(t.arg)})"
-    if isinstance(t, TwoPTerm):
-        return "2p{added:{%s}, tomb:{%s}}" % (
-            ", ".join(term_to_text(e) for e in t.added),
-            ", ".join(term_to_text(e) for e in t.tombstoned),
-        )
+    if isinstance(t, LatticeTerm):
+        parts = tuple(tuple(term_to_text(e) for e in group) for group in t.parts)
+        return lattices.text(t.variant, parts)
     raise TypeError(f"unknown term {t!r}")
 
 

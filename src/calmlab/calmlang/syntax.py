@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 from .. import lattices
 from ..errors import CalmlabError
-from ..values import Int
 
 Pos = tuple  # (line, col)
 
@@ -33,27 +32,12 @@ class Const:
 
 
 @dataclass(frozen=True)
-class GSetTerm:
-    elems: tuple
-    pos: Pos = field(default=NOPOS, compare=False)
+class LatticeTerm:
+    """A lattice constructor of a ``variant`` of ``lattices.VARIANT_NAMES``;
+    ``parts`` holds its scalar terms, grouped as in ``lattices.text``."""
 
-
-@dataclass(frozen=True)
-class MaxIntTerm:
-    arg: object
-    pos: Pos = field(default=NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class BoolOrTerm:
-    arg: object
-    pos: Pos = field(default=NOPOS, compare=False)
-
-
-@dataclass(frozen=True)
-class TwoPTerm:
-    added: tuple
-    tombstoned: tuple
+    variant: str
+    parts: tuple
     pos: Pos = field(default=NOPOS, compare=False)
 
 
@@ -66,9 +50,7 @@ class AggTerm:
     pos: Pos = field(default=NOPOS, compare=False)
 
 
-Term = object  # Var | Wildcard | Const | lattice terms | AggTerm (head only)
-
-LATTICE_TERM_TYPES = (GSetTerm, MaxIntTerm, BoolOrTerm, TwoPTerm)
+Term = object  # Var | Wildcard | Const | LatticeTerm | AggTerm (head only)
 
 
 @dataclass(frozen=True)
@@ -134,12 +116,8 @@ def term_vars(t) -> list[Var]:
         return [t]
     if isinstance(t, AggTerm):
         return [t.var]
-    if isinstance(t, GSetTerm):
-        return [v for e in t.elems for v in term_vars(e)]
-    if isinstance(t, (MaxIntTerm, BoolOrTerm)):
-        return term_vars(t.arg)
-    if isinstance(t, TwoPTerm):
-        return [v for e in t.added + t.tombstoned for v in term_vars(e)]
+    if isinstance(t, LatticeTerm):
+        return [v for group in t.parts for e in group for v in term_vars(e)]
     return []
 
 
@@ -172,22 +150,10 @@ def eval_scalar(term, env: dict):
 
 def eval_head_term(term, env: dict):
     """The value of a head term under ``env``; a ground term needs none."""
-    if isinstance(term, Var):
-        return env[term.name]
-    if isinstance(term, Const):
-        return term.value
-    if isinstance(term, GSetTerm):
-        return lattices.GSet(frozenset(eval_scalar(e, env) for e in term.elems))
-    if isinstance(term, MaxIntTerm):
-        v = eval_scalar(term.arg, env)
-        if not isinstance(v, Int):
-            raise EvalError(f"maxint() needs an integer, got {v}", term.arg.pos)
-        return lattices.MaxInt(v.value)
-    if isinstance(term, BoolOrTerm):
-        return lattices.BoolOr(bool(term.arg.value))
-    if isinstance(term, TwoPTerm):
-        return lattices.TwoPSet(
-            frozenset(eval_scalar(e, env) for e in term.added),
-            frozenset(eval_scalar(e, env) for e in term.tombstoned),
-        )
+    if isinstance(term, LatticeTerm):
+        parts = tuple(tuple(eval_scalar(e, env) for e in group) for group in term.parts)
+        try:
+            return lattices.make(term.variant, parts)
+        except lattices.LatticeTypeError as e:  # maxint() of a non-integer, its one part
+            raise EvalError(e.message, term.parts[0][0].pos) from None
     return eval_term(term, env)

@@ -26,16 +26,12 @@ from .syntax import (
     ColSpec,
     Comparison,
     Const,
-    GSetTerm,
-    LATTICE_TERM_TYPES,
+    LatticeTerm,
     Literal,
-    MaxIntTerm,
-    BoolOrTerm,
     Negation,
     Program,
     RelDecl,
     Rule,
-    TwoPTerm,
     Var,
     Wildcard,
     literal_vars,
@@ -43,8 +39,6 @@ from .syntax import (
 )
 
 RESERVED_RELATIONS = ("id", "all")
-
-_LATTICE_OF_TERM = {GSetTerm: "gset", MaxIntTerm: "maxint", BoolOrTerm: "boolor", TwoPTerm: "2p"}
 
 
 class ValidationError(CalmlabError):
@@ -242,7 +236,7 @@ def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> N
             error = value_error(arg.value, col, lit.relation)
             if error:
                 raise ValidationError(error, arg.pos)
-        elif isinstance(arg, LATTICE_TERM_TYPES):
+        elif isinstance(arg, LatticeTerm):
             if not head:
                 raise ValidationError(
                     "lattice constructors are only allowed in rule heads", arg.pos
@@ -252,11 +246,10 @@ def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> N
                     f"column {col.name} of {lit.relation} is not a lattice column",
                     arg.pos,
                 )
-            want = _LATTICE_OF_TERM[type(arg)]
-            if want != col.lattice:
+            if arg.variant != col.lattice:
                 raise ValidationError(
                     f"column {col.name} of {lit.relation} is {col.lattice}, "
-                    f"constructor builds {want}",
+                    f"constructor builds {arg.variant}",
                     arg.pos,
                 )
         elif isinstance(arg, AggTerm):
@@ -361,7 +354,7 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                         f"variable {v.name} in comparison is not bound by a positive literal",
                         v.pos,
                     )
-            if isinstance(side, LATTICE_TERM_TYPES + (AggTerm,)):
+            if isinstance(side, (LatticeTerm, AggTerm)):
                 raise ValidationError("comparisons operate on scalar terms", c.pos)
             if isinstance(side, Wildcard):
                 raise ValidationError("wildcard not allowed in a comparison", side.pos)

@@ -19,6 +19,8 @@ from .calmlang import ValidatedProgram, parse_program, validate_program
 from .calmlang.validate import fact_error
 from .errors import CalmlabError, read_text
 from .netsim import (
+    DEFAULT_ENUM_BOUND,
+    DEFAULT_STEP_BUDGET,
     Partitioning,
     PartitioningError,
     colocated,
@@ -28,6 +30,7 @@ from .netsim import (
 )
 from .relspace import Database, parse_facts
 from .values import Address
+from .verdicts import DEFAULT_SAMPLED_SEEDS
 
 
 class ConfigError(CalmlabError):
@@ -156,11 +159,11 @@ def load_config(path) -> RunConfig:
         machines=_int_field(obj, "machines", 1, path, least=1),
         partitioning_spec=_partitioning_field(obj, path),
         seed=_int_field(obj, "seed", 0, path) if "seed" in obj else default_seed(),
-        step_budget=_int_field(obj, "step_budget", 10_000, path, least=1),
+        step_budget=_int_field(obj, "step_budget", DEFAULT_STEP_BUDGET, path, least=1),
         duplicate_every=_int_field(obj, "duplicate_every", 0, path, least=0),
         mode=mode,
-        enum_bound=_int_field(obj, "enum_bound", 1_000_000, path, least=1),
-        seeds=_int_field(obj, "seeds", 64, path, least=1),
+        enum_bound=_int_field(obj, "enum_bound", DEFAULT_ENUM_BOUND, path, least=1),
+        seeds=_int_field(obj, "seeds", DEFAULT_SAMPLED_SEEDS, path, least=1),
         schedules_per_partitioning=_int_field(obj, "schedules_per_partitioning", 8, path, least=1),
         partition_cap=_int_field(obj, "partition_cap", 16, path, least=1),
     )

@@ -25,12 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CalmlabError
-from .values import value_sort_key
+from .values import Int, value_sort_key
 
 
 class LatticeTypeError(CalmlabError):
     """merge/leq applied across different lattice variants, or to a value
-    that is not a lattice value."""
+    that is not a lattice value; or maxint made of a non-integer."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,11 +38,10 @@ class GSet:
     elems: frozenset
 
     def sort_key(self):
-        return (4, "gset", tuple(sorted((value_sort_key(e) for e in self.elems))))
+        return (4, "gset", _keys(self.elems))
 
     def __str__(self) -> str:
-        inner = ", ".join(str(e) for e in sorted(self.elems, key=value_sort_key))
-        return "gset{%s}" % inner
+        return text("gset", (_texts(self.elems),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +52,7 @@ class MaxInt:
         return (4, "maxint", (self.value,))
 
     def __str__(self) -> str:
-        return f"maxint({self.value})"
+        return text("maxint", ((str(self.value),),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +63,7 @@ class BoolOr:
         return (4, "boolor", (self.value,))
 
     def __str__(self) -> str:
-        return "boolor(%s)" % ("true" if self.value else "false")
+        return text("boolor", (("true" if self.value else "false",),))
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,24 +72,50 @@ class TwoPSet:
     tombstoned: frozenset
 
     def sort_key(self):
-        return (
-            4,
-            "2p",
-            (
-                tuple(sorted(value_sort_key(e) for e in self.added)),
-                tuple(sorted(value_sort_key(e) for e in self.tombstoned)),
-            ),
-        )
+        return (4, "2p", (_keys(self.added), _keys(self.tombstoned)))
 
     def __str__(self) -> str:
-        a = ", ".join(str(e) for e in sorted(self.added, key=value_sort_key))
-        t = ", ".join(str(e) for e in sorted(self.tombstoned, key=value_sort_key))
-        return "2p{added:{%s}, tomb:{%s}}" % (a, t)
+        return text("2p", (_texts(self.added), _texts(self.tombstoned)))
 
 
 LatticeValue = GSet | MaxInt | BoolOr | TwoPSet
 
 VARIANT_NAMES = {GSet: "gset", MaxInt: "maxint", BoolOr: "boolor", TwoPSet: "2p"}
+
+
+def _keys(elems: frozenset) -> tuple:
+    return tuple(sorted(value_sort_key(e) for e in elems))
+
+
+def _texts(elems: frozenset) -> tuple:
+    return tuple(str(e) for e in sorted(elems, key=value_sort_key))
+
+
+def text(variant: str, parts: tuple) -> str:
+    """The constructor form of a ``variant`` value or term, which the parser
+    reads back, from the texts of its parts: one tuple of texts per group,
+    ``(elems,)`` for gset, ``(added, tomb)`` for 2p, and ``((arg,),)`` for
+    maxint and for boolor (``true`` or ``false``)."""
+    groups = tuple(", ".join(group) for group in parts)
+    if variant == "gset":
+        return "gset{%s}" % groups
+    if variant == "2p":
+        return "2p{added:{%s}, tomb:{%s}}" % groups
+    return "%s(%s)" % (variant, *groups)
+
+
+def make(variant: str, parts: tuple) -> LatticeValue:
+    """The ``variant`` value of its parts' values, grouped as in ``text``."""
+    if variant == "gset":
+        return GSet(frozenset(parts[0]))
+    if variant == "2p":
+        return TwoPSet(frozenset(parts[0]), frozenset(parts[1]))
+    ((arg,),) = parts
+    if variant == "boolor":
+        return BoolOr(arg)
+    if not isinstance(arg, Int):
+        raise LatticeTypeError(f"maxint() needs an integer, got {arg}")
+    return MaxInt(arg.value)
 
 
 def is_lattice(v) -> bool:

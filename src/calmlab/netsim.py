@@ -8,18 +8,20 @@ machines are swept with empty inboxes until none of them changes; if the
 sweep emitted new messages the delivery loop resumes, otherwise the network
 is quiescent and the output relations are read.
 
-A message in flight is an envelope ``(dst name, src name, fact string)``,
-built once when sent; the network's ``facts`` table maps the string back to
-its ``Fact``. ``pending`` is the sorted tuple of envelopes, one entry per
-copy, and is its own canonical key. ``_deliver`` is the one delivery
-primitive, shared by every walk; a decision names each delivered envelope
-by its tail ``(src, fact)``. ``run_schedule`` asks a chooser: a seeded one
-(64-bit seed, reproducible) or a replay of an explicit decision list, which
-replays bit-identically and serves as a divergence witness.
-``enumerate_schedules`` tries every batch depth-first on an explicit stack,
-deduplicating canonical network states and memoising ``step`` (no machine
-state is stepped twice on one inbox), and yields each reachable quiescent
-outcome once.
+Inside the simulator a machine is its name: ``NetworkState.machines`` maps
+each name to its state, in name order (m1, m10, m2, ...), which is the
+order of the sweep and of state keys. A message in flight is an envelope
+``(dst name, src name, fact string)``, built once when sent; the network's
+``facts`` table maps the string back to its ``Fact``. ``pending`` is the
+sorted tuple of envelopes, one entry per copy, and is its own canonical
+key. ``_deliver`` is the one delivery primitive, shared by every walk; a
+decision names each delivered envelope by its tail ``(src, fact)``.
+``run_schedule`` asks a chooser: a seeded one (64-bit seed, reproducible)
+or a replay of an explicit decision list, which replays bit-identically and
+serves as a divergence witness. ``enumerate_schedules`` tries every batch
+depth-first on an explicit stack, deduplicating canonical network states
+and memoising ``step`` (no machine state is stepped twice on one inbox),
+and yields each reachable quiescent outcome once.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ class Schedule:
 
 @dataclass
 class NetworkState:
-    machines: dict  # Address -> MachineState
+    machines: dict  # machine name -> MachineState, in name order
     pending: tuple = ()  # sorted envelopes, one entry per copy
     steps: int = 0
     facts: dict = field(default_factory=dict)  # fact string -> Fact; copies share it
@@ -167,10 +169,7 @@ class NetworkState:
         return NetworkState(dict(self.machines), self.pending, self.steps, self.facts)
 
     def semantic_key(self):
-        return (
-            tuple(self.machines[a].semantic_key() for a in sorted(self.machines, key=lambda x: x.name)),
-            self.pending,
-        )
+        return tuple(m.semantic_key() for m in self.machines.values()), self.pending
 
 
 @dataclass(frozen=True)
@@ -207,23 +206,23 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
     The fixture's facts already fit the program and name only machines of
     the network (the verbs check them through ``config.RunConfig``), and
     ``part`` assigns exactly the fixture's facts."""
-    machines = {}
-    for a in part.machines:
-        local = Database.from_facts(
-            f for f, addr in part.assignment.items() if addr == a
-        )
-        machines[a] = init_machine(vp, a, local, part.machines)
-    return NetworkState(machines=machines)
+    local: dict = {a: [] for a in sorted(part.machines, key=lambda a: a.name)}
+    for f, addr in part.assignment.items():
+        local[addr].append(f)
+    return NetworkState(machines={
+        a.name: init_machine(vp, a, Database.from_facts(facts), part.machines)
+        for a, facts in local.items()
+    })
 
 
-def _enqueue(state: NetworkState, src: Address, outbound: dict) -> None:
+def _enqueue(state: NetworkState, src: str, outbound: dict) -> None:
     sent = []
     for dst, facts in outbound.items():
-        if dst not in state.machines:
+        if dst.name not in state.machines:
             raise RoutingError(f"message addressed to unknown machine {dst}")
         texts = {str(f): f for f in facts}
         state.facts.update(texts)
-        sent += [(dst.name, src.name, text) for text in texts]
+        sent += [(dst.name, src, text) for text in texts]
     state.pending = tuple(sorted(state.pending + tuple(sent)))
 
 
@@ -239,15 +238,14 @@ def _sweep(state: NetworkState, budget: int, stepper) -> bool:
     """
     while True:
         any_change = False
-        for a in sorted(state.machines, key=lambda x: x.name):
+        for name, m in state.machines.items():
             if state.steps >= budget:
                 return False
-            m = state.machines[a]
             res = stepper(m, ())
             state.steps += 1
             if res.changed(m):
-                state.machines[a] = res.new_state
-                _enqueue(state, a, res.outbound)
+                state.machines[name] = res.new_state
+                _enqueue(state, name, res.outbound)
                 any_change = True
         if not any_change:
             return True
@@ -272,19 +270,19 @@ def _deliver(state: NetworkState, envs, stepper) -> tuple:
     for env in batch:
         rest.remove(env)
     state.pending = tuple(rest)
-    dst = Address(batch[0][0])
+    dst = batch[0][0]
     res = stepper(state.machines[dst], [text for _, _, text in batch])
     state.steps += 1
     state.machines[dst] = res.new_state
     _enqueue(state, dst, res.outbound)
-    return dst.name, tuple(env[1:] for env in batch)
+    return dst, tuple(env[1:] for env in batch)
 
 
 def _outputs(state: NetworkState) -> tuple:
     """(machine name -> output relations, their union)."""
     per_machine = {
-        a.name: m.persisted.restrict(m.program.output_rels)
-        for a, m in state.machines.items()
+        name: m.persisted.restrict(m.program.output_rels)
+        for name, m in state.machines.items()
     }
     union = Database({})
     for db in per_machine.values():

@@ -80,10 +80,10 @@ from operator import eq, itemgetter, ne
 from . import lattices
 from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.syntax import (
-    LATTICE_TERM_TYPES,
     Comparison,
     Const,
     EvalError,
+    LatticeTerm,
     Negation,
     Var,
     eval_head_term,
@@ -282,11 +282,11 @@ def _comparison(comp: Comparison, slot_of):
 def _head(args: tuple, slot_of, names: dict):
     """Builds a head tuple from the slots; lattice constructors evaluate
     through ``eval_head_term`` on their variables."""
-    if not any(isinstance(t, LATTICE_TERM_TYPES) for t in args):
+    if not any(isinstance(t, LatticeTerm) for t in args):
         return _tuple_at(tuple(slot_of(t) for t in args))
 
     def part(term):
-        if not isinstance(term, LATTICE_TERM_TYPES):
+        if not isinstance(term, LatticeTerm):
             return itemgetter(slot_of(term))
         used = {v.name: names[v.name] for v in term_vars(term)}
         return lambda env: eval_head_term(term, {name: env[slot] for name, slot in used.items()})
@@ -452,27 +452,22 @@ def _to_db(tuples: dict) -> Database:
 
 
 def _fold_lattice(rel: str, tups: set, vp: ValidatedProgram) -> set:
+    """The facts of ``rel`` that agree on every scalar column, merged into
+    one. The order of merging is free: ``lattices.merge`` is associative,
+    commutative and idempotent, and each lattice column holds one variant."""
     schema = vp.schemas[rel]
     lat_cols = schema.lattice_cols
     if not lat_cols:
         return tups
-    scalar_cols = schema.scalar_cols
-    merged: dict[tuple, dict] = {}
-    for tup in sorted(tups, key=lambda t: tuple(value_sort_key(v) for v in t)):
-        key = tuple(tup[i] for i in scalar_cols)
-        slot = merged.setdefault(key, {i: None for i in lat_cols})
-        for i in lat_cols:
-            cur = slot[i]
-            slot[i] = tup[i] if cur is None else lattices.merge(cur, tup[i])
-    out = set()
-    for key, slot in merged.items():
-        tup = [None] * schema.arity
-        for pos, v in zip(scalar_cols, key):
-            tup[pos] = v
-        for pos in lat_cols:
-            tup[pos] = slot[pos]
-        out.add(tuple(tup))
-    return out
+    key = _tuple_at(schema.scalar_cols)
+    merged: dict[tuple, tuple] = {}
+    for tup in tups:
+        cur = merged.setdefault(key(tup), tup)
+        if cur is not tup:
+            merged[key(tup)] = tuple(
+                lattices.merge(a, b) if i in lat_cols else a for i, (a, b) in enumerate(zip(cur, tup))
+            )
+    return set(merged.values())
 
 
 # --- the machine -------------------------------------------------------------
@@ -484,8 +479,9 @@ class MachineState:
     persisted: Database
     program: ValidatedProgram
     iteration: int = 0
-    # channel facts already offered to the network, as (dest, Fact) pairs;
-    # grows monotonically and keeps re-derived messages from resending forever
+    # channel facts already offered to the network, each addressed by its
+    # column 1; grows monotonically and keeps re-derived messages from
+    # resending forever
     sent: frozenset = frozenset()
 
     def semantic_key(self):
@@ -534,10 +530,10 @@ def step(state: MachineState, inbox) -> StepResult:
             dest = tup[0]
             if not isinstance(dest, Address):
                 raise RoutingError(f"channel fact {rel}{tup} has no address in column 1")
-            key = (dest, Fact(rel, tup))
-            if key not in state.sent:
-                new_sent.append(key)
-                outbound.setdefault(dest, set()).add(key[1])
+            fact = Fact(rel, tup)
+            if fact not in state.sent:
+                new_sent.append(fact)
+                outbound.setdefault(dest, set()).add(fact)
 
     new_state = MachineState(
         address=state.address,

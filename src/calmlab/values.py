@@ -18,6 +18,11 @@ INT_MAX = 2**63 - 1
 # a bare underscore is the wildcard in rule syntax, never a symbol
 _SYMBOL_RE = re.compile(r"(?!_\Z)[a-z_][a-zA-Z0-9_]*\Z")
 
+# a text literal's escapes, by the character after the backslash; the
+# parser reads them and Text writes them
+ESCAPES = {"n": "\n", "r": "\r", "t": "\t", '"': '"', "\\": "\\"}
+_ESCAPING = str.maketrans({c: "\\" + e for e, c in ESCAPES.items()})
+
 
 class ValueError_(ValueError):
     """Malformed value (bad symbol name, integer out of range, ...)."""
@@ -46,13 +51,7 @@ class Text:
         return (1, self.value)
 
     def __str__(self) -> str:
-        escaped = (
-            self.value.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\t", "\\t")
-        )
-        return '"' + escaped + '"'
+        return '"' + self.value.translate(_ESCAPING) + '"'
 
 
 @dataclass(frozen=True, slots=True)

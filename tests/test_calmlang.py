@@ -64,14 +64,19 @@ TOKENIZER_CASES = [
     ('p("ab\\', "f.calm:1:3: unterminated string"),
     ('p("a\\\nb").', "f.calm:1:3: unterminated string"),
     ('p("a\\qb").', "f.calm:1:3: bad escape '\\q'"),
-    ('p("a\\\rb").', "f.calm:1:3: bad escape '\\' before '\\r'"),
+    ('p("a\\\u2028b").', "f.calm:1:3: bad escape '\\' before '\\u2028'"),
+    ('p("a\\\rb").', "f.calm:1:3: unterminated string"),
+    ('p("a\rb").', "f.calm:1:3: unterminated string"),
+    ('p("a\\rb") q', "f.calm:1:11: expected '.', found 'q'"),
     ("r(X) :- X = 2p{.", "f.calm:1:16: expected 'added', found '.'"),
     ("r(X) :- X = 2px.", "f.calm:1:14: expected '.', found 'px'"),
     ("r(X) :- X = 2p_.", "f.calm:1:14: expected '.', found 'p_'"),
     ("r(X) :- X = -3 3.", "f.calm:1:16: expected '.', found '3'"),
     ("r(X) :- X = - 3.", "f.calm:1:13: unexpected character '-'"),
     ("r(X) :- X = _ _x.", "f.calm:1:15: expected '.', found '_x'"),
-    ("p(a)\t\rq", "f.calm:1:7: expected '.', found 'q'"),
+    ("p(a)\t\rq", "f.calm:2:1: expected '.', found 'q'"),
+    ("p(a).\r\n  q($).", "f.calm:2:5: unexpected character '$'"),
+    ("p(a)\r\n\r\nq", "f.calm:3:1: expected '.', found 'q'"),
     ("p(a) # c", "f.calm:1:6: expected '.', found 'end of input'"),
 ]
 
@@ -211,6 +216,48 @@ def test_print_parse_roundtrip_on_corpus(name):
         (again,) = parse_program(printed).rules
         assert again == rule  # positions excluded from equality
         assert rule_to_text(again) == printed
+
+
+CONSTRUCTOR_RULES = [
+    "r(K, gset{}) :- s(K).",
+    'r(K, gset{X, a, "s", @m1, 3}) :- s(K, X).',
+    "r(K, maxint(N)) :- s(K, N).",
+    "r(K, maxint(3)) :- s(K).",
+    "r(K, boolor(false)) :- s(K).",
+    "r(K, 2p{added:{}, tomb:{X}}) :- s(K, X).",
+]
+
+
+@pytest.mark.parametrize("text", CONSTRUCTOR_RULES)
+def test_print_parse_roundtrip_on_each_constructor(text):
+    (rule,) = parse_program(text).rules
+    printed = rule_to_text(rule)
+    assert printed == text
+    (again,) = parse_program(printed).rules
+    assert again == rule
+
+
+ACC_DECLS = "rel s(k, x) [input]\nrel acc(k, v: gset)\n"
+
+CONSTRUCTOR_ERRORS = [
+    ("acc(K, boolor(maybe)) :- s(K, _).",
+     "f.calm:3:15: expected 'true' or 'false', found 'maybe'"),
+    ("acc(K, maxint(X)) :- s(K, X).",
+     "f.calm:3:8: column v of acc is gset, constructor builds maxint"),
+    ("acc(K, S) :- s(K, X), acc(K, gset{X}).",
+     "f.calm:3:30: lattice constructors are only allowed in rule heads"),
+    ("acc(K, gset{gset{X}}) :- s(K, X).",
+     "f.calm:3:13: expected a variable or scalar constant"),
+    ("acc(K, 2p{added:{}, tame:{}}) :- s(K, _).",
+     "f.calm:3:21: expected 'tomb', found 'tame'"),
+]
+
+
+@pytest.mark.parametrize("rule,error", CONSTRUCTOR_ERRORS)
+def test_constructor_errors_are_located(rule, error):
+    with pytest.raises((ParseError, ValidationError)) as e:
+        validate_program(parse_program(ACC_DECLS + rule, filename="f.calm"))
+    assert str(e.value) == error
 
 
 def test_validation_order_independent():

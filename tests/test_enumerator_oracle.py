@@ -79,7 +79,8 @@ def _outputs(machines: dict) -> tuple:
 
 def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
                          stop_after_distinct: int | None = None):
-    """(outcomes as (union, per-machine, decisions), complete, states)."""
+    """(outcomes as (union, per-machine, decisions), complete, states) of
+    the network whose ``machines`` map names to machine states."""
     step_memo: dict = {}
 
     def memo_step(mstate, facts):
@@ -138,7 +139,7 @@ def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
         memo[skey] = frozenset(found)
         return memo[skey]
 
-    explore(dict(machines), Counter(), [0], ())
+    explore({m.address: m for m in machines.values()}, Counter(), [0], ())
     return list(outcomes.values()), not (truncated or stopped), states
 
 
@@ -168,9 +169,7 @@ def networks(draw):
     return init_network(corpus.load_program(name), fixture, part)
 
 
-@settings(max_examples=60, deadline=None)
-@given(networks(), st.sampled_from([40, 400]), st.sampled_from([None, None, 1]))
-def test_walk_matches_the_counter_oracle(net, bound, stop_after_distinct):
+def _check_against_the_oracle(net, bound: int, stop_after_distinct: int | None) -> None:
     res = enumerate_schedules(net, bound=bound, stop_after_distinct=stop_after_distinct)
     want, complete, states = _reference_enumerate(
         net.machines, bound, stop_after_distinct=stop_after_distinct
@@ -187,6 +186,27 @@ def test_walk_matches_the_counter_oracle(net, bound, stop_after_distinct):
         found = {o.union_output for o in res.outcomes}
         for seed in range(3):
             assert run_schedule(net, Schedule(seed=seed)).union_output in found
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.sampled_from([40, 400]), st.sampled_from([None, None, 1]))
+def test_walk_matches_the_counter_oracle(net, bound, stop_after_distinct):
+    _check_against_the_oracle(net, bound, stop_after_distinct)
+
+
+def test_walk_matches_the_oracle_on_ten_machines():
+    # only m2 and m10 talk: machines past m9 must come in name order
+    # (m1, m10, m2, ...), as in the oracle, or the decisions differ
+    machines = machine_addresses(10)
+    mapping = {
+        "m2": ["nbr(@m2, @m10)", "local_edge(t1, t2)"],
+        "m10": ["nbr(@m10, @m2)", "local_edge(t2, t3)", "local_edge(t3, t1)"],
+    }
+    fixture = Database.from_facts(parse_facts("\n".join(sum(mapping.values(), []))))
+    part = partitioning_from_map(fixture, machines, mapping)
+    net = init_network(corpus.load_program("deadlock"), fixture, part)
+    for bound, stop_after_distinct in ((400, None), (5, None), (400, 1)):
+        _check_against_the_oracle(net, bound, stop_after_distinct)
 
 
 # --- depth ---------------------------------------------------------------------

@@ -37,7 +37,7 @@ def test_init_single_machine_holds_everything(programs, fixtures):
     fixture = fixtures[("deadlock", "edges_only.facts")]
     part = colocated(fixture, machine_addresses(1), Address("m1"))
     net = init_network(programs["deadlock"], fixture, part)
-    m1 = net.machines[Address("m1")]
+    m1 = net.machines["m1"]
     assert m1.persisted.relation("local_edge") == fixture.relation("local_edge")
     assert not net.pending
 
@@ -45,7 +45,7 @@ def test_init_single_machine_holds_everything(programs, fixtures):
 def test_init_figure_placement(programs, fixtures):
     cfg = cfg_for("deadlock")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
-    m2 = net.machines[Address("m2")]
+    m2 = net.machines["m2"]
     assert {str(f) for f in m2.persisted.relation("local_edge")} == {
         "local_edge(t3, t1)"
     }

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from calmlab.calmlang import ParseError
+from calmlab.errors import read_text
 from calmlab.lattices import BoolOr, GSet, MaxInt, TwoPSet
 from calmlab.relspace import (
     Database,
@@ -189,7 +190,20 @@ def test_any_scalar_value_round_trips_through_text(v):
 @example([Text("a#b")])
 @example([Text("a\x0cb")])
 @example([Text("a\u2028b")])
+@example([Text("a\rb\r\n")])
 def test_any_fact_round_trips_through_text(args):
     f = Fact("r", tuple(args))
     assert parse_fact(str(f)) == f
     assert parse_facts(f"{f}\n# comment\n{f}  # trailing\n") == [f, f]
+
+
+def test_a_raw_cr_in_a_string_ends_it_in_a_file_and_in_text(tmp_path):
+    text = 'p("a\rb")\n'
+    path = tmp_path / "f.facts"
+    path.write_bytes(text.encode("utf-8"))
+    errors = []
+    for source in (text, read_text(path, "fixture")):
+        with pytest.raises(ParseError) as e:
+            parse_facts(source, "f.facts")
+        errors.append(str(e.value))
+    assert errors == ["f.facts:1:3: unterminated string"] * 2
