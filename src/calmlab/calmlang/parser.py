@@ -3,8 +3,9 @@ files. The tokens are those of "Lexical syntax" in docs/language.md.
 
 A fixture file is written in the program grammar: each line holds one
 ground rule head, a literal whose terms are all values (no variables,
-wildcards or aggregates), and ``#`` starts a comment. Its lattice
-constructors are evaluated by the engine's own head-term evaluation.
+wildcards or aggregates), and ``#`` starts a comment. Its scalar tokens
+are read straight to values; only its lattice constructors go through the
+AST, evaluated by the engine's own head-term evaluation.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ AGG_KINDS = ("count", "min", "max")
 LATTICE_NAMES = tuple(VARIANT_NAMES.values())
 QUALIFIERS = ("persisted", "event", "input", "output")
 COMPARE_OPS = {"EQ": "=", "NEQ": "!=", "LT": "<", "LE": "<="}
+# the token after an IDENT that makes it an aggregate or a lattice
+# constructor, by the IDENT's text; any other IDENT is a symbol
+_OPENS = {**dict.fromkeys(AGG_KINDS, "LT"), "gset": "LBRACE", "2p": "LBRACE",
+          "maxint": "LPAREN", "boolor": "LPAREN"}
+# the value of a scalar token, by its kind
+_SCALARS = {"INT": lambda text: Int(int(text)), "STRING": Text, "ADDR": Address, "IDENT": Symbol}
 
 
 @dataclass(slots=True)  # not frozen: a frozen one costs about 3x as much to build
@@ -135,7 +142,7 @@ class _Parser:
         self.filename = filename
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]  # EOF ends every token list
 
     def take(self, kind: str | None = None, what: str | None = None) -> Token:
         t = self.toks[self.pos]
@@ -260,11 +267,17 @@ class _Parser:
         return Comparison(COMPARE_OPS[op_tok.kind], left, right, (op_tok.line, op_tok.col))
 
     def literal(self, head: bool) -> Literal:
+        name, args = self.relation_args(self.term, head)
+        return Literal(name.text, args, (name.line, name.col))
+
+    def relation_args(self, item, *args) -> tuple:
+        """``relation '(' [item (',' item)*] ')'``, as the relation's name
+        token and the tuple of items."""
         name = self.take("IDENT", "relation name")
         self.take("LPAREN")
-        args = self.items(self.term, head) if self.peek().kind != "RPAREN" else []
+        out = self.items(item, *args) if self.peek().kind != "RPAREN" else []
         self.take("RPAREN")
-        return Literal(name.text, tuple(args), (name.line, name.col))
+        return name, tuple(out)
 
     def term(self, head: bool):
         t = self.peek()
@@ -274,34 +287,24 @@ class _Parser:
         if t.kind == "WILD":
             self.take()
             return Wildcard((t.line, t.col))
-        if t.kind == "INT":
-            return self.const(t, lambda text: Int(int(text)))
-        if t.kind == "STRING":
-            return self.const(t, Text)
-        if t.kind == "ADDR":
-            return self.const(t, Address)
-        if t.kind == "IDENT":
-            if t.text in AGG_KINDS and self.peek(1).kind == "LT":
+        if t.kind == "IDENT" and self.opens_compound(t):
+            self.take()
+            if t.text in AGG_KINDS:
                 if not head:
                     self.fail("aggregates may appear in rule heads only", t)
-                self.take()
                 self.take("LT")
                 v = self.take("VAR", "aggregate variable")
                 self.take("GT")
                 return AggTerm(t.text, Var(v.text, (v.line, v.col)), (t.line, t.col))
-            if t.text in ("gset", "2p") and self.peek(1).kind == "LBRACE":
-                self.take()
-                if t.text == "gset":
-                    parts = (self.scalar_term_set(),)
-                else:
-                    self.take("LBRACE")
-                    added = self.labelled_set("added")
-                    self.take("COMMA")
-                    parts = (added, self.labelled_set("tomb"))
-                    self.take("RBRACE")
-                return LatticeTerm(t.text, parts, (t.line, t.col))
-            if t.text in ("maxint", "boolor") and self.peek(1).kind == "LPAREN":
-                self.take()
+            if t.text == "gset":
+                parts = (self.scalar_term_set(),)
+            elif t.text == "2p":
+                self.take("LBRACE")
+                added = self.labelled_set("added")
+                self.take("COMMA")
+                parts = (added, self.labelled_set("tomb"))
+                self.take("RBRACE")
+            else:
                 self.take("LPAREN")
                 if t.text == "maxint":
                     arg = self.scalar_term()
@@ -311,18 +314,27 @@ class _Parser:
                         self.fail(f"expected 'true' or 'false', found {a.text!r}", a)
                     arg = Const(a.text == "true", (a.line, a.col))
                 self.take("RPAREN")
-                return LatticeTerm(t.text, ((arg,),), (t.line, t.col))
-            return self.const(t, Symbol)
-        self.fail(f"expected a term, found {t.text!r}", t)
+                parts = ((arg,),)
+            return LatticeTerm(t.text, parts, (t.line, t.col))
+        return Const(self.scalar(t), (t.line, t.col))
 
-    def const(self, tok: Token, make) -> Const:
-        """The constant ``make(tok.text)``; a malformed value (an integer
-        out of range, a bad symbol or address name) fails at the token."""
+    def opens_compound(self, t: Token) -> bool:
+        """Whether ``t``, the token at hand, opens an aggregate or a lattice
+        constructor rather than naming a symbol."""
+        return t.text in _OPENS and _OPENS[t.text] == self.peek(1).kind
+
+    def scalar(self, t: Token):
+        """The value of ``t``, the scalar token at hand; a malformed value
+        (an integer out of range, a bad symbol or address name) fails at the
+        token."""
+        make = _SCALARS.get(t.kind)
+        if make is None:
+            self.fail(f"expected a term, found {t.text!r}", t)
         self.take()
         try:
-            return Const(make(tok.text), (tok.line, tok.col))
+            return make(t.text)
         except ValueError as e:
-            self.fail(str(e), tok)
+            self.fail(str(e), t)
 
     def labelled_set(self, label: str) -> tuple:
         """``label: {...}`` inside a 2p constructor."""
@@ -347,17 +359,23 @@ class _Parser:
 
     def ground_literal(self) -> tuple:
         """A rule head whose terms are all values, as (relation, values)."""
-        lit = self.literal(head=True)
-        values = []
-        for term in lit.args:
-            free = [term] if isinstance(term, (Wildcard, AggTerm)) else term_vars(term)
-            if free:
-                self.fail_at(f"expected a value, found {term_to_text(free[0])!r}", free[0].pos)
-            try:
-                values.append(eval_head_term(term, {}))
-            except EvalError as e:
-                self.fail_at(e.message, (e.line, e.col))
-        return lit.relation, tuple(values)
+        name, values = self.relation_args(self.ground_value)
+        return name.text, values
+
+    def ground_value(self):
+        """A scalar token read straight to its value, or a lattice
+        constructor of scalars evaluated as a rule head's term is."""
+        t = self.peek()
+        if t.kind in _SCALARS and not self.opens_compound(t):
+            return self.scalar(t)
+        term = self.term(head=True)
+        free = [term] if isinstance(term, (Wildcard, AggTerm)) else term_vars(term)
+        if free:
+            self.fail_at(f"expected a value, found {term_to_text(free[0])!r}", free[0].pos)
+        try:
+            return eval_head_term(term, {})
+        except EvalError as e:
+            self.fail_at(e.message, (e.line, e.col))
 
 
 def parse_program(text: str, filename: str = "<input>") -> Program:
@@ -370,12 +388,13 @@ def parse_ground_literals(text: str, filename: str = "<input>") -> list:
     values) pairs."""
     p = _Parser(text, filename)
     out = []
-    while p.peek().kind != "EOF":
-        line = p.peek().line
+    first = p.peek()
+    while first.kind != "EOF":
         out.append(p.ground_literal())
         last, nxt = p.toks[p.pos - 1], p.peek()
-        if last.line != line:
+        if last.line != first.line:
             p.fail("a fact must fit on one line", last)
-        if nxt.kind != "EOF" and nxt.line == line:
+        if nxt.kind != "EOF" and nxt.line == first.line:
             p.fail(f"expected one fact per line, found {nxt.text!r}", nxt)
+        first = nxt
     return out

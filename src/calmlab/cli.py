@@ -5,13 +5,18 @@ verdicts: for analyze 0 means monotone, 1 non-monotone; for check 0
 confluent, 1 divergent, 2 inconclusive; for coordination 0 free, 1
 required, 2 inconclusive; for run 0 quiesced, 2 not. Under every verb a user
 error (a ``CalmlabError`` or an unreadable or unwritable file) prints one
-``error:`` line and exits 2, so exit 1 is always a verdict. All reports
-carry a schema_version field and serialize with stable key order.
+``error:`` line and exits 2, so exit 1 is always a verdict. A verb writes
+its report once it has decided its exit code, and a reader that closes
+stdout early changes neither. All reports carry a schema_version field and
+serialize with stable key order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -238,10 +243,21 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = args.fn(args)
     except USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone, which changes no verdict; what is left
+        # unwritten goes to os.devnull, so that exit does not fail on it
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

@@ -30,7 +30,10 @@ Each rule compiles once, on its first firing, into a join kernel that the
 rule keeps (``ValidatedRule.kernel``, built by ``compile_rule``). Every
 variable gets an integer slot in one list per firing, which the depth-first
 walk overwrites in place; constants get pre-filled slots of their own, so
-probe keys and head tuples are ``itemgetter`` reads of the slots. Each plan
+probe keys and head tuples are ``itemgetter`` reads of the slots. Scalar
+values are interned (:mod:`calmlab.values`), so those keys and tuples hash
+and compare by the identity of their values, with no Python-level call,
+in every probe, index and set insert. Each plan
 element becomes one closure that calls the next one's. ``compile_rule``
 alone decides how a literal looks its tuples up: a constant, or a variable
 bound earlier in the plan, makes a probe column. A literal that binds a

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import calmlab
 from calmlab import corpus
 from calmlab.cli import main
 
@@ -480,3 +484,21 @@ def test_coordination_on_fewer_than_two_machines_is_a_usage_error(capsys):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "--machines" in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_stdout_changes_no_exit_code(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(calmlab.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "calmlab.cli", "run", corpus_file("deadlock", "run.json"),
+             "--seed", "7", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""  # no error: line, and no failed flush at exit

@@ -134,6 +134,26 @@ def test_parse_fact_rejects_non_values_at_the_token(text, col):
     assert (e.value.filename, e.value.line, e.value.col) == ("f.facts", 1, col)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("r(a, X)", "f.facts:1:6: expected a value, found 'X'"),
+    ("r(_)", "f.facts:1:3: expected a value, found '_'"),
+    ("r(count<X>)", "f.facts:1:3: expected a value, found 'count<X>'"),
+    ("r(2p{added:{a}, tomb:{X}})", "f.facts:1:23: expected a value, found 'X'"),
+    ("r(maxint(5), maxint(a))", "f.facts:1:21: maxint() needs an integer, got a"),
+    ("r(boolor(maybe))", "f.facts:1:10: expected 'true' or 'false', found 'maybe'"),
+    ("r(gset{gset{a}})", "f.facts:1:8: expected a variable or scalar constant"),
+    ("r(min(a))", "f.facts:1:6: expected ')', found '('"),
+    ("r(2p)", "f.facts:1:3: invalid symbol name: '2p'"),
+    ("r(a,", "f.facts:1:5: expected a term, found ''"),
+    ("cart(i1)\ncart(i2) cart(i3)", "f.facts:2:10: expected one fact per line, found 'cart'"),
+    ("cart(i1,\n i2)", "f.facts:2:4: a fact must fit on one line"),
+])
+def test_fixture_parse_errors_name_the_token(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_facts(text, "f.facts")
+    assert str(e.value) == message
+
+
 def test_value_total_order_is_type_rank_then_natural():
     vals = [Symbol("a"), Int(5), Text("z"), Address("m1"), Int(-1)]
     ordered = sorted(vals, key=lambda v: v.sort_key())
