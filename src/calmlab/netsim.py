@@ -18,10 +18,14 @@ key. ``_deliver`` is the one delivery primitive, shared by every walk; a
 decision names each delivered envelope by its tail ``(src, fact)``.
 ``run_schedule`` asks a chooser: a seeded one (64-bit seed, reproducible)
 or a replay of an explicit decision list, which replays bit-identically and
-serves as a divergence witness. ``enumerate_schedules`` tries every batch
-depth-first on an explicit stack, deduplicating canonical network states
-and memoising ``step`` (no machine state is stepped twice on one inbox),
-and yields each reachable quiescent outcome once.
+serves as a divergence witness. ``enumerate_schedules`` walks every batch
+schedule depth-first on an explicit stack, deduplicating canonical network
+states and memoising ``step`` (no machine state is stepped twice on one
+inbox), and yields each reachable quiescent outcome once. Deliveries to
+different machines commute, so the walk tries each such pair in one order
+only (sleep sets): a batch whose envelopes are all asleep at its machine is
+not delivered. It still enters every state the unreduced walk would, in the
+same order, so its outcomes and witnesses are those of the unreduced walk.
 """
 
 from __future__ import annotations
@@ -318,12 +322,14 @@ class _SeededChooser:
 
 class _ReplayChooser:
     def __init__(self, decisions: tuple):
-        self.decisions = list(decisions)
+        self.decisions = decisions
+        self.next = 0  # index of the decision to replay next
 
     def choose(self, pending: tuple) -> list:
-        if not self.decisions:
+        if self.next == len(self.decisions):
             raise ReplayError("schedule exhausted while messages are still pending")
-        dst_name, keys = self.decisions.pop(0)
+        dst_name, keys = self.decisions[self.next]
+        self.next += 1
         if len({tuple(k) for k in keys}) != len(keys):
             raise ReplayError("decision lists the same message twice in one batch")
         if not keys:
@@ -397,14 +403,29 @@ class EnumerationResult:
     outcomes: list  # distinct quiescent outcomes, first-found order
     complete: bool  # False if the walk stopped early or a branch ran out of step budget
     states_explored: int
+    deliveries: int  # batches the walk delivered
 
 
-def _batches(pending: tuple):
-    """Every nonempty subset of every machine's inbox: machines in name
-    order, larger batches first (fair-delivery bias)."""
-    for envs in _inboxes(pending).values():
-        for k in range(len(envs), 0, -1):
-            yield from itertools.combinations(envs, k)
+def _awake_batches(pending: tuple, asleep: dict):
+    """The batches a frame delivers, each with the asleep envelopes of the
+    child it leads to. Batches come in ``_inboxes`` order, machines in name
+    order and larger batches first (fair-delivery bias), leaving out every
+    batch whose envelopes are all asleep at its machine. In the child of a
+    delivery to ``dst``, a machine before ``dst`` has its whole inbox
+    asleep (each batch of it was tried from this state first, or sleeps
+    here), a machine after ``dst`` keeps what sleeps here, and ``dst`` has
+    nothing asleep."""
+    tried: dict = {}  # machine before dst -> its whole inbox
+    for dst, envs in _inboxes(pending).items():
+        dozing = asleep.get(dst)
+        if dozing is None or not dozing.issuperset(envs):
+            child = dict(tried)
+            child.update((m, z) for m, z in asleep.items() if m > dst)
+            for k in range(len(envs), 0, -1):
+                for batch in itertools.combinations(envs, k):
+                    if dozing is None or not dozing.issuperset(batch):
+                        yield batch, child
+        tried[dst] = frozenset(envs)
 
 
 def _unwind(path: tuple) -> tuple:
@@ -422,12 +443,56 @@ def enumerate_schedules(
     step_budget: int = DEFAULT_STEP_BUDGET,
     stop_after_distinct: int | None = None,
 ) -> EnumerationResult:
-    """Depth-first walk of every (machine, inbox-subset) delivery choice,
-    deduplicated by canonical network state. The walk stops as soon as it
-    has met ``bound`` distinct states or ``stop_after_distinct`` outcomes.
-    The stack is explicit and a path is a parent-pointer chain. A state is
-    marked seen on entry: no state is its own descendant, since every
-    delivery grows a machine's state or shrinks ``pending``."""
+    """Depth-first walk of the (machine, inbox-subset) delivery choices,
+    deduplicated by canonical network state, that finds every reachable
+    quiescent outcome. The walk stops as soon as it has met ``bound``
+    distinct states or ``stop_after_distinct`` outcomes. The stack is
+    explicit and a path is a parent-pointer chain. A state is marked seen
+    on entry: no state is its own descendant, since every delivery grows a
+    machine's state or shrinks ``pending``.
+
+    Sleep sets (Godefroid, *Partial-Order Methods for the Verification of
+    Concurrent Systems*, LNCS 1032, 1996, ch. 5) cut the deliveries, not
+    the states. Deliveries to different machines are independent:
+    ``_deliver`` steps one machine and only adds to the others' inboxes,
+    so X·b·t and X·t·b are the same state when b and t go to different
+    machines. A frame is expanded under ``asleep``, a frozenset of envelopes
+    per machine, and skips a batch whose envelopes are all asleep at its
+    machine (``_awake_batches`` says how a child's sets follow from its
+    parent's). Delivering to a machine wakes it, so ``asleep[m]`` is a
+    part of m's inbox; a drained state has nothing asleep.
+
+    Invariant: if b is a batch of ``asleep[m]`` at a frame for state X,
+    every state reachable from X·b has already been entered. It holds at
+    the root, where nothing is asleep. In the child C = X·t of a delivery
+    t to machine d:
+
+    - for m before d, b was tried from X before t, or was asleep at X.
+      Either way, everything reachable from X·b was entered, and C·b =
+      X·b·t is reachable from X·b;
+    - for m after d, b was asleep at X, and again C·b = X·b·t.
+
+    A batch tried earlier has had its reachable states entered because
+    the state space is acyclic: the state it led to is not on the stack,
+    so its frame has finished, and its awake batches were tried and its
+    asleep ones are covered by the invariant. Hence a skipped delivery
+    would only have met a seen state, or a drained one whose machines
+    match an earlier drained state's, so its sweep repeats a recorded
+    outcome or meets a seen key. The walk therefore enters the same
+    states in the same order as the walk without sleep sets, and finds
+    the same outcomes on the same paths, ``states_explored`` and
+    ``complete`` included; only ``deliveries`` falls. The one difference
+    is the step budget, which counts steps along a path: a skipped
+    delivery can reach a drained state at a higher step count than the
+    path that first reached one with the same machines, so where the
+    unreduced walk would call such a branch out of budget, this walk, which
+    has its outcome, stays complete.
+
+    The invariant holds at every entry of a state, the first or a later
+    one, whatever was asleep when the state was first expanded. So
+    Godefroid's rule for state caching, which expands a seen state again
+    when its stored sleep set is not covered, could only enter seen states
+    here, and ``seen`` stores keys alone."""
 
     step_memo: dict = {}
 
@@ -443,12 +508,12 @@ def enumerate_schedules(
     # confluence question compares
     outcomes: dict = {}  # union-output Database -> EnumOutcome, first-found order
     seen: set = set()  # keys of the states entered
-    states = 0
+    states = deliveries = 0
     truncated = False  # a branch ran out of step budget
     stopped = False  # the state bound or stop_after_distinct ended the walk
-    stack: list = []  # (state, path, untried batches) frames
+    stack: list = []  # (state, path, awake batches) frames
 
-    def enter(state: NetworkState, path: tuple) -> None:
+    def enter(state: NetworkState, path: tuple, asleep: dict) -> None:
         """Push the frame that expands ``state``, unless it is quiescent
         (its outcome is then recorded), already seen, or past the bound."""
         nonlocal states, truncated, stopped
@@ -471,19 +536,22 @@ def enumerate_schedules(
             return
         states += 1
         seen.add(skey)
-        stack.append((state, path, _batches(state.pending)))
+        stack.append((state, path, _awake_batches(state.pending, asleep)))
 
-    enter(initial.copy(), ())
+    enter(initial.copy(), (), {})
     while stack and not stopped:
         state, path, batches = stack[-1]
-        batch = next(batches, None)
-        if batch is None:
+        nxt = next(batches, None)
+        if nxt is None:
             stack.pop()
         else:
+            batch, asleep = nxt
             child = state.copy()
-            enter(child, (_deliver(child, batch, memo_step), path))
+            deliveries += 1
+            enter(child, (_deliver(child, batch, memo_step), path), asleep)
     return EnumerationResult(
         outcomes=list(outcomes.values()),
         complete=not (truncated or stopped),
         states_explored=states,
+        deliveries=deliveries,
     )

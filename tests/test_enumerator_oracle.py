@@ -3,10 +3,12 @@
 ``_reference_enumerate`` is the walker ``netsim.enumerate_schedules`` was
 before envelopes became their own canonical keys: pending messages in a
 ``Counter`` of ``(src, dst, Fact)`` triples, every inbox re-sorted by
-``str(Fact)`` on each expansion, and a recursive depth-first walk. It shares
-nothing with the walker under test but ``init_network`` and ``step``, so the
-hypothesis test below checks that the walker finds the same outcomes, on the
-same paths and in the same order, after the same number of states.
+``str(Fact)`` on each expansion, a recursive depth-first walk, and no sleep
+sets: it delivers every batch from every state. It shares nothing with the
+walker under test but ``init_network`` and ``step``, so the hypothesis test
+below checks that the walker finds the same outcomes, on the same paths and
+in the same order, after the same number of states, and that sleep sets only
+drop deliveries.
 """
 
 from __future__ import annotations
@@ -79,8 +81,9 @@ def _outputs(machines: dict) -> tuple:
 
 def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
                          stop_after_distinct: int | None = None):
-    """(outcomes as (union, per-machine, decisions), complete, states) of
-    the network whose ``machines`` map names to machine states."""
+    """(outcomes as (union, per-machine, decisions), complete, states,
+    deliveries) of the network whose ``machines`` map names to machine
+    states."""
     step_memo: dict = {}
 
     def memo_step(mstate, facts):
@@ -91,11 +94,11 @@ def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
 
     outcomes: dict = {}
     memo: dict = {}
-    states = 0
+    states = deliveries = 0
     truncated = stopped = False
 
     def explore(machines: dict, pending: Counter, steps: list, path: tuple) -> frozenset:
-        nonlocal states, truncated, stopped
+        nonlocal states, deliveries, truncated, stopped
         if not pending:
             if not _sweep(machines, pending, steps, step_budget, memo_step):
                 truncated = True
@@ -131,6 +134,7 @@ def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
                         if not rest[env]:
                             del rest[env]
                     res = memo_step(child[dst], [f for _, _, f in batch])
+                    deliveries += 1
                     child_steps = [steps[0] + 1]
                     child[dst] = res.new_state
                     _enqueue(rest, dst, res.outbound)
@@ -140,7 +144,7 @@ def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
         return memo[skey]
 
     explore({m.address: m for m in machines.values()}, Counter(), [0], ())
-    return list(outcomes.values()), not (truncated or stopped), states
+    return list(outcomes.values()), not (truncated or stopped), states, deliveries
 
 
 # --- generated networks --------------------------------------------------------
@@ -171,12 +175,13 @@ def networks(draw):
 
 def _check_against_the_oracle(net, bound: int, stop_after_distinct: int | None) -> None:
     res = enumerate_schedules(net, bound=bound, stop_after_distinct=stop_after_distinct)
-    want, complete, states = _reference_enumerate(
+    want, complete, states, deliveries = _reference_enumerate(
         net.machines, bound, stop_after_distinct=stop_after_distinct
     )
     got = [(o.union_output, o.per_machine_outputs, o.decisions) for o in res.outcomes]
     assert got == want
     assert (res.complete, res.states_explored) == (complete, states)
+    assert res.deliveries <= deliveries
     for o in res.outcomes:
         replay = run_schedule(net, Schedule(decisions=o.decisions))
         assert replay.quiesced and replay.decisions == o.decisions
@@ -207,6 +212,48 @@ def test_walk_matches_the_oracle_on_ten_machines():
     net = init_network(corpus.load_program("deadlock"), fixture, part)
     for bound, stop_after_distinct in ((400, None), (5, None), (400, 1)):
         _check_against_the_oracle(net, bound, stop_after_distinct)
+
+
+# m1 sends a and c to m2. Delivered as one batch they derive both(k); a then
+# c and c then a do not, and reach one state. Only a makes m2 send e to m1.
+# So that state is entered first through a, c, with e asleep at m1, and then
+# through c, a, with nothing asleep: the case where sleep sets with state
+# caching would expand a seen state again. The walk does not, and still
+# enters every state the oracle does.
+EPHEMERAL = """
+rel seeda(@dest, k) [input]
+rel seedc(@dest, k) [input]
+rel peer(@p) [input]
+chan a(@dest, k)
+chan c(@dest, k)
+chan e(@dest, k)
+rel got(k) [output]
+rel both(k) [output]
+rel fwd(k) [output]
+
+a(D, K) :- seeda(D, K).
+c(D, K) :- seedc(D, K).
+got(K) :- a(_, K).
+got(K) :- c(_, K).
+both(K) :- a(_, K), c(_, K).
+e(P, K) :- a(_, K), peer(P).
+fwd(K) :- e(_, K).
+"""
+
+
+def test_walk_matches_the_oracle_on_a_state_entered_with_less_asleep():
+    from calmlab.calmlang import parse_program, validate_program
+
+    machines = machine_addresses(2)
+    mapping = {"m1": ["seeda(@m2, k)", "seedc(@m2, k)"], "m2": ["peer(@m1)"]}
+    fixture = Database.from_facts(parse_facts("\n".join(sum(mapping.values(), []))))
+    part = partitioning_from_map(fixture, machines, mapping)
+    net = init_network(validate_program(parse_program(EPHEMERAL)), fixture, part)
+    for bound, stop_after_distinct in ((400, None), (3, None), (400, 1)):
+        _check_against_the_oracle(net, bound, stop_after_distinct)
+    res = enumerate_schedules(net)
+    assert (res.states_explored, len(res.outcomes), res.deliveries) == (6, 2, 8)
+    assert _reference_enumerate(net.machines, 400)[2:] == (6, 9)
 
 
 # --- depth ---------------------------------------------------------------------

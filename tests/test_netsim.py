@@ -157,12 +157,22 @@ def test_explicit_decisions_replay_bit_identically(programs):
     assert outcome_json(replay) == outcome_json(run1)
 
 
-def test_replay_error_on_stale_decision(programs):
+def test_replay_errors_name_what_does_not_match(programs):
     cfg = cfg_for("deadlock")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
-    bogus = Schedule(decisions=((("m1"), (("m2", "copy(@m1, t9, t9)"),)),))
-    with pytest.raises(ReplayError):
-        run_schedule(net, bogus)
+    decisions = run_schedule(net, Schedule(seed=3)).decisions
+    (dst, keys), *_ = decisions
+    bogus = {
+        "decision delivers ('m2', 'copy(@m1, t9, t9)') to m1 but it is not pending":
+            (("m1", (("m2", "copy(@m1, t9, t9)"),)),),
+        "schedule exhausted while messages are still pending": decisions[:-1],
+        "decision lists the same message twice in one batch": ((dst, keys + keys[:1]),),
+        "decision delivers an empty batch": ((dst, ()),),
+    }
+    for message, schedule in bogus.items():
+        with pytest.raises(ReplayError) as err:
+            run_schedule(net, Schedule(decisions=schedule))
+        assert err.value.message == message
 
 
 def test_empty_program_quiesces_with_empty_output():
