@@ -141,17 +141,10 @@ def eval_term(term, env: dict):
     raise EvalError(f"cannot evaluate term {term!r}", term.pos)
 
 
-def eval_scalar(term, env: dict):
-    v = eval_term(term, env)
-    if lattices.is_lattice(v):
-        raise EvalError("lattice value where a scalar is required", term.pos)
-    return v
-
-
 def eval_head_term(term, env: dict):
     """The value of a head term under ``env``; a ground term needs none."""
     if isinstance(term, LatticeTerm):
-        parts = tuple(tuple(eval_scalar(e, env) for e in group) for group in term.parts)
+        parts = tuple(tuple(eval_term(e, env) for e in group) for group in term.parts)
         try:
             return lattices.make(term.variant, parts)
         except lattices.LatticeTypeError as e:  # maxint() of a non-integer, its one part

@@ -3,8 +3,9 @@
 Beyond the classic datalog safety conditions (range restriction, bound
 negation, bound comparisons) this enforces the network-facing invariants:
 channel relations route on an address-typed first column, input/output
-markers only make sense on persisted relations, and lattice-typed columns
-stay out of channels, events, and negated literals. ``fact_error`` decides
+markers only make sense on persisted relations, lattice-typed columns
+stay out of channels, events, and negated literals, and a lattice value
+leaves its lattice only by merging. ``fact_error`` decides
 whether a fixture fact fits the program, with the same column rule
 (``value_error``) as program constants.
 
@@ -125,19 +126,14 @@ class ValidatedProgram:
         )
 
     @cached_property
-    def lattice_rels(self) -> frozenset:
-        return frozenset(n for n, s in self.schemas.items() if s.lattice_cols)
-
-    @cached_property
     def refire(self) -> frozenset:
         """Indexes of the rules that a step must fire naively even on a
         closed state: those with an event head or a negated event or
-        channel, whose facts do not outlive one step, and those with a
-        lattice head, whose facts the step merges away."""
+        channel, whose facts do not outlive one step."""
         kind = {n: s.kind for n, s in self.schemas.items()}
         return frozenset(
             r.index for r in self.rules
-            if kind[r.rule.head.relation] == "event" or r.rule.head.relation in self.lattice_rels
+            if kind[r.rule.head.relation] == "event"
             or any(kind[n.literal.relation] != "persisted" for n in r.negations)
         )
 
@@ -302,24 +298,43 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                 n.pos,
             )
 
-    # a head lattice column takes a bare variable only from lattice columns
-    # of its own variant: the merge at commit combines values of one lattice
+    # a lattice value leaves its lattice only through the merge at commit: a
+    # variable bound at a lattice column occurs once in the body, and
+    # elsewhere only as a bare head term in a column of its own lattice
+    source: dict[str, tuple] = {}  # variable -> (term, column, relation), first occurrence
+    for lit in positives:
+        for term, col in zip(lit.args, schemas[lit.relation].cols):
+            if not isinstance(term, Var):
+                continue
+            if term.name in source and (col.lattice or source[term.name][1].lattice):
+                raise ValidationError(
+                    f"lattice variable {term.name} occurs more than once in the body", term.pos
+                )
+            source.setdefault(term.name, (term, col, lit.relation))
+
+    def scalar_use(*terms) -> None:
+        for v in (v for t in terms for v in term_vars(t)):
+            if v.name in source and source[v.name][1].lattice:
+                raise ValidationError("lattice value where a scalar is required", v.pos)
+
+    for n in negations:
+        scalar_use(*n.literal.args)
+    for c in comparisons:
+        scalar_use(c.left, c.right)
     for col, arg in zip(head_schema.cols, head.args):
         if not (col.lattice and isinstance(arg, Var)):
-            continue
-        for lit in positives:
-            for term, src in zip(lit.args, schemas[lit.relation].cols):
-                if isinstance(term, Var) and term.name == arg.name and src.lattice != col.lattice:
-                    holds = f"{src.lattice} values" if src.lattice else "scalars"
-                    raise ValidationError(
-                        f"variable {arg.name} fills {col.lattice} column {col.name} of "
-                        f"{head.relation}, but column {src.name} of {lit.relation} holds {holds}",
-                        term.pos,
-                    )
+            scalar_use(arg)
+        elif arg.name in source:
+            term, src, rel = source[arg.name]
+            if src.lattice != col.lattice:
+                holds = f"{src.lattice} values" if src.lattice else "scalars"
+                raise ValidationError(
+                    f"variable {arg.name} fills {col.lattice} column {col.name} of "
+                    f"{head.relation}, but column {src.name} of {rel} holds {holds}",
+                    term.pos,
+                )
 
-    bound: set[str] = set()
-    for lit in positives:
-        bound.update(v.name for v in literal_vars(lit))
+    bound = source.keys()  # the variables of positive body literals
 
     # range restriction: head variables come from positive body literals
     head_var_names = []

@@ -4,12 +4,11 @@ Classification is purely syntactic and deliberately conservative: a rule is
 monotone iff it has no negated literal, no aggregate, and does not read the
 reserved network-membership relation ``all``. Semantic monotonicity behind
 non-monotone syntax is out of scope, so false "non-monotone" verdicts are
-possible. False "monotone" verdicts are possible too, through two known
-holes (ROADMAP item 1 closes them): a rule that joins a channel fact, which
-is visible only in the iteration that delivers it, with a relation that can
-still grow; and a rule that reads a lattice value as a scalar, copying it
-into a scalar column or joining on it. Programs of either kind can be
-called monotone and still diverge.
+possible. False "monotone" verdicts are possible too, through one known
+hole (ROADMAP item 1(a)): a rule that joins a channel fact, which is visible
+only in the iteration that delivers it, with a relation that can still
+grow. Such a program can be called monotone and still diverge. Reading a
+lattice value as a scalar, once a second hole, is a validation error.
 
 Reading ``id`` (the machine's own address) is surfaced as a flag and does not
 affect the verdict.

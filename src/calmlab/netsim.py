@@ -89,9 +89,9 @@ def partitioning_from_map(input_db: Database, machines: tuple, mapping: dict) ->
     by_addr = {a.name: a for a in machines}
     assignment: dict = {}
     for mname, fact_strs in mapping.items():
-        if mname.lstrip("@") not in by_addr:
+        addr = by_addr.get(mname.removeprefix("@"))
+        if addr is None:
             raise PartitioningError(f"unknown machine {mname!r} in partitioning map")
-        addr = by_addr[mname.lstrip("@")]
         for s in fact_strs:
             f = parse_fact(s, f"partitioning map entry {mname!r}")
             if f in assignment:

@@ -9,9 +9,9 @@ The Query phase is a stratified, semi-naive fixpoint over the machine's
 local database. Relations behave by persistence class:
 
 * persisted relations accumulate across iterations and never shrink during
-  a run. Within one iteration, rules see each derived lattice fact unmerged,
-  next to the stored one; when the iteration commits, the facts that agree
-  on every scalar column merge column-wise into one;
+  a run. When an iteration commits, the lattice facts that agree on every
+  scalar column merge column-wise into one, which subsumes what rules read
+  of the partial values (validation lets those reach only lattice heads);
 * event relations are scratch space, visible within the iteration that
   derived them and cleared afterwards;
 * channel relations are special events: a channel literal in a rule body
@@ -62,12 +62,8 @@ A rule fires once per positive literal over a changed relation, reading
 just the changed tuples there, and is skipped without one. Some rules
 still fire naively (``ValidatedProgram.refire``): those with an event head
 or a negated event or channel, since events and the inbox last one step;
-those with a lattice head, since the merge after the fixpoint replaced the
-facts they derived; and aggregates over a changed relation, whose value
-moves. Relations with lattice columns count as wholly changed: their facts
-are merged after the fixpoint, so no rule has joined the merged facts yet.
-A state of iteration 0, fresh from ``init_machine``, runs a full naive
-first round.
+and aggregates over a changed relation, whose value moves. A state of
+iteration 0, fresh from ``init_machine``, runs a full naive first round.
 
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
@@ -263,20 +259,13 @@ def _bind(rel: str, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: int, ch
 
 def _comparison(comp: Comparison, slot_of):
     """The linker of a comparison. Each side, a variable or a constant
-    (``calmlang.validate`` allows no other term), is read from its slot; a
-    lattice value there is an EvalError at the side's term."""
+    (``calmlang.validate`` allows no other term), is read from its slot."""
     test = _TESTS[comp.op]
-    left, right = comp.left, comp.right
-    ls, rs = slot_of(left), slot_of(right)
+    ls, rs = slot_of(comp.left), slot_of(comp.right)
 
     def link(space, delta, nxt):
         def compare(env):
-            a, b = env[ls], env[rs]
-            if lattices.is_lattice(a):
-                raise EvalError("lattice value where a scalar is required", left.pos)
-            if lattices.is_lattice(b):
-                raise EvalError("lattice value where a scalar is required", right.pos)
-            if test(a, b):
+            if test(env[ls], env[rs]):
                 nxt(env)
         return compare
     return link
@@ -517,10 +506,8 @@ def step(state: MachineState, inbox) -> StepResult:
     for f in inbox:
         delivered.setdefault(f.relation, set()).add(f.args)
 
-    changed = None
-    if state.iteration:  # committed by an earlier step: closed, see the module docstring
-        lattice = {rel: set(persisted[rel]) for rel in vp.lattice_rels if rel in persisted}
-        changed = {**delivered, **lattice}
+    # a state committed by an earlier step is closed, see the module docstring
+    changed = dict(delivered) if state.iteration else None
     space = _query(vp, persisted, delivered, changed)
 
     new_persisted = {rel: _fold_lattice(rel, tups, vp) for rel, tups in space.facts.items()

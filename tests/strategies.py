@@ -57,8 +57,8 @@ ADDRESSES = (Address("m1"), Address("m2"))
 DATA_CONSTS = ("a", "1")
 VARS = ("X", "Y", "Z")
 # D binds addresses and S gset values. Neither reaches a comparison or an
-# aggregate; S reaches only the lattice column of acc and the head columns
-# of d1, the one other relation that reads acc
+# aggregate. S occurs at most once per body, at the lattice column of acc,
+# and reaches only the lattice column of an acc head, as validation requires
 SPECIAL_VARS = {"D", "S"}
 
 
@@ -71,7 +71,7 @@ def _args(draw, rel: str, bound: set, positive: bool) -> list:
         if col in ADDR_COLS.get(rel, ()):
             choices = ["_", "@m1"] + (["D"] if positive or "D" in bound else [])
         elif col in LATTICE_COLS.get(rel, ()):  # never negated
-            choices = ["_", "S"]
+            choices = ["_"] if "S" in bound else ["_", "S"]
         else:
             names = VARS if positive else sorted(bound - SPECIAL_VARS)
             choices = ["_", *DATA_CONSTS, *names, *names, *names]
@@ -112,8 +112,7 @@ def _rule(draw, head: str) -> str:
         sets = [f"gset{{{draw(st.sampled_from(terms))}}}"] + (["S"] if "S" in bound else [])
         head_args = [draw(st.sampled_from(terms)), draw(st.sampled_from(sets))]
     else:
-        head_args = [draw(st.sampled_from(sorted(bound) + list(DATA_CONSTS)))
-                     for _ in range(ARITY[head])]
+        head_args = [draw(st.sampled_from(terms)) for _ in range(ARITY[head])]
     return f"{head}({', '.join(head_args)}) :- {', '.join(body)}."
 
 

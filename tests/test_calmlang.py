@@ -277,3 +277,36 @@ reach(Y) :- edge(a, X), path(X, Y), X != Y, !reach(Y), !edge(_, Y).
     (reach,) = validate_program(parse_program(src)).rules
     assert [type(e).__name__ for e in reach.plan] == [
         "Literal", "Literal", "Negation", "Negation", "Comparison"]
+
+
+LATTICE_DECLS = """rel e(x, y) [input]
+rel acc(x, s: gset)
+rel d1(x, y)
+rel g(x, n)
+chan msg(@dest, x)
+"""
+
+# a variable bound at a lattice column occurs once in the body, and
+# elsewhere only as a bare head term in a column of its own lattice
+LATTICE_VARIABLE_ERRORS = [
+    ("d1(X, Y) :- acc(X, S), acc(Y, S).",
+     "f.calm:6:31: lattice variable S occurs more than once in the body"),
+    ("d1(X, S) :- acc(X, S).", "f.calm:6:7: lattice value where a scalar is required"),
+    ("d1(X, Y) :- acc(X, S), e(S, Y).",
+     "f.calm:6:26: lattice variable S occurs more than once in the body"),
+    ("d1(X, Y) :- e(X, Y), acc(S, S).",
+     "f.calm:6:29: lattice variable S occurs more than once in the body"),
+    ("d1(X, Y) :- acc(X, S), e(X, Y), !e(Y, S).",
+     "f.calm:6:39: lattice value where a scalar is required"),
+    ("d1(X, S) :- acc(X, S), S != X.", "f.calm:6:24: lattice value where a scalar is required"),
+    ("acc(X, gset{S}) :- acc(X, S).", "f.calm:6:13: lattice value where a scalar is required"),
+    ("g(X, count<S>) :- acc(X, S).", "f.calm:6:12: lattice value where a scalar is required"),
+    ("msg(@m1, S) :- acc(_, S).", "f.calm:6:10: lattice value where a scalar is required"),
+]
+
+
+@pytest.mark.parametrize("rule,error", LATTICE_VARIABLE_ERRORS)
+def test_a_lattice_value_only_reaches_a_head_column_of_its_lattice(rule, error):
+    with pytest.raises(ValidationError) as e:
+        validate_program(parse_program(LATTICE_DECLS + rule, filename="f.calm"))
+    assert str(e.value) == error

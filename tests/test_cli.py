@@ -137,6 +137,46 @@ def test_one_machine_run_merges_lattice_facts_and_delivers_to_itself(tmp_path, c
     assert json.loads(out)["union_output"] == {"acc": [["a", "gset{1, 2}"]], "out": [["a"]]}
 
 
+# snap copies acc's partial gset values into a scalar column, so which
+# snapshots a run keeps would depend on how m2's deliveries are batched
+LATTICE_PROBE = """rel seed(k, x) [input]
+chan put(@dest, k, x)
+rel acc(k, s: gset)
+rel snap(k, s) [output]
+put(@m2, K, X) :- seed(K, X).
+acc(K, gset{X}) :- put(_, K, X).
+snap(K, S) :- acc(K, S).
+"""
+
+
+def write_lattice_probe(tmp_path, program: str) -> tuple:
+    """The probe's program and an exhaustive check config that seeds m1
+    with three values for m2; returns (program path, config path)."""
+    (tmp_path / "lat.calm").write_text(program)
+    seeds = [f"seed(k, {i})" for i in (1, 2, 3)]
+    (tmp_path / "seed.facts").write_text("\n".join(seeds) + "\n")
+    cfg = tmp_path / "check.json"
+    cfg.write_text(json.dumps({"program": "lat.calm", "fixture": "seed.facts", "machines": 2,
+                               "partitioning": {"m1": seeds, "m2": []}, "mode": "exhaustive"}))
+    return str(tmp_path / "lat.calm"), str(cfg)
+
+
+def test_a_lattice_value_read_as_a_scalar_is_rejected_by_analyze_and_check(tmp_path, capsys):
+    program, cfg = write_lattice_probe(tmp_path, LATTICE_PROBE)
+    for argv in (("analyze", program), ("check", cfg)):
+        assert_one_error_line(*run_cli(capsys, *argv),
+                              f"{program}:7:9: lattice value where a scalar is required")
+
+
+def test_the_lattice_probe_with_a_gset_snapshot_is_monotone_and_confluent(tmp_path, capsys):
+    program, cfg = write_lattice_probe(
+        tmp_path, LATTICE_PROBE.replace("snap(k, s)", "snap(k, s: gset)"))
+    code, out, _ = run_cli(capsys, "analyze", program)
+    assert code == 0 and out.startswith(f"{program}: monotone")
+    code, out, _ = run_cli(capsys, "check", cfg)
+    assert code == 0 and out.startswith("confluent-on-instance (exhaustive mode, 1 distinct")
+
+
 def test_check_cart_manifest_confluent_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "check", corpus_file("cart_manifest", "check.json"))
     assert code == 0
@@ -402,6 +442,10 @@ DEALT_BY_THE_CONFIG = [
      "bad.json: input fact local_edge(t1, t3) not assigned to any machine", "map-leaves-a-fact-out"),
     ("partitioning", {**MAP_WITHOUT_T1_T3, "m9": ["local_edge(t1, t3)"]},
      "bad.json: unknown machine 'm9' in partitioning map", "map-names-an-unknown-machine"),
+    # one '@' may prefix a machine name in a map key, and only one
+    ("partitioning", {"@@m1": [*MAP_WITHOUT_T1_T3["m1"], "local_edge(t1, t3)"],
+                      "m2": MAP_WITHOUT_T1_T3["m2"], "m3": MAP_WITHOUT_T1_T3["m3"]},
+     "bad.json: unknown machine '@@m1' in partitioning map", "map-key-with-two-ats"),
     # a fixture naming @m2 in a 1-machine config, in the fixture
     (("fixture", "machines", "partitioning"),
      ("local_edge(t1, t2)\nlocal_edge(t2, t1)\nnbr(@m1, @m2)\nnbr(@m2, @m1)\n", 1, "colocate"),

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from strategies import DECLS, instances, programs
 
 from calmlab.calmlang import parse_program, validate_program
-from calmlab.calmlang.syntax import Literal, Negation, Var, Wildcard, eval_head_term, eval_scalar
+from calmlab.calmlang.syntax import Literal, Negation, Var, Wildcard, eval_head_term, eval_term
 from calmlab.relspace import Database, Fact
 from calmlab.transducer import _query, init_machine, step
 from calmlab.values import Address, Int, Symbol, value_sort_key
@@ -93,7 +93,7 @@ def _rule_bindings(rule, space, delta_at, delta):
                 _match_literal(lit, tup, env) is not None for tup in space.readable(lit.relation)
             ):
                 yield from rec(i + 1, env)
-        elif _compare(elem.op, eval_scalar(elem.left, env), eval_scalar(elem.right, env)):
+        elif _compare(elem.op, eval_term(elem.left, env), eval_term(elem.right, env)):
             yield from rec(i + 1, env)
 
     yield from rec(0, {})
