@@ -300,7 +300,8 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
 
     # a lattice value leaves its lattice only through the merge at commit: a
     # variable bound at a lattice column occurs once in the body, and
-    # elsewhere only as a bare head term in a column of its own lattice
+    # elsewhere only as a bare head term in a column of its own lattice, in a
+    # head without an aggregate (an aggregate's grouping terms are scalar uses)
     source: dict[str, tuple] = {}  # variable -> (term, column, relation), first occurrence
     for lit in positives:
         for term, col in zip(lit.args, schemas[lit.relation].cols):
@@ -322,9 +323,10 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
     for c in comparisons:
         scalar_use(c.left, c.right)
     for col, arg in zip(head_schema.cols, head.args):
-        if not (col.lattice and isinstance(arg, Var)):
+        bare = col.lattice is not None and isinstance(arg, Var)
+        if agg is not None or not bare:
             scalar_use(arg)
-        elif arg.name in source:
+        if bare and arg.name in source:
             term, src, rel = source[arg.name]
             if src.lattice != col.lattice:
                 holds = f"{src.lattice} values" if src.lattice else "scalars"

@@ -13,7 +13,8 @@ Lattice values may appear as fact arguments in persisted relations only.
 Facts merge when a machine's iteration commits, not when they are derived:
 at commit, the facts that agree on every non-lattice column are replaced by
 their column-wise merge (see transducer). A rule passes a lattice value on
-only to a head column of its lattice, so the unmerged values are unseen.
+only to a head column of its lattice, never as an aggregate's grouping
+term, so the unmerged values are unseen.
 
 Textual literals used in fixtures and programs::
 

@@ -11,7 +11,8 @@ local database. Relations behave by persistence class:
 * persisted relations accumulate across iterations and never shrink during
   a run. When an iteration commits, the lattice facts that agree on every
   scalar column merge column-wise into one, which subsumes what rules read
-  of the partial values (validation lets those reach only lattice heads);
+  of the partial values (validation lets those reach only lattice columns
+  of heads without an aggregate);
 * event relations are scratch space, visible within the iteration that
   derived them and cleared afterwards;
 * channel relations are special events: a channel literal in a rule body

@@ -283,25 +283,28 @@ LATTICE_DECLS = """rel e(x, y) [input]
 rel acc(x, s: gset)
 rel d1(x, y)
 rel g(x, n)
+rel h(s: gset, n)
 chan msg(@dest, x)
 """
 
 # a variable bound at a lattice column occurs once in the body, and
-# elsewhere only as a bare head term in a column of its own lattice
+# elsewhere only as a bare head term in a column of its own lattice of a
+# head without an aggregate
 LATTICE_VARIABLE_ERRORS = [
     ("d1(X, Y) :- acc(X, S), acc(Y, S).",
-     "f.calm:6:31: lattice variable S occurs more than once in the body"),
-    ("d1(X, S) :- acc(X, S).", "f.calm:6:7: lattice value where a scalar is required"),
+     "f.calm:7:31: lattice variable S occurs more than once in the body"),
+    ("d1(X, S) :- acc(X, S).", "f.calm:7:7: lattice value where a scalar is required"),
     ("d1(X, Y) :- acc(X, S), e(S, Y).",
-     "f.calm:6:26: lattice variable S occurs more than once in the body"),
+     "f.calm:7:26: lattice variable S occurs more than once in the body"),
     ("d1(X, Y) :- e(X, Y), acc(S, S).",
-     "f.calm:6:29: lattice variable S occurs more than once in the body"),
+     "f.calm:7:29: lattice variable S occurs more than once in the body"),
     ("d1(X, Y) :- acc(X, S), e(X, Y), !e(Y, S).",
-     "f.calm:6:39: lattice value where a scalar is required"),
-    ("d1(X, S) :- acc(X, S), S != X.", "f.calm:6:24: lattice value where a scalar is required"),
-    ("acc(X, gset{S}) :- acc(X, S).", "f.calm:6:13: lattice value where a scalar is required"),
-    ("g(X, count<S>) :- acc(X, S).", "f.calm:6:12: lattice value where a scalar is required"),
-    ("msg(@m1, S) :- acc(_, S).", "f.calm:6:10: lattice value where a scalar is required"),
+     "f.calm:7:39: lattice value where a scalar is required"),
+    ("d1(X, S) :- acc(X, S), S != X.", "f.calm:7:24: lattice value where a scalar is required"),
+    ("acc(X, gset{S}) :- acc(X, S).", "f.calm:7:13: lattice value where a scalar is required"),
+    ("g(X, count<S>) :- acc(X, S).", "f.calm:7:12: lattice value where a scalar is required"),
+    ("msg(@m1, S) :- acc(_, S).", "f.calm:7:10: lattice value where a scalar is required"),
+    ("h(S, count<X>) :- acc(X, S).", "f.calm:7:3: lattice value where a scalar is required"),
 ]
 
 
