@@ -11,7 +11,8 @@ Workloads:
 - ``gc``: the corpus ``gc`` check walked exhaustively, with no early stop.
 - ``gc_coordinated_sampled``: the corpus ``gc_coordinated`` check as its
   config gives it, sampled over 24 seeds: many small non-monotone steps
-  behind a barrier, with no step memo.
+  behind a barrier, all seeds stepping through the one memo of their
+  network.
 - ``gc_coordinated_exhaustive``: the same check walked exhaustively under a
   fixed state bound, which it does not finish within.
 - ``gc_coordinated_coordination``: ``detect_coordination`` on the corpus

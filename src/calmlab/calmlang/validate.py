@@ -2,12 +2,13 @@
 
 Beyond the classic datalog safety conditions (range restriction, bound
 negation, bound comparisons) this enforces the network-facing invariants:
-channel relations route on an address-typed first column, input/output
-markers only make sense on persisted relations, lattice-typed columns
-stay out of channels, events, and negated literals, and a lattice value
-leaves its lattice only by merging. ``fact_error`` decides
-whether a fixture fact fits the program, with the same column rule
-(``value_error``) as program constants.
+channel relations route on an address-typed first column, a head's
+address column takes only an address constant or a variable bound at an
+address column, input/output markers only make sense on persisted
+relations, lattice-typed columns stay out of channels, events, and negated
+literals, and a lattice value leaves its lattice only by merging.
+``fact_error`` decides whether a fixture fact fits the program, with the
+same column rule (``value_error``) as program constants.
 
 Validation also fixes a per-rule evaluation plan: positive literals join in
 source order and each filter (comparison or negation) runs as soon as its
@@ -253,6 +254,8 @@ def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> N
                 raise ValidationError("aggregates may appear in rule heads only", arg.pos)
             if col.lattice:
                 raise ValidationError(f"aggregate cannot target lattice column {col.name}", arg.pos)
+            if col.role == "addr":
+                raise ValidationError(f"aggregate cannot target address column {col.name}", arg.pos)
 
 
 def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
@@ -351,6 +354,18 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                     f"head variable {v.name} does not appear in a positive body literal",
                     v.pos,
                 )
+    # an address comes only from an address column: a head variable in an
+    # @ column occurs at an @ column of a positive literal
+    addressed = {t.name for lit in positives
+                 for t, col in zip(lit.args, schemas[lit.relation].cols)
+                 if col.role == "addr" and isinstance(t, Var)}
+    for col, arg in zip(head_schema.cols, head.args):
+        if col.role == "addr" and isinstance(arg, Var) and arg.name not in addressed:
+            raise ValidationError(
+                f"variable {arg.name} fills address column {col.name} of {head.relation}, "
+                "but no positive literal binds it at an address column",
+                arg.pos,
+            )
     if agg is not None and agg.var.name in head_var_names:
         raise ValidationError(
             f"aggregate variable {agg.var.name} also appears as a grouping term",

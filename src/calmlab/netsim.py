@@ -14,14 +14,14 @@ order of the sweep and of state keys. A message in flight is an envelope
 ``(dst name, src name, fact string)``, built once when sent; the network's
 ``facts`` table maps the string back to its ``Fact``. ``pending`` is the
 sorted tuple of envelopes, one entry per copy, and is its own canonical
-key. ``_deliver`` is the one delivery primitive, shared by every walk; a
+key. Every walk delivers a batch through ``_deliver`` and steps a machine
+through ``_step``, which memoises ``step`` in the network's ``memo``; a
 decision names each delivered envelope by its tail ``(src, fact)``.
 ``run_schedule`` asks a chooser: a seeded one (64-bit seed, reproducible)
 or a replay of an explicit decision list, which replays bit-identically and
 serves as a divergence witness. ``enumerate_schedules`` walks every batch
 schedule depth-first on an explicit stack, deduplicating canonical network
-states and memoising ``step`` (no machine state is stepped twice on one
-inbox), and yields each reachable quiescent outcome once. Deliveries to
+states, and yields each reachable quiescent outcome once. Deliveries to
 different machines commute, so the walk tries each such pair in one order
 only (sleep sets): a batch whose envelopes are all asleep at its machine is
 not delivered. It still enters every state the unreduced walk would, in the
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .calmlang import ValidatedProgram
 from .errors import CalmlabError
 from .relspace import Database, db_to_obj, db_union, parse_fact
-from .transducer import MachineState, RoutingError, init_machine, step
+from .transducer import MachineState, RoutingError, StepResult, init_machine, step
 from .values import Address
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -168,9 +168,10 @@ class NetworkState:
     pending: tuple = ()  # sorted envelopes, one entry per copy
     steps: int = 0
     facts: dict = field(default_factory=dict)  # fact string -> Fact; copies share it
+    memo: dict = field(default_factory=dict)  # step memo, see _step; copies share it
 
     def copy(self) -> NetworkState:
-        return NetworkState(dict(self.machines), self.pending, self.steps, self.facts)
+        return NetworkState(dict(self.machines), self.pending, self.steps, self.facts, self.memo)
 
     def semantic_key(self):
         return tuple(m.semantic_key() for m in self.machines.values()), self.pending
@@ -230,9 +231,20 @@ def _enqueue(state: NetworkState, src: str, outbound: dict) -> None:
     state.pending = tuple(sorted(state.pending + tuple(sent)))
 
 
-def _sweep(state: NetworkState, budget: int, stepper) -> bool:
-    """Step every machine with an empty inbox, through ``stepper(machine,
-    ())``, until none changes.
+def _step(state: NetworkState, machine: MachineState, texts) -> StepResult:
+    """``step`` on the fact strings ``texts``, memoised in ``state.memo`` by
+    the machine's ``semantic_key`` and the set of texts: ``step`` reads its
+    inbox as a set and never sees the sender. A hit may carry another
+    path's ``iteration``, which ``step`` only tests against 0."""
+    key = (machine.semantic_key(), frozenset(texts))
+    res = state.memo.get(key)
+    if res is None:
+        res = state.memo[key] = step(machine, [state.facts[text] for text in texts])
+    return res
+
+
+def _sweep(state: NetworkState, budget: int) -> bool:
+    """Step every machine with an empty inbox until none changes.
 
     This both seeds derivations from local input at run start and settles
     event-dependent rules once a machine's inbox has drained. Machine step
@@ -245,7 +257,7 @@ def _sweep(state: NetworkState, budget: int, stepper) -> bool:
         for name, m in state.machines.items():
             if state.steps >= budget:
                 return False
-            res = stepper(m, ())
+            res = _step(state, m, ())
             state.steps += 1
             if res.changed(m):
                 state.machines[name] = res.new_state
@@ -264,18 +276,18 @@ def _inboxes(pending: tuple) -> dict:
     return out
 
 
-def _deliver(state: NetworkState, envs, stepper) -> tuple:
+def _deliver(state: NetworkState, envs) -> tuple:
     """The one delivery primitive: take the batch ``envs`` (distinct pending
     envelopes, all to one machine) out of ``state.pending``, step that
-    machine with ``stepper(machine, fact strings)``, commit its new state
-    and enqueue what it sends. Returns the replayable decision."""
+    machine on their facts, commit its new state and enqueue what it
+    sends. Returns the replayable decision."""
     batch = sorted(envs)
     rest = list(state.pending)
     for env in batch:
         rest.remove(env)
     state.pending = tuple(rest)
     dst = batch[0][0]
-    res = stepper(state.machines[dst], [text for _, _, text in batch])
+    res = _step(state, state.machines[dst], [text for _, _, text in batch])
     state.steps += 1
     state.machines[dst] = res.new_state
     _enqueue(state, dst, res.outbound)
@@ -360,22 +372,19 @@ def run_schedule(
     else:
         chooser = _SeededChooser(schedule.seed or 0, schedule.duplicate_every)
 
-    def stepper(machine: MachineState, texts: list):
-        return step(machine, [state.facts[text] for text in texts])
-
     decisions: list = []
     trace: list = []
-    ok = _sweep(state, step_budget, stepper)
+    ok = _sweep(state, step_budget)
     while ok and state.pending:
         at = state.steps
-        dst, keys = _deliver(state, chooser.choose(state.pending), stepper)
+        dst, keys = _deliver(state, chooser.choose(state.pending))
         decisions.append((dst, keys))
         trace.extend((src, dst, fact, at) for src, fact in keys)
         chooser.maybe_duplicate(state)
         if state.steps >= step_budget:
             ok = False
         elif not state.pending:
-            ok = _sweep(state, step_budget, stepper)
+            ok = _sweep(state, step_budget)
 
     per_machine, union = _outputs(state)
     return RunOutcome(
@@ -444,12 +453,12 @@ def enumerate_schedules(
     stop_after_distinct: int | None = None,
 ) -> EnumerationResult:
     """Depth-first walk of the (machine, inbox-subset) delivery choices,
-    deduplicated by canonical network state, that finds every reachable
-    quiescent outcome. The walk stops as soon as it has met ``bound``
-    distinct states or ``stop_after_distinct`` outcomes. The stack is
-    explicit and a path is a parent-pointer chain. A state is marked seen
-    on entry: no state is its own descendant, since every delivery grows a
-    machine's state or shrinks ``pending``.
+    deduplicated by canonical network state and stepped through the
+    network's memo, that finds every reachable quiescent outcome. It stops
+    once it has met ``bound`` distinct states or ``stop_after_distinct``
+    outcomes. The stack is explicit and a path is a parent-pointer chain. A
+    state is marked seen on entry: no state is its own descendant, since
+    every delivery grows a machine's state or shrinks ``pending``.
 
     Sleep sets (Godefroid, *Partial-Order Methods for the Verification of
     Concurrent Systems*, LNCS 1032, 1996, ch. 5) cut the deliveries, not
@@ -494,16 +503,6 @@ def enumerate_schedules(
     when its stored sleep set is not covered, could only enter seen states
     here, and ``seen`` stores keys alone."""
 
-    step_memo: dict = {}
-
-    def memo_step(mstate: MachineState, texts: list):
-        # step reads its inbox as a set and never sees the sender
-        key = (mstate.semantic_key(), frozenset(texts))
-        res = step_memo.get(key)
-        if res is None:
-            res = step_memo[key] = step(mstate, [initial.facts[text] for text in texts])
-        return res
-
     # outcomes are keyed by the union output: that is the observable the
     # confluence question compares
     outcomes: dict = {}  # union-output Database -> EnumOutcome, first-found order
@@ -518,7 +517,7 @@ def enumerate_schedules(
         (its outcome is then recorded), already seen, or past the bound."""
         nonlocal states, truncated, stopped
         if not state.pending:
-            if not _sweep(state, step_budget, memo_step):
+            if not _sweep(state, step_budget):
                 truncated = True
                 return
             if not state.pending:
@@ -548,7 +547,7 @@ def enumerate_schedules(
             batch, asleep = nxt
             child = state.copy()
             deliveries += 1
-            enter(child, (_deliver(child, batch, memo_step), path), asleep)
+            enter(child, (_deliver(child, batch), path), asleep)
     return EnumerationResult(
         outcomes=list(outcomes.values()),
         complete=not (truncated or stopped),

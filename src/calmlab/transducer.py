@@ -95,8 +95,8 @@ from .values import Address, Int, value_sort_key
 
 
 class RoutingError(CalmlabError):
-    """An outbound channel fact that cannot be routed: a non-address in its
-    first column, or an address outside the network."""
+    """An outbound channel fact addressed to a machine outside the network.
+    Validation makes column 1 of every channel fact an address."""
 
 
 # --- the fact space ----------------------------------------------------------
@@ -518,13 +518,10 @@ def step(state: MachineState, inbox) -> StepResult:
     new_sent = []
     for rel, tups in space.outbound.items():
         for tup in tups:
-            dest = tup[0]
-            if not isinstance(dest, Address):
-                raise RoutingError(f"channel fact {rel}{tup} has no address in column 1")
             fact = Fact(rel, tup)
             if fact not in state.sent:
                 new_sent.append(fact)
-                outbound.setdefault(dest, set()).add(fact)
+                outbound.setdefault(tup[0], set()).add(fact)
 
     new_state = MachineState(
         address=state.address,

@@ -313,3 +313,20 @@ def test_a_lattice_value_only_reaches_a_head_column_of_its_lattice(rule, error):
     with pytest.raises(ValidationError) as e:
         validate_program(parse_program(LATTICE_DECLS + rule, filename="f.calm"))
     assert str(e.value) == error
+
+
+# an address column of a head takes an address constant or a variable bound
+# at an address column of a positive literal, never an aggregate
+ADDRESS_COLUMN_ERRORS = [
+    ("msg(X, Y) :- e(X, Y).",
+     "f.calm:7:5: variable X fills address column dest of msg, "
+     "but no positive literal binds it at an address column"),
+    ("msg(count<X>, Y) :- e(X, Y).", "f.calm:7:5: aggregate cannot target address column dest"),
+]
+
+
+@pytest.mark.parametrize("rule,error", ADDRESS_COLUMN_ERRORS)
+def test_an_address_column_takes_only_an_address(rule, error):
+    with pytest.raises(ValidationError) as e:
+        validate_program(parse_program(LATTICE_DECLS + rule, filename="f.calm"))
+    assert str(e.value) == error

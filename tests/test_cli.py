@@ -177,6 +177,25 @@ def test_the_lattice_probe_with_a_gset_snapshot_is_monotone_and_confluent(tmp_pa
     assert code == 0 and out.startswith("confluent-on-instance (exhaustive mode, 1 distinct")
 
 
+# X is a symbol from e, so msg would route on a value that names no machine
+ADDRESS_PROBE = """rel e(x, y) [input]
+chan msg(@dest, x)
+msg(X, Y) :- e(X, Y).
+"""
+
+
+def test_a_symbol_in_an_address_column_is_rejected_by_analyze_and_run(tmp_path, capsys):
+    (tmp_path / "p.calm").write_text(ADDRESS_PROBE)
+    (tmp_path / "e.facts").write_text("e(a, b)\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"program": "p.calm", "fixture": "e.facts", "machines": 1}))
+    program = str(tmp_path / "p.calm")
+    expect = (f"{program}:3:5: variable X fills address column dest of msg, "
+              "but no positive literal binds it at an address column")
+    for argv in (("analyze", program), ("run", str(cfg))):
+        assert_one_error_line(*run_cli(capsys, *argv), expect)
+
+
 def test_check_cart_manifest_confluent_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "check", corpus_file("cart_manifest", "check.json"))
     assert code == 0

@@ -1,10 +1,11 @@
 import json
 import re
+import sys
 from collections import Counter
 
 import pytest
 
-from calmlab import corpus, netsim
+from calmlab import corpus, netsim, transducer
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.config import ConfigError, load_config
 from calmlab.netsim import (
@@ -304,6 +305,30 @@ def test_exhaustive_walk_steps_each_machine_on_each_inbox_once(monkeypatch):
     assert res.complete and res.states_explored == 1023
     repeated = {key: n for key, n in stepped.items() if n > 1}
     assert not repeated, f"{len(repeated)} (machine, inbox) pairs stepped more than once"
+
+
+def test_a_rerun_on_one_network_executes_no_step():
+    # every walk on a network steps through the memo its copies share, so
+    # a second run of the same schedule finds each step already made
+    cfg = cfg_for("gc", "check.json")
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    step_runs = 0
+
+    def count_steps(frame, event, arg):
+        nonlocal step_runs
+        if event == "call" and frame.f_code is transducer.step.__code__:
+            step_runs += 1
+
+    outcomes = []
+    for _ in range(2):
+        step_runs = 0
+        sys.setprofile(count_steps)
+        try:
+            outcomes.append(run_schedule(net, Schedule(seed=9)))
+        finally:
+            sys.setprofile(None)
+    assert step_runs == 0
+    assert outcomes[0].to_obj() == outcomes[1].to_obj()
 
 
 def test_run_schedule_leaves_its_input_untouched():

@@ -11,6 +11,12 @@ from calmlab.netsim import Schedule, init_network, run_schedule
 from calmlab.relspace import Database, Fact, db_leq, parse_fact, parse_facts
 from calmlab.transducer import _query, init_machine, step
 from calmlab.values import Address, Symbol
+from calmlab.verdicts import (
+    OUTCOME_CONFLUENT,
+    VERDICT_REQUIRED,
+    check_confluence,
+    detect_coordination,
+)
 
 M1 = Address("m1")
 
@@ -252,15 +258,31 @@ def test_no_global_cache_keeps_a_program_alive():
     assert ref() is None
 
 
-def test_a_program_dies_with_its_last_reference_after_a_network_run():
-    cfg = load_config(corpus.config_path("gc", "run.json"))
-    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
-    assert run_schedule(net, Schedule(seed=0)).quiesced
+# each network keeps its step memo, so what a command ran must not outlive it
+NETWORK_RUNS = {
+    "run": ("gc", "run.json", lambda cfg: run_schedule(
+        init_network(cfg.program, cfg.fixture, cfg.partitioning()), Schedule(seed=0)).quiesced),
+    "sampled-check": ("gc_coordinated", "check.json", lambda cfg: check_confluence(
+        cfg.program, cfg.fixture, cfg.partitioning(), mode="sampled", seeds=cfg.seeds,
+    ).outcome == OUTCOME_CONFLUENT),
+    "coordination": ("gc_coordinated", "coordination.json", lambda cfg: detect_coordination(
+        cfg.program, cfg.fixture, cfg.machines,
+        schedules_per_partitioning=cfg.schedules_per_partitioning,
+        partition_cap=cfg.partition_cap,
+    ).verdict == VERDICT_REQUIRED),
+}
+
+
+@pytest.mark.parametrize("verb", NETWORK_RUNS)
+def test_a_program_dies_with_its_last_reference_after_a_network_run(verb):
+    name, config, run = NETWORK_RUNS[verb]
+    cfg = load_config(corpus.config_path(name, config))
+    assert run(cfg)
     assert any("kernel" in vars(r) for r in cfg.program.rules)  # compiled and kept on the rule
     ref = weakref.ref(cfg.program)
     gc.disable()  # no reference cycle may keep it alive either
     try:
-        del cfg, net
+        del cfg
         assert ref() is None
     finally:
         gc.enable()
