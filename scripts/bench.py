@@ -24,7 +24,10 @@ Workloads:
   7 loads, as it takes milliseconds.
 
 A walk row gives its time, the states it entered, the batches it delivered
-(``deliveries``), whether it completed, and its distinct outcomes.
+(``deliveries``), whether it completed, its distinct outcomes, and two
+counts of its network's ``MachineTable``: the distinct machine states
+interned (``machine_states``) and the steps memoised (``memo_entries``,
+each one execution of ``step``).
 
 Each workload but ``load_chain_400`` runs once, in this process, and the
 whole set takes well under two minutes on a 2-vCPU VM. Usage, from the
@@ -85,6 +88,8 @@ def walk(net, bound=None) -> dict:
         "complete": res.complete,
         "outcomes": len(res.outcomes),
         "bound": bound,
+        "machine_states": len(net.table.states),
+        "memo_entries": len(net.table.memo),
     }
 
 

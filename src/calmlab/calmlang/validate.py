@@ -4,7 +4,8 @@ Beyond the classic datalog safety conditions (range restriction, bound
 negation, bound comparisons) this enforces the network-facing invariants:
 channel relations route on an address-typed first column, a head's
 address column takes only an address constant or a variable bound at an
-address column, input/output markers only make sense on persisted
+address column, and a variable bound only at address columns fills no
+other head column. Input/output markers only make sense on persisted
 relations, lattice-typed columns stay out of channels, events, and negated
 literals, and a lattice value leaves its lattice only by merging.
 ``fact_error`` decides whether a fixture fact fits the program, with the
@@ -365,6 +366,19 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                 f"variable {arg.name} fills address column {col.name} of {head.relation}, "
                 "but no positive literal binds it at an address column",
                 arg.pos,
+            )
+    # and an address goes only to an address column: a head variable in any
+    # other column, or the one a min or max picks, is bound at another column
+    valued = {t.name for lit in positives
+              for t, col in zip(lit.args, schemas[lit.relation].cols)
+              if col.role != "addr" and isinstance(t, Var)}
+    for col, arg in zip(head_schema.cols, head.args):
+        var = arg.var if isinstance(arg, AggTerm) and arg.kind != "count" else arg
+        if col.role != "addr" and isinstance(var, Var) and var.name not in valued:
+            raise ValidationError(
+                f"variable {var.name} fills column {col.name} of {head.relation}, "
+                "but positive literals bind it only at address columns",
+                var.pos,
             )
     if agg is not None and agg.var.name in head_var_names:
         raise ValidationError(

@@ -4,9 +4,10 @@ knobs of the run. Paths are resolved relative to the config file. Loading a
 config is where fixture facts enter: each must fit the program
 (``calmlang.validate.fact_error``), or the error names the fixture file.
 Only the verb knows the network it runs on: ``RunConfig.check_network``
-rejects a fixture fact naming a machine outside it, in the fixture file,
-and a partitioning that does not deal the fixture's facts to the machines
-is an error in the config file."""
+rejects a program address constant naming a machine outside it, at its
+line and column in the program file, and such a fixture fact, in the
+fixture file. A partitioning that does not deal the fixture's facts to the
+machines is an error in the config file."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calmlang import ValidatedProgram, parse_program, validate_program
+from .calmlang.syntax import Comparison, Const, LatticeTerm, Negation, Program
 from .calmlang.validate import fact_error
 from .errors import CalmlabError, read_text
 from .netsim import (
@@ -60,9 +62,14 @@ class RunConfig:
     partition_cap: int
 
     def check_network(self, machines: int) -> None:
-        """Every fixture fact must name only machines of a network of
-        ``machines``, the one a verb runs on."""
+        """Every address constant of the program, at its position in the
+        program file, and every fixture fact must name only machines of a
+        network of ``machines``, the one a verb runs on."""
         addrs = machine_addresses(machines)
+        for const in _address_constants(self.program.program):
+            if const.value not in addrs:
+                raise ConfigError(f"address {const.value} is not in the network", const.pos,
+                                  self.program.program.filename)
         for f in self.fixture.facts():
             for a in f.args:
                 if isinstance(a, Address) and a not in addrs:
@@ -84,6 +91,20 @@ class RunConfig:
         except PartitioningError as e:
             e.filename = str(self.path)
             raise
+
+
+def _address_constants(program: Program):
+    """The address constants of ``program``'s rules, each head before its body."""
+    for rule in program.rules:
+        terms = list(rule.head.args)
+        for elem in rule.body:
+            if isinstance(elem, Comparison):
+                terms += [elem.left, elem.right]
+            else:
+                terms += (elem.literal if isinstance(elem, Negation) else elem).args
+        for term in terms:
+            parts = [e for g in term.parts for e in g] if isinstance(term, LatticeTerm) else [term]
+            yield from (p for p in parts if isinstance(p, Const) and isinstance(p.value, Address))
 
 
 def default_seed() -> int:

@@ -8,15 +8,15 @@ machines are swept with empty inboxes until none of them changes; if the
 sweep emitted new messages the delivery loop resumes, otherwise the network
 is quiescent and the output relations are read.
 
-Inside the simulator a machine is its name: ``NetworkState.machines`` maps
-each name to its state, in name order (m1, m10, m2, ...), which is the
-order of the sweep and of state keys. A message in flight is an envelope
-``(dst name, src name, fact string)``, built once when sent; the network's
-``facts`` table maps the string back to its ``Fact``. ``pending`` is the
-sorted tuple of envelopes, one entry per copy, and is its own canonical
-key. Every walk delivers a batch through ``_deliver`` and steps a machine
-through ``_step``, which memoises ``step`` in the network's ``memo``; a
-decision names each delivered envelope by its tail ``(src, fact)``.
+A network's machine states live once in its ``MachineTable``, interned to
+small ints by ``semantic_key``. A network state is ``(ids, pending)``: the
+ids in machine-name order (m1, m10, m2, ...), the order of the sweep, and
+the sorted tuple of envelopes ``(dst name, src name, fact string)`` in
+flight, one entry per copy. Its key is thus ints and strings, and never
+calls into a ``Database``. Every walk delivers a batch through ``_deliver``
+and steps a machine through ``_step``, which memoises each (id, inbox) step
+with its new id and sent envelopes; a decision names each delivered
+envelope by its tail ``(src, fact)``.
 ``run_schedule`` asks a chooser: a seeded one (64-bit seed, reproducible)
 or a replay of an explicit decision list, which replays bit-identically and
 serves as a divergence witness. ``enumerate_schedules`` walks every batch
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .calmlang import ValidatedProgram
 from .errors import CalmlabError
 from .relspace import Database, db_to_obj, db_union, parse_fact
-from .transducer import MachineState, RoutingError, StepResult, init_machine, step
+from .transducer import MachineState, RoutingError, init_machine, step
 from .values import Address
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -163,18 +163,46 @@ class Schedule:
 
 
 @dataclass
+class MachineTable:
+    """One network's machine states and memos, shared by the network's
+    copies and dropped with them. ``states[i]`` is the machine state of id
+    ``i``; each distinct ``semantic_key`` gets one id (collapse compression,
+    Holzmann, *State Compression in SPIN*, 1997)."""
+
+    names: tuple  # machine names, in name order
+    states: list = field(default_factory=list)  # id -> MachineState
+    ids: dict = field(default_factory=dict)  # MachineState.semantic_key() -> id
+    facts: dict = field(default_factory=dict)  # fact string -> Fact, for a memo miss
+    memo: dict = field(default_factory=dict)  # step memo, see _step
+    outputs: dict = field(default_factory=dict)  # ids -> _outputs of that state
+
+    def intern(self, machine: MachineState) -> int:
+        mid = self.ids.setdefault(machine.semantic_key(), len(self.states))
+        if mid == len(self.states):
+            self.states.append(machine)
+        return mid
+
+
+@dataclass(slots=True)
 class NetworkState:
-    machines: dict  # machine name -> MachineState, in name order
+    """A network on one path of a run: ``(ids, pending)`` is its key, and
+    ``steps`` counts the steps the path took. Copies share ``table``."""
+
+    ids: tuple  # machine-state ids of ``table``, in machine-name order
+    table: MachineTable
     pending: tuple = ()  # sorted envelopes, one entry per copy
     steps: int = 0
-    facts: dict = field(default_factory=dict)  # fact string -> Fact; copies share it
-    memo: dict = field(default_factory=dict)  # step memo, see _step; copies share it
+
+    @property
+    def machines(self) -> dict:
+        """Machine name -> MachineState, in name order."""
+        return {name: self.table.states[mid] for name, mid in zip(self.table.names, self.ids)}
 
     def copy(self) -> NetworkState:
-        return NetworkState(dict(self.machines), self.pending, self.steps, self.facts, self.memo)
+        return NetworkState(self.ids, self.table, self.pending, self.steps)
 
     def semantic_key(self):
-        return tuple(m.semantic_key() for m in self.machines.values()), self.pending
+        return self.ids, self.pending
 
 
 @dataclass(frozen=True)
@@ -214,33 +242,47 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
     local: dict = {a: [] for a in sorted(part.machines, key=lambda a: a.name)}
     for f, addr in part.assignment.items():
         local[addr].append(f)
-    return NetworkState(machines={
-        a.name: init_machine(vp, a, Database.from_facts(facts), part.machines)
-        for a, facts in local.items()
-    })
+    table = MachineTable(tuple(a.name for a in local))
+    ids = tuple(table.intern(init_machine(vp, a, Database.from_facts(facts), part.machines))
+                for a, facts in local.items())
+    return NetworkState(ids, table)
 
 
-def _enqueue(state: NetworkState, src: str, outbound: dict) -> None:
+def _stepped(table: MachineTable, mid: int, src: str, texts) -> tuple:
+    """``step`` of machine ``mid`` on ``texts``, as the memo stores it: (new
+    id, sent envelopes, changed). A step that changes nothing keeps its id
+    without hashing its new ``Database``. An id's stored state may carry
+    another path's ``iteration``, which ``step`` only tests against 0."""
+    machine = table.states[mid]
+    res = step(machine, [table.facts[text] for text in texts])
+    if not res.changed(machine):
+        return mid, (), False
     sent = []
-    for dst, facts in outbound.items():
-        if dst.name not in state.machines:
+    for dst, facts in res.outbound.items():
+        if dst.name not in table.names:
             raise RoutingError(f"message addressed to unknown machine {dst}")
-        texts = {str(f): f for f in facts}
-        state.facts.update(texts)
-        sent += [(dst.name, src, text) for text in texts]
-    state.pending = tuple(sorted(state.pending + tuple(sent)))
+        by_text = {str(f): f for f in facts}
+        table.facts.update(by_text)
+        sent += [(dst.name, src, text) for text in by_text]
+    return table.intern(res.new_state), tuple(sent), True
 
 
-def _step(state: NetworkState, machine: MachineState, texts) -> StepResult:
-    """``step`` on the fact strings ``texts``, memoised in ``state.memo`` by
-    the machine's ``semantic_key`` and the set of texts: ``step`` reads its
-    inbox as a set and never sees the sender. A hit may carry another
-    path's ``iteration``, which ``step`` only tests against 0."""
-    key = (machine.semantic_key(), frozenset(texts))
-    res = state.memo.get(key)
-    if res is None:
-        res = state.memo[key] = step(machine, [state.facts[text] for text in texts])
-    return res
+def _step(state: NetworkState, at: int, texts) -> bool:
+    """Step the machine at position ``at`` on the fact strings ``texts`` and
+    commit it; True if it changed. The step is memoised in the table by the
+    machine's id and the set of texts: ``step`` reads its inbox as a set
+    and never sees the sender."""
+    table, mid = state.table, state.ids[at]
+    key = (mid, frozenset(texts))
+    hit = table.memo.get(key)
+    if hit is None:
+        hit = table.memo[key] = _stepped(table, mid, table.names[at], texts)
+    new, sent, changed = hit
+    state.steps += 1
+    if changed:
+        state.ids = state.ids[:at] + (new,) + state.ids[at + 1:]
+        state.pending = tuple(sorted(state.pending + sent))
+    return changed
 
 
 def _sweep(state: NetworkState, budget: int) -> bool:
@@ -249,20 +291,14 @@ def _sweep(state: NetworkState, budget: int) -> bool:
     This both seeds derivations from local input at run start and settles
     event-dependent rules once a machine's inbox has drained. Machine step
     effects grow monotonically (persisted state and sent-cache only grow),
-    so the sweep terminates. Returns False if the budget ran out. No-op
-    steps are not committed, keeping enumeration state keys canonical.
+    so the sweep terminates. Returns False if the budget ran out.
     """
     while True:
         any_change = False
-        for name, m in state.machines.items():
+        for at in range(len(state.ids)):
             if state.steps >= budget:
                 return False
-            res = _step(state, m, ())
-            state.steps += 1
-            if res.changed(m):
-                state.machines[name] = res.new_state
-                _enqueue(state, name, res.outbound)
-                any_change = True
+            any_change |= _step(state, at, ())
         if not any_change:
             return True
 
@@ -276,34 +312,36 @@ def _inboxes(pending: tuple) -> dict:
     return out
 
 
-def _deliver(state: NetworkState, envs) -> tuple:
-    """The one delivery primitive: take the batch ``envs`` (distinct pending
-    envelopes, all to one machine) out of ``state.pending``, step that
-    machine on their facts, commit its new state and enqueue what it
-    sends. Returns the replayable decision."""
-    batch = sorted(envs)
+def _deliver(state: NetworkState, batch) -> None:
+    """The one delivery primitive: take the batch (distinct pending
+    envelopes, all to one machine, sorted) out of ``state.pending``, then
+    step that machine on their facts and commit it with what it sends."""
     rest = list(state.pending)
     for env in batch:
         rest.remove(env)
     state.pending = tuple(rest)
-    dst = batch[0][0]
-    res = _step(state, state.machines[dst], [text for _, _, text in batch])
-    state.steps += 1
-    state.machines[dst] = res.new_state
-    _enqueue(state, dst, res.outbound)
-    return dst, tuple(env[1:] for env in batch)
+    _step(state, state.table.names.index(batch[0][0]), [env[2] for env in batch])
+
+
+def _decision(batch) -> tuple:
+    """The replayable decision that delivers the sorted ``batch``."""
+    return batch[0][0], tuple(env[1:] for env in batch)
 
 
 def _outputs(state: NetworkState) -> tuple:
-    """(machine name -> output relations, their union)."""
-    per_machine = {
-        name: m.persisted.restrict(m.program.output_rels)
-        for name, m in state.machines.items()
-    }
-    union = Database({})
-    for db in per_machine.values():
-        union = db_union(union, db)
-    return per_machine, union
+    """(machine name -> output relations, their union), memoised in the
+    table by the machines' ids."""
+    out = state.table.outputs.get(state.ids)
+    if out is None:
+        per_machine = {
+            name: m.persisted.restrict(m.program.output_rels)
+            for name, m in state.machines.items()
+        }
+        union = Database({})
+        for db in per_machine.values():
+            union = db_union(union, db)
+        out = state.table.outputs[state.ids] = per_machine, union
+    return dict(out[0]), out[1]
 
 
 class _SeededChooser:
@@ -377,7 +415,9 @@ def run_schedule(
     ok = _sweep(state, step_budget)
     while ok and state.pending:
         at = state.steps
-        dst, keys = _deliver(state, chooser.choose(state.pending))
+        batch = sorted(chooser.choose(state.pending))
+        _deliver(state, batch)
+        dst, keys = _decision(batch)
         decisions.append((dst, keys))
         trace.extend((src, dst, fact, at) for src, fact in keys)
         chooser.maybe_duplicate(state)
@@ -438,11 +478,12 @@ def _awake_batches(pending: tuple, asleep: dict):
 
 
 def _unwind(path: tuple) -> tuple:
-    """The decisions on a path ``(decision, parent)``, root path ``()`` first."""
+    """The decisions of the batches on a path ``(batch, parent)``, root path
+    ``()`` first."""
     decisions = []
     while path:
-        decision, path = path
-        decisions.append(decision)
+        batch, path = path
+        decisions.append(_decision(batch))
     return tuple(reversed(decisions))
 
 
@@ -547,7 +588,8 @@ def enumerate_schedules(
             batch, asleep = nxt
             child = state.copy()
             deliveries += 1
-            enter(child, (_deliver(child, batch), path), asleep)
+            _deliver(child, batch)
+            enter(child, (batch, path), asleep)
     return EnumerationResult(
         outcomes=list(outcomes.values()),
         complete=not (truncated or stopped),

@@ -56,9 +56,10 @@ DATA_VALUES = (Symbol("a"), Symbol("b"), Int(1), Int(2))
 ADDRESSES = (Address("m1"), Address("m2"))
 DATA_CONSTS = ("a", "1")
 VARS = ("X", "Y", "Z")
-# D binds addresses and S gset values. Neither reaches a comparison or an
-# aggregate. S occurs at most once per body, at the lattice column of acc,
-# and reaches only the lattice column of an acc head, as validation requires
+# D binds addresses and S gset values. Neither reaches a comparison, an
+# aggregate or a scalar head column. S occurs at most once per body, at the
+# lattice column of acc, and reaches only the lattice column of an acc head,
+# as validation requires
 SPECIAL_VARS = {"D", "S"}
 
 
@@ -100,7 +101,7 @@ def _rule(draw, head: str) -> str:
         left = draw(st.sampled_from(data_vars))
         right = draw(st.sampled_from(data_vars + list(DATA_CONSTS)))
         body.append(f"{left} {draw(st.sampled_from(['=', '!=', '<', '<=']))} {right}")
-    terms = sorted(bound - {"S"}) + list(DATA_CONSTS)
+    terms = data_vars + list(DATA_CONSTS)
     if head == "g":
         if not data_vars:
             return ""

@@ -316,12 +316,23 @@ def test_a_lattice_value_only_reaches_a_head_column_of_its_lattice(rule, error):
 
 
 # an address column of a head takes an address constant or a variable bound
-# at an address column of a positive literal, never an aggregate
+# at an address column of a positive literal, never an aggregate; and a
+# variable bound only at address columns fills no other head column, nor
+# does a min or max over it
 ADDRESS_COLUMN_ERRORS = [
     ("msg(X, Y) :- e(X, Y).",
      "f.calm:7:5: variable X fills address column dest of msg, "
      "but no positive literal binds it at an address column"),
     ("msg(count<X>, Y) :- e(X, Y).", "f.calm:7:5: aggregate cannot target address column dest"),
+    ("d1(D, X) :- msg(D, X).",
+     "f.calm:7:4: variable D fills column x of d1, "
+     "but positive literals bind it only at address columns"),
+    ("g(X, max<D>) :- msg(D, X).",
+     "f.calm:7:10: variable D fills column n of g, "
+     "but positive literals bind it only at address columns"),
+    ("msg(D, D) :- msg(D, _).",
+     "f.calm:7:8: variable D fills column x of msg, "
+     "but positive literals bind it only at address columns"),
 ]
 
 
@@ -330,3 +341,12 @@ def test_an_address_column_takes_only_an_address(rule, error):
     with pytest.raises(ValidationError) as e:
         validate_program(parse_program(LATTICE_DECLS + rule, filename="f.calm"))
     assert str(e.value) == error
+
+
+@pytest.mark.parametrize("rule", [
+    "g(X, count<D>) :- msg(D, X).",
+    "d1(X, Y) :- msg(D, X), e(X, Y), D != @m1.",
+    "msg(D, X) :- msg(D, X).",
+])
+def test_an_address_may_be_counted_compared_and_routed_on(rule):
+    validate_program(parse_program(LATTICE_DECLS + rule))

@@ -196,6 +196,37 @@ def test_a_symbol_in_an_address_column_is_rejected_by_analyze_and_run(tmp_path, 
         assert_one_error_line(*run_cli(capsys, *argv), expect)
 
 
+# B is bound only at an address column, so p would hold an address
+ADDRESS_IN_A_SCALAR_COLUMN_PROBE = """rel nbr(@a, @b) [input]
+rel p(x) [output]
+p(B) :- nbr(_, B).
+"""
+
+
+def test_an_address_in_a_scalar_column_is_rejected_by_analyze_and_run(tmp_path, capsys):
+    (tmp_path / "p.calm").write_text(ADDRESS_IN_A_SCALAR_COLUMN_PROBE)
+    (tmp_path / "nbr.facts").write_text("nbr(@m1, @m2)\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"program": "p.calm", "fixture": "nbr.facts", "machines": 2}))
+    program = str(tmp_path / "p.calm")
+    expect = (f"{program}:3:3: variable B fills column x of p, "
+              "but positive literals bind it only at address columns")
+    for argv in (("analyze", program), ("run", str(cfg))):
+        assert_one_error_line(*run_cli(capsys, *argv), expect)
+
+
+def test_a_program_address_outside_the_network_is_located_under_every_verb(tmp_path, capsys):
+    (tmp_path / "b.calm").write_text("rel e(x) [input]\nchan msg(@dest, x)\nmsg(@m9, X) :- e(X).\n")
+    (tmp_path / "e.facts").write_text("e(a)\n")
+    cfg = tmp_path / "b.json"
+    cfg.write_text(json.dumps({"program": "b.calm", "fixture": "e.facts", "machines": 2}))
+    expect = f"error: {tmp_path / 'b.calm'}:3:5: address @m9 is not in the network"
+    for verb in ("run", "check", "coordination"):
+        assert_one_error_line(*run_cli(capsys, verb, str(cfg)), expect)
+    code, _, err = run_cli(capsys, "coordination", "--machines", "9", str(cfg))
+    assert code in (0, 1) and err == ""
+
+
 def test_check_cart_manifest_confluent_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "check", corpus_file("cart_manifest", "check.json"))
     assert code == 0

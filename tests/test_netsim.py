@@ -331,6 +331,36 @@ def test_a_rerun_on_one_network_executes_no_step():
     assert outcomes[0].to_obj() == outcomes[1].to_obj()
 
 
+@pytest.mark.parametrize("name,steps", [("deadlock", 144), ("gc", 310)])
+def test_a_walk_keys_each_machine_state_once_per_step(monkeypatch, name, steps):
+    # machine states are interned to ids, so the walk keys a machine state
+    # only when it enters the table (at init or after a step that changed
+    # it) and compares databases only when a step runs: a delivery that
+    # hits the step memo touches no Database
+    cfg = cfg_for(name, "check.json")
+    part = cfg.partitioning()
+    calls = Counter()
+
+    def count(owner, attr, label):
+        real = getattr(owner, attr)
+
+        def counted(*args):
+            calls[label] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(transducer.MachineState, "semantic_key", "keys")
+    count(Database, "__eq__", "eqs")
+    count(netsim, "step", "steps")
+    net = init_network(cfg.program, cfg.fixture, part)
+    res = enumerate_schedules(net)
+    assert res.complete
+    assert calls["steps"] == steps
+    assert calls["keys"] <= steps + len(net.machines), calls
+    assert calls["eqs"] <= 2 * steps, calls
+
+
 def test_run_schedule_leaves_its_input_untouched():
     cfg = cfg_for("deadlock")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())

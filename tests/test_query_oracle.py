@@ -176,8 +176,9 @@ FEATURE_PROGRAMS = [
     DECLS + "d0(X, Y) :- f(X, Y).\nd0(X, Z) :- d0(X, Y), d0(Y, Z).\n"
             "g(X, count<Y>) :- d0(X, Y).\ng(X, min<Y>) :- e(X, Y).\n"
             "g(X, max<Y>) :- e(X, Y), Y <= 2.\nd2(X, N) :- g(X, N), !u(N).\n",
-    # a channel literal read from the inbox, and a channel head
-    DECLS + "d0(X, Y) :- msg(_, X, Y).\nd1(D, Y) :- msg(D, X, Y), e(X, _).\n"
+    # a channel literal read from the inbox, joined on its address, and a
+    # channel head
+    DECLS + "d0(X, Y) :- msg(_, X, Y).\nd1(X, Y) :- msg(D, X, Y), e(X, _), peer(D).\n"
             "msg(P, X, Y) :- peer(P), e(X, Y).\n",
     # zero-arity heads, negated and read: missing() holds, none() does not
     DECLS + "rel missing() [event]\nrel none()\n"
