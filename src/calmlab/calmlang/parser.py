@@ -18,6 +18,8 @@ from ..lattices import VARIANT_NAMES
 from ..values import ESCAPES, Address, Int, Symbol, Text
 from .printer import term_to_text
 from .syntax import (
+    ADDR,
+    SCALAR,
     AggTerm,
     ColSpec,
     Comparison,
@@ -227,16 +229,16 @@ class _Parser:
         t = self.peek()
         if t.kind == "ADDR":
             self.take()
-            return ColSpec(t.text, "addr", None, (t.line, t.col))
+            return ColSpec(t.text, ADDR, (t.line, t.col))
         name = self.take("IDENT", "column name")
-        lattice = None
+        role = SCALAR
         if self.peek().kind == "COLON":
             self.take()
             lt = self.take("IDENT", "lattice variant")
             if lt.text not in LATTICE_NAMES:
                 self.fail(f"unknown lattice variant {lt.text!r}", lt)
-            lattice = lt.text
-        return ColSpec(name.text, "data", lattice, (name.line, name.col))
+            role = lt.text
+        return ColSpec(name.text, role, (name.line, name.col))
 
     # --- rules -----------------------------------------------------------
 

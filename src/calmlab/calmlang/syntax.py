@@ -84,11 +84,13 @@ class Rule:
     pos: Pos = field(default=NOPOS, compare=False)
 
 
+ADDR, SCALAR = "addr", "scalar"
+
+
 @dataclass(frozen=True)
 class ColSpec:
     name: str
-    role: str  # data | addr
-    lattice: str | None = None  # gset | maxint | boolor | 2p
+    role: str  # ADDR | SCALAR | a lattice variant: gset | maxint | boolor | 2p
     pos: Pos = field(default=NOPOS, compare=False)
 
 

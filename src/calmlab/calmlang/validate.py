@@ -1,15 +1,15 @@
 """Static checks that turn a parsed Program into a ValidatedProgram.
 
 Beyond the classic datalog safety conditions (range restriction, bound
-negation, bound comparisons) this enforces the network-facing invariants:
-channel relations route on an address-typed first column, a head's
-address column takes only an address constant or a variable bound at an
-address column, and a variable bound only at address columns fills no
-other head column. Input/output markers only make sense on persisted
-relations, lattice-typed columns stay out of channels, events, and negated
-literals, and a lattice value leaves its lattice only by merging.
-``fact_error`` decides whether a fixture fact fits the program, with the
-same column rule (``value_error``) as program constants.
+negation, bound comparisons) this gives every term the role of a column
+(``role``: an address, a lattice variant, or a scalar) and checks it at
+every use, so an address comes only from a constant or an ``@`` column and
+goes only to an ``@`` column, and a lattice value leaves its lattice only
+by merging. ``value_error`` is the same rule for program constants and, by
+``fact_error``, fixture values. Channel relations route on an
+address-typed first column, input/output markers only make sense on
+persisted relations, and lattice-typed columns stay out of channels,
+events, and negated literals.
 
 Validation also fixes a per-rule evaluation plan: positive literals join in
 source order and each filter (comparison or negation) runs as soon as its
@@ -21,10 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .. import lattices
 from ..errors import CalmlabError
-from ..lattices import VARIANT_NAMES, is_lattice
+from ..lattices import VARIANT_NAMES
 from ..values import Address
+from .printer import term_to_text
 from .syntax import (
+    ADDR,
+    SCALAR,
     AggTerm,
     ColSpec,
     Comparison,
@@ -42,6 +46,9 @@ from .syntax import (
 )
 
 RESERVED_RELATIONS = ("id", "all")
+
+JOINABLE = frozenset((SCALAR, ADDR))  # the roles a join or comparison may read
+_VALUE_ROLES = {Address: ADDR, **VARIANT_NAMES}
 
 
 class ValidationError(CalmlabError):
@@ -63,11 +70,11 @@ class Schema:
 
     @cached_property
     def lattice_cols(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.cols) if c.lattice)
+        return tuple(i for i, c in enumerate(self.cols) if c.role not in JOINABLE)
 
     @cached_property
     def scalar_cols(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.cols) if not c.lattice)
+        return tuple(i for i, c in enumerate(self.cols) if c.role in JOINABLE)
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ class ValidatedProgram:
 
 
 def _reserved_schemas() -> dict:
-    addr_col = (ColSpec("a", "addr"),)
+    addr_col = (ColSpec("a", ADDR),)
     return {
         "id": Schema("id", addr_col, "persisted", reserved=True),
         "all": Schema("all", addr_col, "persisted", reserved=True),
@@ -152,7 +159,7 @@ def _check_decl(d: RelDecl) -> Schema:
     if d.name in RESERVED_RELATIONS:
         raise ValidationError(f"relation name {d.name!r} is reserved", d.pos)
     if d.channel:
-        if not d.cols or d.cols[0].role != "addr":
+        if not d.cols or d.cols[0].role != ADDR:
             raise ValidationError(
                 f"channel relation {d.name} needs an address-typed first column "
                 f"(write it as @{d.cols[0].name if d.cols else 'dest'})",
@@ -169,8 +176,7 @@ def _check_decl(d: RelDecl) -> Schema:
             "(fixture facts and quiescent reads need persisted state)",
             d.pos,
         )
-    has_lattice = any(c.lattice for c in d.cols)
-    if has_lattice and (d.channel or d.persistence == "event"):
+    if any(c.role not in JOINABLE for c in d.cols) and (d.channel or d.persistence == "event"):
         raise ValidationError(
             f"relation {d.name}: lattice columns are only allowed in persisted relations",
             d.pos,
@@ -179,21 +185,43 @@ def _check_decl(d: RelDecl) -> Schema:
     return Schema(d.name, d.cols, kind, d.is_input, d.is_output)
 
 
+def role(x) -> str:
+    """The role of a column (a ``ColSpec``) or of a value: ``"addr"`` for a
+    machine address, a lattice variant for a value of that lattice, and
+    ``"scalar"`` for anything else."""
+    return x.role if isinstance(x, ColSpec) else _VALUE_ROLES.get(type(x), SCALAR)
+
+
+def _held(r: str) -> str:
+    return {ADDR: "machine addresses", SCALAR: "scalars"}.get(r, f"{r} values")
+
+
+def _column(col: ColSpec, rel: str) -> str:
+    kind = {ADDR: "address ", SCALAR: ""}.get(role(col), f"{role(col)} ")
+    return f"{kind}column {col.name} of {rel}"
+
+
+def _role_error(have: str, col: ColSpec, rel: str) -> str | None:
+    """Why a value or term of role ``have`` cannot fill column ``col`` of
+    ``rel``, or None."""
+    if have == role(col):
+        return None
+    return f"column {col.name} of {rel} holds {_held(role(col))}, not {_held(have)}"
+
+
 def value_error(value, col: ColSpec, rel: str) -> str | None:
     """Why ``value`` cannot sit in column ``col`` of ``rel``, or None. Program
-    constants and fixture values obey this one rule: only an address goes
-    in an ``@`` column and only there, a lattice column takes a value of its
-    own lattice, and any other column takes no lattice value."""
-    where = f"column {col.name} of {rel}"
-    if col.role == "addr":
-        return None if isinstance(value, Address) else f"{where} holds machine addresses"
-    if isinstance(value, Address):
-        return f"{where} is not an address column"
-    if col.lattice:
-        if VARIANT_NAMES.get(type(value)) != col.lattice:
-            return f"{where} holds {col.lattice} values"
-    elif is_lattice(value):
-        return f"{where} is not a lattice column"
+    constants and fixture values obey this one rule: the value's role is
+    the column's, and a lattice value's elements are scalars."""
+    have = role(value)
+    if have != role(col):
+        return _role_error(have, col, rel)
+    if have in JOINABLE:  # only a lattice value has elements
+        return None
+    for e in lattices.elements(value):
+        if role(e) != SCALAR:
+            return (f"column {col.name} of {rel} holds {have} values of scalars, "
+                    f"not of {_held(role(e))}")
     return None
 
 
@@ -217,46 +245,91 @@ def fact_error(vp: ValidatedProgram, rel: str, args: tuple) -> str | None:
 
 
 def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> None:
+    """Arity, and the role of each term that is not a variable: a constant's
+    value (``value_error``), a constructor's variant, an aggregate's scalar."""
     if len(lit.args) != schema.arity:
         raise ValidationError(
             f"{lit.relation} has arity {schema.arity}, used with {len(lit.args)} argument(s)",
             lit.pos,
         )
-    for i, arg in enumerate(lit.args):
-        col = schema.cols[i]
+    for col, arg in zip(schema.cols, lit.args):
+        error = None
         if isinstance(arg, Const):
-            if col.lattice:
-                raise ValidationError(
-                    f"column {col.name} of {lit.relation} is a {col.lattice} lattice column; "
-                    "use a variable or a lattice constructor",
-                    arg.pos,
-                )
             error = value_error(arg.value, col, lit.relation)
-            if error:
-                raise ValidationError(error, arg.pos)
         elif isinstance(arg, LatticeTerm):
             if not head:
                 raise ValidationError(
                     "lattice constructors are only allowed in rule heads", arg.pos
                 )
-            if col.lattice is None:
-                raise ValidationError(
-                    f"column {col.name} of {lit.relation} is not a lattice column",
-                    arg.pos,
-                )
-            if arg.variant != col.lattice:
-                raise ValidationError(
-                    f"column {col.name} of {lit.relation} is {col.lattice}, "
-                    f"constructor builds {arg.variant}",
-                    arg.pos,
-                )
+            error = _role_error(arg.variant, col, lit.relation)
         elif isinstance(arg, AggTerm):
             if not head:
                 raise ValidationError("aggregates may appear in rule heads only", arg.pos)
-            if col.lattice:
-                raise ValidationError(f"aggregate cannot target lattice column {col.name}", arg.pos)
-            if col.role == "addr":
-                raise ValidationError(f"aggregate cannot target address column {col.name}", arg.pos)
+            error = _role_error(SCALAR, col, lit.relation)
+        if error:
+            raise ValidationError(error, arg.pos)
+
+
+def _require(term, roles, use: str, bound: dict) -> None:
+    """Raise at ``term``, a constant or a bound variable, if its role is not
+    one of ``roles``; the error names the ``use``, and a variable's binding."""
+    if isinstance(term, Const) and role(term.value) not in roles:
+        have = "a machine address" if role(term.value) == ADDR else "a scalar"
+        raise ValidationError(f"{term_to_text(term)} {use}, but it is {have}", term.pos)
+    if isinstance(term, Var) and term.name in bound:
+        have, col, rel = bound[term.name]
+        if have not in roles:
+            raise ValidationError(
+                f"variable {term.name} {use}, but column {col.name} of {rel} holds {_held(have)}",
+                term.pos,
+            )
+
+
+def _role_of(term, bound: dict) -> str | None:
+    if isinstance(term, Const):
+        return role(term.value)
+    return bound[term.name][0] if isinstance(term, Var) and term.name in bound else None
+
+
+def _check_roles(head: Literal, positives: list, negations: list, comparisons: list,
+                 agg: AggTerm | None, schemas: dict) -> dict:
+    """Type the rule's variables, and return each bound one's (role, column,
+    relation) at its first binding. A positive literal binds a variable to
+    its column's role. Every other occurrence is a use that requires a role
+    (``_require``): a second binding, a negated literal's column or a head
+    column requires the column's, and no join, comparison, count or
+    aggregate grouping term takes a lattice value. The two sides of a
+    comparison share a role, and a constructor part is a scalar."""
+    bound: dict = {}
+    for lit in positives:
+        for col, term in zip(schemas[lit.relation].cols, lit.args):
+            if isinstance(term, Var) and term.name not in bound:
+                bound[term.name] = (role(col), col, lit.relation)
+            elif isinstance(term, Var):
+                roles = {role(col)} & JOINABLE
+                _require(term, roles, f"is joined at {_column(col, lit.relation)}", bound)
+    for lit in (n.literal for n in negations):
+        for col, term in zip(schemas[lit.relation].cols, lit.args):
+            _require(term, {role(col)}, f"fills {_column(col, lit.relation)}", bound)
+    for c in comparisons:
+        for side, other in ((c.left, c.right), (c.right, c.left)):
+            need = _role_of(other, bound)
+            roles = {need} if need in JOINABLE else JOINABLE
+            _require(side, roles, f"is compared with {term_to_text(other)}", bound)
+    for col, term in zip(schemas[head.relation].cols, head.args):
+        where = _column(col, head.relation)
+        if isinstance(term, LatticeTerm):
+            for part in (p for group in term.parts for p in group):
+                _require(part, {SCALAR}, f"is a constructor part in {where}", bound)
+        elif isinstance(term, AggTerm) and term.kind == "count":
+            _require(term.var, JOINABLE, f"is counted in {where}", bound)
+        elif isinstance(term, AggTerm):
+            _require(term.var, {role(col)}, f"fills {where}", bound)
+        else:
+            _require(term, {role(col)}, f"fills {where}", bound)
+            if agg is not None:
+                _require(term, JOINABLE, f"groups {term_to_text(agg)} in {where}", bound)
+    return bound
 
 
 def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
@@ -277,16 +350,9 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
         if isinstance(a, Wildcard):
             raise ValidationError("wildcard not allowed in rule head", a.pos)
 
-    positives: list[Literal] = []
-    negations: list[Negation] = []
-    comparisons: list[Comparison] = []
-    for elem in rule.body:
-        if isinstance(elem, Literal):
-            positives.append(elem)
-        elif isinstance(elem, Negation):
-            negations.append(elem)
-        else:
-            comparisons.append(elem)
+    positives = [e for e in rule.body if isinstance(e, Literal)]
+    negations = [e for e in rule.body if isinstance(e, Negation)]
+    comparisons = [e for e in rule.body if isinstance(e, Comparison)]
 
     for lit in positives + [n.literal for n in negations]:
         if lit.relation not in schemas:
@@ -302,104 +368,28 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                 n.pos,
             )
 
-    # a lattice value leaves its lattice only through the merge at commit: a
-    # variable bound at a lattice column occurs once in the body, and
-    # elsewhere only as a bare head term in a column of its own lattice, in a
-    # head without an aggregate (an aggregate's grouping terms are scalar uses)
-    source: dict[str, tuple] = {}  # variable -> (term, column, relation), first occurrence
-    for lit in positives:
-        for term, col in zip(lit.args, schemas[lit.relation].cols):
-            if not isinstance(term, Var):
-                continue
-            if term.name in source and (col.lattice or source[term.name][1].lattice):
-                raise ValidationError(
-                    f"lattice variable {term.name} occurs more than once in the body", term.pos
-                )
-            source.setdefault(term.name, (term, col, lit.relation))
+    bound = _check_roles(head, positives, negations, comparisons, agg, schemas)
 
-    def scalar_use(*terms) -> None:
+    # range restriction: every variable of the head, of a negation and of a
+    # comparison occurs in a positive body literal
+    safety = [
+        (head.args, "head variable {} does not appear in a positive body literal"),
+        ([a for n in negations for a in n.literal.args],
+         "variable {} under negation is not bound by a positive literal"),
+        ([s for c in comparisons for s in (c.left, c.right)],
+         "variable {} in comparison is not bound by a positive literal"),
+    ]
+    for terms, message in safety:
         for v in (v for t in terms for v in term_vars(t)):
-            if v.name in source and source[v.name][1].lattice:
-                raise ValidationError("lattice value where a scalar is required", v.pos)
-
-    for n in negations:
-        scalar_use(*n.literal.args)
-    for c in comparisons:
-        scalar_use(c.left, c.right)
-    for col, arg in zip(head_schema.cols, head.args):
-        bare = col.lattice is not None and isinstance(arg, Var)
-        if agg is not None or not bare:
-            scalar_use(arg)
-        if bare and arg.name in source:
-            term, src, rel = source[arg.name]
-            if src.lattice != col.lattice:
-                holds = f"{src.lattice} values" if src.lattice else "scalars"
-                raise ValidationError(
-                    f"variable {arg.name} fills {col.lattice} column {col.name} of "
-                    f"{head.relation}, but column {src.name} of {rel} holds {holds}",
-                    term.pos,
-                )
-
-    bound = source.keys()  # the variables of positive body literals
-
-    # range restriction: head variables come from positive body literals
-    head_var_names = []
-    for i, a in enumerate(head.args):
-        if i == agg_pos:
-            continue
-        head_var_names.extend(v.name for v in term_vars(a))
-    for a in head.args:
-        for v in term_vars(a):
             if v.name not in bound:
-                raise ValidationError(
-                    f"head variable {v.name} does not appear in a positive body literal",
-                    v.pos,
-                )
-    # an address comes only from an address column: a head variable in an
-    # @ column occurs at an @ column of a positive literal
-    addressed = {t.name for lit in positives
-                 for t, col in zip(lit.args, schemas[lit.relation].cols)
-                 if col.role == "addr" and isinstance(t, Var)}
-    for col, arg in zip(head_schema.cols, head.args):
-        if col.role == "addr" and isinstance(arg, Var) and arg.name not in addressed:
-            raise ValidationError(
-                f"variable {arg.name} fills address column {col.name} of {head.relation}, "
-                "but no positive literal binds it at an address column",
-                arg.pos,
-            )
-    # and an address goes only to an address column: a head variable in any
-    # other column, or the one a min or max picks, is bound at another column
-    valued = {t.name for lit in positives
-              for t, col in zip(lit.args, schemas[lit.relation].cols)
-              if col.role != "addr" and isinstance(t, Var)}
-    for col, arg in zip(head_schema.cols, head.args):
-        var = arg.var if isinstance(arg, AggTerm) and arg.kind != "count" else arg
-        if col.role != "addr" and isinstance(var, Var) and var.name not in valued:
-            raise ValidationError(
-                f"variable {var.name} fills column {col.name} of {head.relation}, "
-                "but positive literals bind it only at address columns",
-                var.pos,
-            )
-    if agg is not None and agg.var.name in head_var_names:
+                raise ValidationError(message.format(v.name), v.pos)
+    grouping = {v.name for a in head.args if a is not agg for v in term_vars(a)}
+    if agg is not None and agg.var.name in grouping:
         raise ValidationError(
-            f"aggregate variable {agg.var.name} also appears as a grouping term",
-            agg.pos,
+            f"aggregate variable {agg.var.name} also appears as a grouping term", agg.pos
         )
-    for n in negations:
-        for v in literal_vars(n.literal):
-            if v.name not in bound:
-                raise ValidationError(
-                    f"variable {v.name} under negation is not bound by a positive literal",
-                    v.pos,
-                )
     for c in comparisons:
         for side in (c.left, c.right):
-            for v in term_vars(side):
-                if v.name not in bound:
-                    raise ValidationError(
-                        f"variable {v.name} in comparison is not bound by a positive literal",
-                        v.pos,
-                    )
             if isinstance(side, (LatticeTerm, AggTerm)):
                 raise ValidationError("comparisons operate on scalar terms", c.pos)
             if isinstance(side, Wildcard):

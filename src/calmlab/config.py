@@ -6,8 +6,10 @@ config is where fixture facts enter: each must fit the program
 Only the verb knows the network it runs on: ``RunConfig.check_network``
 rejects a program address constant naming a machine outside it, at its
 line and column in the program file, and such a fixture fact, in the
-fixture file. A partitioning that does not deal the fixture's facts to the
-machines is an error in the config file."""
+fixture file. Validation keeps addresses out of lattice values, so it
+reads only rule terms and the top-level arguments of facts. A
+partitioning that does not deal the fixture's facts to the machines is an
+error in the config file."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .calmlang import ValidatedProgram, parse_program, validate_program
-from .calmlang.syntax import Comparison, Const, LatticeTerm, Negation, Program
+from .calmlang.syntax import Comparison, Const, Negation, Program
 from .calmlang.validate import fact_error
 from .errors import CalmlabError, read_text
 from .netsim import (
@@ -94,7 +96,8 @@ class RunConfig:
 
 
 def _address_constants(program: Program):
-    """The address constants of ``program``'s rules, each head before its body."""
+    """The address constants of ``program``'s rules, each head before its body;
+    none is a constructor part, which is a scalar."""
     for rule in program.rules:
         terms = list(rule.head.args)
         for elem in rule.body:
@@ -102,9 +105,7 @@ def _address_constants(program: Program):
                 terms += [elem.left, elem.right]
             else:
                 terms += (elem.literal if isinstance(elem, Negation) else elem).args
-        for term in terms:
-            parts = [e for g in term.parts for e in g] if isinstance(term, LatticeTerm) else [term]
-            yield from (p for p in parts if isinstance(p, Const) and isinstance(p.value, Address))
+        yield from (t for t in terms if isinstance(t, Const) and isinstance(t.value, Address))
 
 
 def default_seed() -> int:

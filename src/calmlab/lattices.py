@@ -123,6 +123,13 @@ def is_lattice(v) -> bool:
     return isinstance(v, (GSet, MaxInt, BoolOr, TwoPSet))
 
 
+def elements(v) -> frozenset:
+    """The elements of a set lattice value ``v``; none for any other value."""
+    if isinstance(v, TwoPSet):
+        return v.added | v.tombstoned
+    return v.elems if isinstance(v, GSet) else frozenset()
+
+
 def variant_name(v) -> str:
     return VARIANT_NAMES[type(v)]
 

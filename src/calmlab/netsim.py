@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .calmlang import ValidatedProgram
 from .errors import CalmlabError
 from .relspace import Database, db_to_obj, db_union, parse_fact
-from .transducer import MachineState, RoutingError, init_machine, step
+from .transducer import MachineState, init_machine, step
 from .values import Address
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -236,9 +236,10 @@ class RunOutcome:
 
 def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -> NetworkState:
     """Machines hold their assigned input facts plus id/all; nothing pending.
-    The fixture's facts already fit the program and name only machines of
-    the network (the verbs check them through ``config.RunConfig``), and
-    ``part`` assigns exactly the fixture's facts."""
+    The fixture's facts already fit the program, and they and the program's
+    address constants name only machines of the network (the verbs check
+    both through ``config.RunConfig``), so every message reaches one of its
+    machines; ``part`` assigns exactly the fixture's facts."""
     local: dict = {a: [] for a in sorted(part.machines, key=lambda a: a.name)}
     for f, addr in part.assignment.items():
         local[addr].append(f)
@@ -259,8 +260,6 @@ def _stepped(table: MachineTable, mid: int, src: str, texts) -> tuple:
         return mid, (), False
     sent = []
     for dst, facts in res.outbound.items():
-        if dst.name not in table.names:
-            raise RoutingError(f"message addressed to unknown machine {dst}")
         by_text = {str(f): f for f in facts}
         table.facts.update(by_text)
         sent += [(dst.name, src, text) for text in by_text]

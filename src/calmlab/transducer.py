@@ -89,17 +89,8 @@ from .calmlang.syntax import (
     eval_head_term,
     term_vars,
 )
-from .errors import CalmlabError
 from .relspace import Database, Fact
 from .values import Address, Int, value_sort_key
-
-
-class RoutingError(CalmlabError):
-    """An outbound channel fact addressed to a machine outside the network.
-    Validation makes column 1 of every channel fact an address, and the
-    verbs check the program's address constants against the network before
-    a run, so only a network built straight from ``netsim.init_network``
-    can meet one."""
 
 
 # --- the fact space ----------------------------------------------------------

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from calmlab import corpus
@@ -243,7 +246,7 @@ CONSTRUCTOR_ERRORS = [
     ("acc(K, boolor(maybe)) :- s(K, _).",
      "f.calm:3:15: expected 'true' or 'false', found 'maybe'"),
     ("acc(K, maxint(X)) :- s(K, X).",
-     "f.calm:3:8: column v of acc is gset, constructor builds maxint"),
+     "f.calm:3:8: column v of acc holds gset values, not maxint values"),
     ("acc(K, S) :- s(K, X), acc(K, gset{X}).",
      "f.calm:3:30: lattice constructors are only allowed in rule heads"),
     ("acc(K, gset{gset{X}}) :- s(K, X).",
@@ -287,57 +290,66 @@ rel h(s: gset, n)
 chan msg(@dest, x)
 """
 
-# a variable bound at a lattice column occurs once in the body, and
-# elsewhere only as a bare head term in a column of its own lattice of a
-# head without an aggregate
-LATTICE_VARIABLE_ERRORS = [
+# each variable has the role of the column that first binds it (an address,
+# a lattice variant, or a scalar), and each other occurrence of a variable
+# or constant must be of a role its use accepts (see "Column roles" in
+# docs/language.md)
+ROLE_ERRORS = [
     ("d1(X, Y) :- acc(X, S), acc(Y, S).",
-     "f.calm:7:31: lattice variable S occurs more than once in the body"),
-    ("d1(X, S) :- acc(X, S).", "f.calm:7:7: lattice value where a scalar is required"),
+     "f.calm:7:31: variable S is joined at gset column s of acc, "
+     "but column s of acc holds gset values"),
+    ("d1(X, S) :- acc(X, S).",
+     "f.calm:7:7: variable S fills column y of d1, but column s of acc holds gset values"),
     ("d1(X, Y) :- acc(X, S), e(S, Y).",
-     "f.calm:7:26: lattice variable S occurs more than once in the body"),
+     "f.calm:7:26: variable S is joined at column x of e, but column s of acc holds gset values"),
     ("d1(X, Y) :- e(X, Y), acc(S, S).",
-     "f.calm:7:29: lattice variable S occurs more than once in the body"),
+     "f.calm:7:29: variable S is joined at gset column s of acc, "
+     "but column x of acc holds scalars"),
     ("d1(X, Y) :- acc(X, S), e(X, Y), !e(Y, S).",
-     "f.calm:7:39: lattice value where a scalar is required"),
-    ("d1(X, S) :- acc(X, S), S != X.", "f.calm:7:24: lattice value where a scalar is required"),
-    ("acc(X, gset{S}) :- acc(X, S).", "f.calm:7:13: lattice value where a scalar is required"),
-    ("g(X, count<S>) :- acc(X, S).", "f.calm:7:12: lattice value where a scalar is required"),
-    ("msg(@m1, S) :- acc(_, S).", "f.calm:7:10: lattice value where a scalar is required"),
-    ("h(S, count<X>) :- acc(X, S).", "f.calm:7:3: lattice value where a scalar is required"),
-]
-
-
-@pytest.mark.parametrize("rule,error", LATTICE_VARIABLE_ERRORS)
-def test_a_lattice_value_only_reaches_a_head_column_of_its_lattice(rule, error):
-    with pytest.raises(ValidationError) as e:
-        validate_program(parse_program(LATTICE_DECLS + rule, filename="f.calm"))
-    assert str(e.value) == error
-
-
-# an address column of a head takes an address constant or a variable bound
-# at an address column of a positive literal, never an aggregate; and a
-# variable bound only at address columns fills no other head column, nor
-# does a min or max over it
-ADDRESS_COLUMN_ERRORS = [
+     "f.calm:7:39: variable S fills column y of e, but column s of acc holds gset values"),
+    ("d1(X, S) :- acc(X, S), S != X.",
+     "f.calm:7:24: variable S is compared with X, but column s of acc holds gset values"),
+    ("acc(X, gset{S}) :- acc(X, S).",
+     "f.calm:7:13: variable S is a constructor part in gset column s of acc, "
+     "but column s of acc holds gset values"),
+    ("g(X, count<S>) :- acc(X, S).",
+     "f.calm:7:12: variable S is counted in column n of g, but column s of acc holds gset values"),
+    ("msg(@m1, S) :- acc(_, S).",
+     "f.calm:7:10: variable S fills column x of msg, but column s of acc holds gset values"),
+    ("h(S, count<X>) :- acc(X, S).",
+     "f.calm:7:3: variable S groups count<X> in gset column s of h, "
+     "but column s of acc holds gset values"),
     ("msg(X, Y) :- e(X, Y).",
-     "f.calm:7:5: variable X fills address column dest of msg, "
-     "but no positive literal binds it at an address column"),
-    ("msg(count<X>, Y) :- e(X, Y).", "f.calm:7:5: aggregate cannot target address column dest"),
+     "f.calm:7:5: variable X fills address column dest of msg, but column x of e holds scalars"),
+    ("msg(count<X>, Y) :- e(X, Y).",
+     "f.calm:7:5: column dest of msg holds machine addresses, not scalars"),
     ("d1(D, X) :- msg(D, X).",
-     "f.calm:7:4: variable D fills column x of d1, "
-     "but positive literals bind it only at address columns"),
+     "f.calm:7:4: variable D fills column x of d1, but column dest of msg holds machine addresses"),
     ("g(X, max<D>) :- msg(D, X).",
-     "f.calm:7:10: variable D fills column n of g, "
-     "but positive literals bind it only at address columns"),
+     "f.calm:7:10: variable D fills column n of g, but column dest of msg holds machine addresses"),
     ("msg(D, D) :- msg(D, _).",
      "f.calm:7:8: variable D fills column x of msg, "
-     "but positive literals bind it only at address columns"),
+     "but column dest of msg holds machine addresses"),
+    ("d1(X, Y) :- msg(D, _), e(X, Y), e(D, Y).",
+     "f.calm:7:35: variable D is joined at column x of e, "
+     "but column dest of msg holds machine addresses"),
+    ("d1(X, Y) :- msg(D, X), e(X, Y), !e(D, Y).",
+     "f.calm:7:36: variable D fills column x of e, but column dest of msg holds machine addresses"),
+    ("d1(X, Y) :- msg(D, X), e(X, Y), D != a.",
+     "f.calm:7:33: variable D is compared with a, "
+     "but column dest of msg holds machine addresses"),
+    ("d1(X, Y) :- e(X, Y), @m1 = a.",
+     "f.calm:7:22: @m1 is compared with a, but it is a machine address"),
+    ("acc(X, gset{@m1}) :- e(X, _).",
+     "f.calm:7:13: @m1 is a constructor part in gset column s of acc, but it is a machine address"),
+    ("acc(X, gset{D}) :- e(X, _), msg(D, _).",
+     "f.calm:7:13: variable D is a constructor part in gset column s of acc, "
+     "but column dest of msg holds machine addresses"),
 ]
 
 
-@pytest.mark.parametrize("rule,error", ADDRESS_COLUMN_ERRORS)
-def test_an_address_column_takes_only_an_address(rule, error):
+@pytest.mark.parametrize("rule,error", ROLE_ERRORS)
+def test_every_term_has_the_role_of_its_column(rule, error):
     with pytest.raises(ValidationError) as e:
         validate_program(parse_program(LATTICE_DECLS + rule, filename="f.calm"))
     assert str(e.value) == error
@@ -350,3 +362,16 @@ def test_an_address_column_takes_only_an_address(rule, error):
 ])
 def test_an_address_may_be_counted_compared_and_routed_on(rule):
     validate_program(parse_program(LATTICE_DECLS + rule))
+
+
+def test_the_role_errors_in_the_language_doc_are_the_validators():
+    # the table of the Column roles section of docs/language.md
+    text = (Path(__file__).resolve().parent.parent / "docs" / "language.md").read_text()
+    section = text[text.index("## Column roles"):text.index("## Execution model")]
+    decls = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    rows = re.findall(r"^\| [^|]+ \| `([^`]+)` \| `([^`]+)` \|$", section, re.M)
+    assert len(rows) == 17
+    for rule, error in rows:
+        with pytest.raises(ValidationError) as e:
+            validate_program(parse_program(decls + rule))
+        assert e.value.message == error

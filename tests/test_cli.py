@@ -165,7 +165,8 @@ def test_a_lattice_value_read_as_a_scalar_is_rejected_by_analyze_and_check(tmp_p
     program, cfg = write_lattice_probe(tmp_path, LATTICE_PROBE)
     for argv in (("analyze", program), ("check", cfg)):
         assert_one_error_line(*run_cli(capsys, *argv),
-                              f"{program}:7:9: lattice value where a scalar is required")
+                              f"{program}:7:9: variable S fills column s of snap, "
+                              "but column s of acc holds gset values")
 
 
 def test_the_lattice_probe_with_a_gset_snapshot_is_monotone_and_confluent(tmp_path, capsys):
@@ -177,42 +178,43 @@ def test_the_lattice_probe_with_a_gset_snapshot_is_monotone_and_confluent(tmp_pa
     assert code == 0 and out.startswith("confluent-on-instance (exhaustive mode, 1 distinct")
 
 
-# X is a symbol from e, so msg would route on a value that names no machine
-ADDRESS_PROBE = """rel e(x, y) [input]
+ROLE_PROBE_DECLS = """rel e(x) [input]
+rel peer(@p) [input]
+rel nbr(@a, @b) [input]
+rel acc(x, s: gset) [output]
+rel out(x) [output]
+rel away(@d) [output]
 chan msg(@dest, x)
-msg(X, Y) :- e(X, Y).
 """
 
 
-def test_a_symbol_in_an_address_column_is_rejected_by_analyze_and_run(tmp_path, capsys):
-    (tmp_path / "p.calm").write_text(ADDRESS_PROBE)
-    (tmp_path / "e.facts").write_text("e(a, b)\n")
+# a symbol routed on as an address; an address in a scalar column, in a
+# gset by constant and by variable, joined with a scalar, and negated at a
+# scalar column: each of these ran to an answer, and the join and the
+# negation could never match
+@pytest.mark.parametrize("rule,expect", [
+    ("msg(X, X) :- e(X).",
+     "8:5: variable X fills address column dest of msg, but column x of e holds scalars"),
+    ("out(B) :- nbr(_, B).",
+     "8:5: variable B fills column x of out, but column b of nbr holds machine addresses"),
+    ("acc(X, gset{@m1}) :- e(X).",
+     "8:13: @m1 is a constructor part in gset column s of acc, but it is a machine address"),
+    ("acc(X, gset{P}) :- e(X), peer(P).",
+     "8:13: variable P is a constructor part in gset column s of acc, "
+     "but column p of peer holds machine addresses"),
+    ("out(X) :- peer(D), e(X), e(D).",
+     "8:28: variable D is joined at column x of e, but column p of peer holds machine addresses"),
+    ("away(D) :- peer(D), !e(D).",
+     "8:24: variable D fills column x of e, but column p of peer holds machine addresses"),
+])
+def test_a_term_of_another_role_is_rejected_by_analyze_and_run(tmp_path, capsys, rule, expect):
+    (tmp_path / "p.calm").write_text(ROLE_PROBE_DECLS + rule + "\n")
+    (tmp_path / "e.facts").write_text("e(a)\npeer(@m2)\nnbr(@m1, @m2)\n")
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"program": "p.calm", "fixture": "e.facts", "machines": 1}))
+    cfg.write_text(json.dumps({"program": "p.calm", "fixture": "e.facts", "machines": 2}))
     program = str(tmp_path / "p.calm")
-    expect = (f"{program}:3:5: variable X fills address column dest of msg, "
-              "but no positive literal binds it at an address column")
     for argv in (("analyze", program), ("run", str(cfg))):
-        assert_one_error_line(*run_cli(capsys, *argv), expect)
-
-
-# B is bound only at an address column, so p would hold an address
-ADDRESS_IN_A_SCALAR_COLUMN_PROBE = """rel nbr(@a, @b) [input]
-rel p(x) [output]
-p(B) :- nbr(_, B).
-"""
-
-
-def test_an_address_in_a_scalar_column_is_rejected_by_analyze_and_run(tmp_path, capsys):
-    (tmp_path / "p.calm").write_text(ADDRESS_IN_A_SCALAR_COLUMN_PROBE)
-    (tmp_path / "nbr.facts").write_text("nbr(@m1, @m2)\n")
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"program": "p.calm", "fixture": "nbr.facts", "machines": 2}))
-    program = str(tmp_path / "p.calm")
-    expect = (f"{program}:3:3: variable B fills column x of p, "
-              "but positive literals bind it only at address columns")
-    for argv in (("analyze", program), ("run", str(cfg))):
-        assert_one_error_line(*run_cli(capsys, *argv), expect)
+        assert_one_error_line(*run_cli(capsys, *argv), f"{program}:{expect}")
 
 
 def test_a_program_address_outside_the_network_is_located_under_every_verb(tmp_path, capsys):
@@ -377,6 +379,11 @@ rel store(s: gset) [output]
 store(S) :- seed(S).
 """
 
+KEYED_GSET_SEED = """rel seed(x, s: gset) [input]
+rel out(x, s: gset) [output]
+out(X, S) :- seed(X, S).
+"""
+
 # b's maxint column is fed a's gset column and a maxint from its second rule
 LATTICE_MIX = """rel seed(x) [input]
 rel a(x, s: gset)
@@ -459,17 +466,24 @@ FAILING_RUNS = [
     (("fixture", "machines", "partitioning"), (FIG1.replace("@", ""), 2, "colocate"),
      "fixture: nbr(m1, m2): column owner of nbr holds machine addresses", "symbol-in-an-address-column"),
     ("fixture", FIG1 + "local_edge(gset{a}, t2)\n",
-     "fixture: local_edge(gset{a}, t2): column src of local_edge is not a lattice column",
+     "fixture: local_edge(gset{a}, t2): column src of local_edge holds scalars, "
+     "not gset values",
      "lattice-value-in-a-scalar-column"),
+    # an address inside a lattice value, here one outside the network
+    (("program", "fixture", "machines", "partitioning"),
+     (KEYED_GSET_SEED, "seed(a, gset{@m9})\n", 2, "colocate"),
+     "fixture: seed(a, gset{@m9}): column s of seed holds gset values of scalars, "
+     "not of machine addresses", "address-in-a-lattice-value"),
     # lattice columns fed other values, and a comparison over a lattice value
     # at run time, located in the program file
     (("program", "fixture", "partitioning"), (LATTICE_MIX, "seed(k)\n", "colocate"),
-     "program:5:17: variable S fills maxint column s of b, but column s of a holds gset values",
+     "program:5:6: variable S fills maxint column s of b, but column s of a holds gset values",
      "lattice-variants-mixed"),
     (("program", "fixture", "partitioning"), (GSET_COMPARE, "seed(k)\n", "colocate"),
-     "program:5:21: lattice value where a scalar is required", "comparison-over-a-gset"),
+     "program:5:21: variable S is compared with X, but column s of a holds gset values",
+     "comparison-over-a-gset"),
     (("program", "fixture", "partitioning"), (SCALARS_IN_MAXINT, "seed(k)\nseed(j)\n", "colocate"),
-     "program:3:26: variable S fills maxint column s of b, but column x of seed holds scalars",
+     "program:3:6: variable S fills maxint column s of b, but column x of seed holds scalars",
      "scalars-merged-in-a-lattice-column"),
     (("program", "partitioning"), (UNSTRATIFIABLE, "colocate"),
      "program: program is unstratifiable", "unstratifiable-program-names-its-file"),

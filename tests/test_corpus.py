@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from calmlab import corpus, monocheck
+from calmlab.calmlang import parse_program, validate_program
 from calmlab.config import load_config
 from calmlab.netsim import Schedule, enumerate_schedules, init_network, run_schedule
 from calmlab.verdicts import OUTCOME_CONFLUENT, check_confluence, detect_coordination
@@ -55,6 +56,16 @@ def test_expected_dynamic_verdict(entry, config):
             seeds=cfg.seeds,
         )
         assert verdict.outcome == expected
+
+
+def test_every_corpus_and_benchmark_program_validates():
+    # read in place: a rule that rejected one of these would fail every
+    # verdict or benchmark op that loads it
+    paths = [*ROOT.glob("src/calmlab/corpus/*/*.calm"), *ROOT.glob("perfbench/programs/*.calm")]
+    assert ROOT / "perfbench/programs/gc_barrier.calm" in paths
+    assert len(paths) == len(corpus.ENTRIES) + 1
+    for path in paths:
+        validate_program(parse_program(path.read_text(encoding="utf-8"), str(path)))
 
 
 def test_every_entry_ships_program_fixtures_readme():

@@ -27,7 +27,7 @@ def test_every_error_class_is_a_calmlab_error():
     classes = exception_classes()
     assert sorted(c.__name__ for c in classes) == [
         "CalmlabError", "ConfigError", "EvalError", "LatticeTypeError", "ParseError",
-        "PartitioningError", "ReplayError", "RoutingError", "UnstratifiableError",
+        "PartitioningError", "ReplayError", "UnstratifiableError",
         "ValidationError", "ValueError_",
     ]
     # a malformed value; the parser reports it as a ParseError at its token

@@ -16,6 +16,7 @@ from strategies import DECLS, inbox_runs, instances, programs
 
 from calmlab import corpus, transducer
 from calmlab.calmlang import parse_program, validate_program
+from calmlab.calmlang.validate import value_error
 from calmlab.relspace import Database, parse_facts
 from calmlab.transducer import init_machine, step
 from calmlab.values import Address
@@ -59,6 +60,11 @@ def test_incremental_steps_match_from_scratch_steps(source, instance, run):
         assert got.new_state.persisted == want.new_state.persisted
         assert got.new_state.sent == want.new_state.sent
         assert got.outbound == want.outbound
+        # the engine derives only facts whose values fit their columns
+        outbound = [f for facts in got.outbound.values() for f in facts]
+        for f in [*got.new_state.persisted.facts(), *outbound]:
+            cols = vp.schemas[f.relation].cols
+            assert not any(value_error(v, col, f.relation) for v, col in zip(f.args, cols)), f
         state = got.new_state
 
 

@@ -22,7 +22,6 @@ from calmlab.netsim import (
     run_schedule,
 )
 from calmlab.relspace import Database, canonical_json, parse_facts
-from calmlab.transducer import RoutingError
 from calmlab.values import Address
 
 
@@ -223,16 +222,6 @@ def test_fixture_naming_an_unknown_address_is_rejected_before_the_run(tmp_path):
     assert str(raised.value) == (
         f"fixture {fixture}: nbr(@m1, @m3): names @m3, which is not in the network"
     )
-
-
-def test_sending_to_unknown_address_is_routing_error():
-    vp = validate_program(parse_program(
-        "rel seed(x) [input]\nchan ping(@dest, x)\nping(@m9, X) :- seed(X).\n"
-    ))
-    db = Database.from_facts(parse_facts("seed(a)"))
-    net = init_network(vp, db, colocated(db, machine_addresses(2), Address("m1")))
-    with pytest.raises(RoutingError, match="@m9"):
-        run_schedule(net, Schedule(seed=0))
 
 
 # --- exhaustive enumeration ---------------------------------------------------
