@@ -36,6 +36,8 @@ from .verdicts import (
 )
 
 USER_ERRORS = (CalmlabError, OSError)
+# check's and coordination's exit codes; any other verdict (inconclusive) exits 2
+VERDICT_EXIT = {OUTCOME_CONFLUENT: 0, VERDICT_FREE: 0, OUTCOME_DIVERGENT: 1, VERDICT_REQUIRED: 1}
 
 
 def _print_json(obj) -> None:
@@ -143,11 +145,7 @@ def cmd_check(args) -> int:
               f"{verdict.runs_examined} runs/states examined)")
         for i, (sched, db) in enumerate(verdict.witnesses):
             print(f"  witness {i + 1}: output {canonical_json(db_to_obj(db))}")
-    if verdict.outcome == OUTCOME_CONFLUENT:
-        return 0
-    if verdict.outcome == OUTCOME_DIVERGENT:
-        return 1
-    return 2
+    return VERDICT_EXIT.get(verdict.outcome, 2)
 
 
 def cmd_coordination(args) -> int:
@@ -168,11 +166,7 @@ def cmd_coordination(args) -> int:
     else:
         print(f"{report.verdict} "
               f"(colocated minimum messages: {report.colocated_min_messages})")
-    if report.verdict == VERDICT_FREE:
-        return 0
-    if report.verdict == VERDICT_REQUIRED:
-        return 1
-    return 2
+    return VERDICT_EXIT.get(report.verdict, 2)
 
 
 def cmd_corpus(args) -> int:

@@ -109,31 +109,25 @@ def partitioning_from_map(input_db: Database, machines: tuple, mapping: dict) ->
 def enumerate_partitionings(
     input_db: Database, m: int, cap: int = 64, seed: int = 0
 ) -> list:
-    """All assignments of input facts to m machines when their count is
-    within cap; otherwise the m colocated variants plus seeded samples."""
+    """Each distinct assignment of input facts to m machines at most once.
+
+    The m colocated partitionings come first (one, for an empty fixture).
+    Every other assignment follows in product order when all m**n fit within
+    cap; otherwise seeded samples follow, up to cap partitionings in total.
+    """
     machines = machine_addresses(m)
     facts = list(input_db.facts())
-    total = m ** len(facts)
-    if total <= cap:
-        out = []
-        for combo in itertools.product(range(m), repeat=len(facts)):
-            out.append(
-                Partitioning(machines, {f: machines[i] for f, i in zip(facts, combo)})
-            )
-        return out
-    rng = random.Random(seed)
-    out = [colocated(input_db, machines, a) for a in machines]
-    seen = {tuple(p.assignment[f].name for f in facts) for p in out}
-    while len(out) < cap:
-        combo = tuple(rng.randrange(m) for _ in facts)
-        key = tuple(machines[i].name for i in combo)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(
-            Partitioning(machines, {f: machines[i] for f, i in zip(facts, combo)})
-        )
-    return out
+    combos = dict.fromkeys((i,) * len(facts) for i in range(m))
+    if m ** len(facts) <= cap:
+        combos.update(dict.fromkeys(itertools.product(range(m), repeat=len(facts))))
+    else:
+        rng = random.Random(seed)
+        while len(combos) < cap:
+            combos.setdefault(tuple(rng.randrange(m) for _ in facts))
+    return [
+        Partitioning(machines, {f: machines[i] for f, i in zip(facts, combo)})
+        for combo in combos
+    ]
 
 
 # --- schedules ---------------------------------------------------------------

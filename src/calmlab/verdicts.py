@@ -7,6 +7,10 @@ instance, but agreeing runs only establish "confluent on this instance under
 the explored schedules" (exhaustive mode explores all of them). The static,
 conservative program-level claim is monocheck's job.
 
+Both verdicts read one stream of seeded runs, ``seeded_runs``: the sampled
+check compares their outputs, and coordination takes their least message
+count under each partitioning of ``enumerate_partitionings``.
+
 Coordination is operationalized as the minimum inter-machine message count
 over explored schedules; a program needs coordination on an instance when
 even the partitionings that co-locate all data at a single machine cannot
@@ -21,13 +25,11 @@ from .calmlang import ValidatedProgram
 from .netsim import (
     DEFAULT_ENUM_BOUND,
     DEFAULT_STEP_BUDGET,
-    Partitioning,
+    NetworkState,
     Schedule,
-    colocated,
     enumerate_partitionings,
     enumerate_schedules,
     init_network,
-    machine_addresses,
     run_schedule,
 )
 from .relspace import Database, db_to_obj
@@ -82,10 +84,20 @@ class CoordinationReport:
         }
 
 
+def seeded_runs(initial: NetworkState, seeds: int, base_seed: int, step_budget: int):
+    """The quiesced runs of seeds ``base_seed … base_seed+seeds-1``, in seed
+    order; a run that exhausts ``step_budget`` is skipped."""
+    for seed in range(base_seed, base_seed + seeds):
+        # looked up per run, so that a tracer rebinding run_schedule sees every run
+        run = run_schedule(initial, Schedule(seed=seed), step_budget=step_budget)
+        if run.quiesced:
+            yield run
+
+
 def check_confluence(
     vp: ValidatedProgram,
     input_db: Database,
-    part: Partitioning,
+    part,
     mode: str = "exhaustive",
     budget: int = DEFAULT_ENUM_BOUND,
     seeds: int = DEFAULT_SAMPLED_SEEDS,
@@ -111,10 +123,7 @@ def check_confluence(
     elif mode == "sampled":
         found = []
         examined = 0  # quiescent runs
-        for i in range(seeds):
-            run = run_schedule(initial, Schedule(seed=base_seed + i), step_budget=step_budget)
-            if not run.quiesced:
-                continue
+        for run in seeded_runs(initial, seeds, base_seed, step_budget):
             examined += 1
             if all(run.union_output != out for _, out in found):
                 found.append((run.decisions, run.union_output))
@@ -142,42 +151,29 @@ def detect_coordination(
 ) -> CoordinationReport:
     """Minimum observed inter-machine messages per partitioning.
 
-    Always explores the ``machines`` colocated variants; the verdict is
-    coordination-free exactly when some colocated run quiesces with zero
-    inter-machine messages.
+    Explores ``enumerate_partitionings``, whose colocated partitionings come
+    first; the verdict is coordination-free exactly when some colocated run
+    quiesces with zero inter-machine messages.
     """
     if machines < 2:
         raise ValueError("coordination detection needs at least 2 machines")
-    addrs = machine_addresses(machines)
-    colocated_parts = [colocated(input_db, addrs, a) for a in addrs]
-    sampled = enumerate_partitionings(input_db, machines, cap=partition_cap, seed=base_seed)
-    explored: list[Partitioning] = colocated_parts + [
-        p for p in sampled if p.assignment not in [c.assignment for c in colocated_parts]
-    ]
-
     rows = []
-    colocated_min: int | None = None
-    for idx, part in enumerate(explored):
-        is_colocated = idx < len(colocated_parts)
+    for part in enumerate_partitionings(input_db, machines, cap=partition_cap, seed=base_seed):
         initial = init_network(vp, input_db, part)
-        best: int | None = None
-        for i in range(schedules_per_partitioning):
-            run = run_schedule(initial, Schedule(seed=base_seed + i), step_budget=step_budget)
-            if not run.quiesced:
-                continue
-            if best is None or run.message_count < best:
-                best = run.message_count
+        runs = seeded_runs(initial, schedules_per_partitioning, base_seed, step_budget)
         rows.append(
             {
                 "partitioning": part.describe(),
-                "colocated": is_colocated,
-                "min_messages": best,
+                "colocated": len(set(part.assignment.values())) < 2,
+                "min_messages": min((run.message_count for run in runs), default=None),
             }
         )
-        if is_colocated and best is not None and (colocated_min is None or best < colocated_min):
-            colocated_min = best
-
-    # None exactly when none of the (at least two) colocated runs quiesced
+    # None exactly when no colocated run quiesced
+    colocated_min = min(
+        (row["min_messages"] for row in rows
+         if row["colocated"] and row["min_messages"] is not None),
+        default=None,
+    )
     if colocated_min is None:
         verdict = VERDICT_INCONCLUSIVE
     elif colocated_min == 0:

@@ -35,6 +35,7 @@ def test_tracer_sees_step_under_both_walks_and_restores_everything():
     try:
         cfg = config.load_config(corpus.config_path("gc", "check.json"))
         verdicts.check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode="exhaustive")
+        verdicts.check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode="sampled", seeds=2)
         net = netsim.init_network(cfg.program, cfg.fixture, cfg.partitioning())
         netsim.run_schedule(net, netsim.Schedule(seed=0))
     finally:
@@ -45,6 +46,9 @@ def test_tracer_sees_step_under_both_walks_and_restores_everything():
     step_parents = {spans[parent][0] for name, _, _, parent, _, _ in spans
                     if name == "transducer.step"}
     assert {"netsim.enumerate", "netsim.run_schedule"} <= step_parents
+    sampled_runs = [parent for name, _, _, parent, _, _ in spans if name == "netsim.run_schedule"
+                    and spans[parent][0] == "verdicts.check_confluence"]
+    assert len(sampled_runs) == 2
     assert sum(1 for span in spans if span[0] == "transducer.step") == step_runs
     assert any(name == "netsim.state_key" for name, _ in tracer.leaves)
     for owner, snapshot in zip(owners, before):

@@ -270,6 +270,19 @@ def test_coordination_gc_coordinated_exit_one_and_golden(capsys):
     assert json.loads(out) == golden("coordination_gc_coordinated.json")
 
 
+def test_coordination_where_no_run_quiesces_exits_two(tmp_path, capsys):
+    (tmp_path / "p.calm").write_text("rel seen(x) [input]\nrel out(x) [output]\n")
+    (tmp_path / "in.facts").write_text("seen(a)\nseen(b)\n")
+    cfg = tmp_path / "coordination.json"
+    cfg.write_text(json.dumps(
+        {"program": "p.calm", "fixture": "in.facts", "machines": 2, "step_budget": 1}
+    ))
+    code, out, _ = run_cli(capsys, "coordination", str(cfg))
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("inconclusive")
+
+
 def test_corpus_list_names_all_entries(capsys):
     code, out, _ = run_cli(capsys, "corpus", "list")
     assert code == 0

@@ -114,6 +114,10 @@ def test_enumerate_partitionings_small_is_exhaustive(fixtures):
     assert len(parts) == 2**4
     keys = {tuple(p.assignment[f].name for f in fixture.facts()) for p in parts}
     assert len(keys) == 2**4
+    # the colocated partitionings come first, then the rest in product order
+    assert [set(p.assignment.values()) for p in parts[:3]] == [
+        {Address("m1")}, {Address("m2")}, {Address("m1"), Address("m2")}
+    ]
 
 
 def test_enumerate_partitionings_capped_includes_colocated(programs, fixtures):

@@ -17,6 +17,7 @@ from calmlab.verdicts import (
     OUTCOME_DIVERGENT,
     OUTCOME_INCONCLUSIVE,
     VERDICT_FREE,
+    VERDICT_INCONCLUSIVE,
     VERDICT_REQUIRED,
     check_confluence,
     detect_coordination,
@@ -146,6 +147,29 @@ def test_empty_program_coordination_free():
     assert r.verdict == VERDICT_FREE
     assert r.colocated_min_messages == 0
     assert all(row["min_messages"] == 0 for row in r.per_partitioning)
+    # 2**2 <= cap: every assignment once, the two colocated ones first
+    assert [row["colocated"] for row in r.per_partitioning] == [True, True, False, False]
+    maps = {canonical_json(row["partitioning"]) for row in r.per_partitioning}
+    assert len(maps) == 4
+
+
+def test_an_empty_fixture_is_one_colocated_partitioning():
+    vp = validate_program(parse_program("rel seen(x) [input]\nrel out(x) [output]"))
+    r = detect_coordination(vp, Database({}), 3)
+    assert r.per_partitioning == (
+        {"partitioning": {"@m1": [], "@m2": [], "@m3": []}, "colocated": True, "min_messages": 0},
+    )
+    assert r.verdict == VERDICT_FREE
+    assert r.colocated_min_messages == 0
+
+
+def test_coordination_is_inconclusive_when_no_colocated_run_quiesces():
+    vp = validate_program(parse_program("rel seen(x) [input]\nrel out(x) [output]"))
+    db = Database.from_facts(parse_facts("seen(a)\nseen(b)"))
+    r = detect_coordination(vp, db, 2, step_budget=1)
+    assert r.verdict == VERDICT_INCONCLUSIVE
+    assert r.colocated_min_messages is None
+    assert [row["min_messages"] for row in r.per_partitioning] == [None] * 4
 
 
 def test_compare_outputs_reflexive_empty(programs):
