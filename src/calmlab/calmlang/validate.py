@@ -93,6 +93,12 @@ class ValidatedRule:
         return tuple((i, e.relation) for i, e in enumerate(self.plan) if isinstance(e, Literal))
 
     @cached_property
+    def body_rels(self) -> frozenset:
+        """The relations the body reads, positively or negated."""
+        literals = (*self.positives, *(n.literal for n in self.negations))
+        return frozenset(lit.relation for lit in literals)
+
+    @cached_property
     def kernel(self):
         """The rule compiled for the engine (``transducer.compile_rule``):
         built when the rule first fires, kept for the rule's lifetime."""
@@ -133,6 +139,27 @@ class ValidatedProgram:
             tuple(r for r in self.rules if self.stratum_of.get(r.rule.head.relation, 0) == level)
             for level in range(levels)
         )
+
+    @cached_property
+    def fixed(self) -> frozenset:
+        """The relations whose contents are the same in every step of a
+        machine: a relation is fixed if it is not a channel and every rule
+        deriving it reads, positively or negated, only fixed relations. So
+        ``id``, ``all``, the inputs no rule derives, and recursion over
+        those are fixed; this is the largest set that the rule allows."""
+        fixed = set(self.schemas) - self.channel_rels
+        while True:
+            unfixed = {r.rule.head.relation for r in self.rules if not r.body_rels <= fixed}
+            if not unfixed & fixed:
+                return frozenset(fixed)
+            fixed -= unfixed
+
+    @cached_property
+    def sends_once(self) -> bool:
+        """Every channel rule reads only fixed relations, so a machine
+        sends only in its first step (see ``netsim.enumerate_schedules``)."""
+        return all(r.body_rels <= self.fixed for r in self.rules
+                   if r.rule.head.relation in self.channel_rels)
 
     @cached_property
     def refire(self) -> frozenset:

@@ -127,11 +127,14 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
+    mode = args.mode or cfg.mode
+    if mode == "sampled" and args.budget is not None:
+        raise ConfigError("--budget bounds exhaustive mode only; sampled mode runs 'seeds' runs")
     verdict = check_confluence(
         cfg.program,
         cfg.fixture,
         cfg.partitioning(),
-        mode=args.mode or cfg.mode,
+        mode=mode,
         budget=_budget(args.budget, cfg.enum_bound),
         seeds=cfg.seeds,
         base_seed=args.seed if args.seed is not None else cfg.seed,

@@ -25,7 +25,10 @@ states, and yields each reachable quiescent outcome once. Deliveries to
 different machines commute, so the walk tries each such pair in one order
 only (sleep sets): a batch whose envelopes are all asleep at its machine is
 not delivered. It still enters every state the unreduced walk would, in the
-same order, so its outcomes and witnesses are those of the unreduced walk.
+same order. A program that ``sends_once`` sends nothing after the first
+sweep, so there the walk delivers only to the first machine with a nonempty
+inbox (persistent sets) and enters fewer states. Either way its outcomes and
+witnesses are those of the unreduced walk.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ class MachineTable:
     ``i``; each distinct ``semantic_key`` gets one id (collapse compression,
     Holzmann, *State Compression in SPIN*, 1997)."""
 
+    program: ValidatedProgram  # the program every machine runs
     names: tuple  # machine names, in name order
     states: list = field(default_factory=list)  # id -> MachineState
     ids: dict = field(default_factory=dict)  # MachineState.semantic_key() -> id
@@ -237,7 +241,7 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
     local: dict = {a: [] for a in sorted(part.machines, key=lambda a: a.name)}
     for f, addr in part.assignment.items():
         local[addr].append(f)
-    table = MachineTable(tuple(a.name for a in local))
+    table = MachineTable(vp, tuple(a.name for a in local))
     ids = tuple(table.intern(init_machine(vp, a, Database.from_facts(facts), part.machines))
                 for a, facts in local.items())
     return NetworkState(ids, table)
@@ -448,6 +452,21 @@ class EnumerationResult:
     deliveries: int  # batches the walk delivered
 
 
+def _subsets(envs: list):
+    """The nonempty batches of an inbox, larger first (fair-delivery bias),
+    each in inbox order."""
+    for k in range(len(envs), 0, -1):
+        yield from itertools.combinations(envs, k)
+
+
+def _first_batches(pending: tuple):
+    """The batches of the first inbox in ``_inboxes`` order, each with
+    nothing asleep in the child it leads to: a persistent set of a state
+    from which no step sends (see ``enumerate_schedules``)."""
+    for batch in _subsets(next(iter(_inboxes(pending).values()))):
+        yield batch, {}
+
+
 def _awake_batches(pending: tuple, asleep: dict):
     """The batches a frame delivers, each with the asleep envelopes of the
     child it leads to. Batches come in ``_inboxes`` order, machines in name
@@ -463,10 +482,9 @@ def _awake_batches(pending: tuple, asleep: dict):
         if dozing is None or not dozing.issuperset(envs):
             child = dict(tried)
             child.update((m, z) for m, z in asleep.items() if m > dst)
-            for k in range(len(envs), 0, -1):
-                for batch in itertools.combinations(envs, k):
-                    if dozing is None or not dozing.issuperset(batch):
-                        yield batch, child
+            for batch in _subsets(envs):
+                if dozing is None or not dozing.issuperset(batch):
+                    yield batch, child
         tried[dst] = frozenset(envs)
 
 
@@ -535,7 +553,43 @@ def enumerate_schedules(
     one, whatever was asleep when the state was first expanded. So
     Godefroid's rule for state caching, which expands a seen state again
     when its stored sleep set is not covered, could only enter seen states
-    here, and ``seen`` stores keys alone."""
+    here, and ``seen`` stores keys alone.
+
+    Persistent sets (Godefroid, ch. 4) cut the states as well, for a
+    program that ``sends_once`` (``ValidatedProgram.sends_once``: every
+    channel rule reads only ``fixed`` relations). Below a swept root, a
+    frame of such a program expands only the batches of its first inbox,
+    in ``_inboxes`` order (``_first_batches``), which are the batches the
+    sleep-set walk tries first at every frame. After the root's sweep no
+    step sends:
+
+    - fixed relations, event rules refired over them, and aggregates and
+      negations over them come out the same in every step, so a channel
+      rule derives again only what the machine's first step sent, which
+      ``sent`` holds;
+    - lattice columns live only in persisted relations and never reach a
+      channel, so a merge moves no channel fact;
+    - an id whose stored state still has iteration 0 had a first step
+      that changed nothing, so it sent nothing, and its next step runs the
+      same naive round over the same fixed relations.
+
+    So ``pending`` only shrinks, and a delivery changes only its own
+    machine. Let m be the first machine with a nonempty inbox at X. A
+    path from X to a drained state delivers all of m's inbox; its first
+    delivery to m is a batch b of m's inbox at X, and it commutes with the
+    deliveries to other machines before it. Moved to the front, it gives a
+    path through X·b to the same machines, whose sweep finds the same
+    outcome. The unreduced walk tries X's first-inbox batches first, and
+    has entered every state reachable from them before it tries another,
+    so every outcome it finds, it finds first on a path that delivers to
+    the first inbox at every frame. The reduced walk takes those paths in
+    the same depth-first order, so it finds the same outcomes in the same
+    order and on the same paths, and enters fewer states; as with sleep
+    sets, the two walks can differ only where the step budget cuts a
+    branch. The root must be swept, since a machine's first step is the
+    one that sends: ``enter`` sweeps a root with nothing in flight, as
+    every ``init_network`` root is, and a root with messages in flight is
+    walked with sleep sets."""
 
     # outcomes are keyed by the union output: that is the observable the
     # confluence question compares
@@ -545,6 +599,8 @@ def enumerate_schedules(
     truncated = False  # a branch ran out of step budget
     stopped = False  # the state bound or stop_after_distinct ended the walk
     stack: list = []  # (state, path, awake batches) frames
+    # a send-once network sends nothing once its root is swept (see above)
+    first_only = initial.table.program.sends_once and not initial.pending
 
     def enter(state: NetworkState, path: tuple, asleep: dict) -> None:
         """Push the frame that expands ``state``, unless it is quiescent
@@ -569,7 +625,9 @@ def enumerate_schedules(
             return
         states += 1
         seen.add(skey)
-        stack.append((state, path, _awake_batches(state.pending, asleep)))
+        batches = (_first_batches(state.pending) if first_only
+                   else _awake_batches(state.pending, asleep))
+        stack.append((state, path, batches))
 
     enter(initial.copy(), (), {})
     while stack and not stopped:

@@ -409,10 +409,8 @@ def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | N
             # aggregate rule fires once, in the first round
             delta: dict[str, set] = {}
             for r in rules:
-                if changed is None or r.index in vp.refire or r.agg is not None and any(
-                    lit.relation in changed
-                    for lit in (*r.positives, *(n.literal for n in r.negations))
-                ):
+                if (changed is None or r.index in vp.refire
+                        or r.agg is not None and not r.body_rels.isdisjoint(changed)):
                     fire(r, None, (), delta)
                 elif r.agg is None:
                     fire_on(r, changed, delta)

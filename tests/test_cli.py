@@ -347,6 +347,16 @@ def test_budget_one_overrides_config(capsys):
     assert out.startswith("inconclusive")
 
 
+def test_budget_is_rejected_in_sampled_mode(tmp_path, capsys):
+    # --budget bounds the exhaustive walk only, whichever way sampled mode is chosen
+    flagged = ("--mode", "sampled", corpus_file("deadlock", "check.json"))
+    configured = (write_config(tmp_path, "mode", "sampled"),)
+    for argv in (flagged, configured):
+        assert_one_error_line(*run_cli(capsys, "check", "--budget", "1", *argv), "--budget")
+    code, out, _ = run_cli(capsys, "check", "--budget", "1", "--mode", "exhaustive", *configured)
+    assert code == 2 and out.startswith("inconclusive")
+
+
 MALFORMED_CONFIGS = [
     ("machines", "three"),
     ("machines", 2.5),

@@ -85,16 +85,30 @@ def test_calm_reverse_every_nonmonotone_entry_has_evidence():
         ), f"{e.name} records no dynamic evidence of non-monotonicity"
 
 
+def test_every_corpus_program_sends_once():
+    # each channel rule reads only fixed relations, so the exhaustive walk
+    # delivers to one machine at a time on every corpus check
+    for e in corpus.ENTRIES:
+        assert corpus.load_program(e.name).sends_once, e.name
+
+
+def test_fixed_relations_take_negation_aggregates_and_recursion_over_inputs():
+    fixed = corpus.load_program("gc_coordinated").fixed
+    assert {"has_local", "nlocal", "local_edge", "id", "all"} <= fixed
+    assert not {"got", "edge", "missing", "garbage", "share"} & fixed
+    assert {"edge", "path"} <= corpus.load_program("transitive_closure").fixed
+
+
 # Exhaustive check of each entry's check.json: (outcome, distinct outcomes,
 # states explored). These pin which network states the enumerator merges.
-# gc_coordinated is left out: its exhaustive walk runs for minutes.
 EXHAUSTIVE_STATE_SPACE = {
-    "cart_manifest": ("confluent-on-instance", 1, 7),
+    "cart_manifest": ("confluent-on-instance", 1, 4),
     "cart_naive": ("divergent", 2, 3),
-    "cart_two_set": ("confluent-on-instance", 1, 7),
-    "deadlock": ("confluent-on-instance", 1, 1023),
+    "cart_two_set": ("confluent-on-instance", 1, 4),
+    "deadlock": ("confluent-on-instance", 1, 33),
     "gc": ("divergent", 2, 4),
-    "tombstone_demo": ("confluent-on-instance", 1, 7),
+    "gc_coordinated": ("confluent-on-instance", 1, 978),
+    "tombstone_demo": ("confluent-on-instance", 1, 4),
     "transitive_closure": ("confluent-on-instance", 1, 0),
 }
 
@@ -120,16 +134,17 @@ def test_enumeration_outcome_paths_replay(name):
         assert replay.decisions == o.decisions
 
 
-# Batches delivered by the same walks. Sleep sets deliver each pair of
-# batches to different machines in one order only; the unreduced walk
-# delivered 9600 batches on deadlock.
+# Batches delivered by the same walks. Every corpus program sends once, so
+# a frame delivers only to its first inbox; the unreduced walk delivered
+# 9600 batches on deadlock, and sleep sets 4425.
 CHECK_DELIVERIES = {
-    "cart_manifest": 9,
+    "cart_manifest": 6,
     "cart_naive": 4,
-    "cart_two_set": 11,
-    "deadlock": 4425,
+    "cart_two_set": 6,
+    "deadlock": 135,
     "gc": 5,
-    "tombstone_demo": 11,
+    "gc_coordinated": 11690,
+    "tombstone_demo": 6,
     "transitive_closure": 0,
 }
 
@@ -157,8 +172,8 @@ def test_gc_coordinated_declares_the_unreachable_objects():
     cfg = load_config(corpus.config_path("gc_coordinated", "check.json"))
     v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode=cfg.mode,
                          seeds=cfg.seeds, base_seed=cfg.seed)
-    assert v.outcome == OUTCOME_CONFLUENT
-    # every sampled run agreed, so the first seed's output is the check's output
+    assert (v.outcome, v.distinct_outcomes) == (OUTCOME_CONFLUENT, 1)
+    # every schedule reaches the one outcome, the first seed's run included
     assert _seeded_output(cfg) == garbage
 
 

@@ -295,9 +295,22 @@ def test_exhaustive_walk_steps_each_machine_on_each_inbox_once(monkeypatch):
     monkeypatch.setattr(netsim, "step", counting_step)
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     res = enumerate_schedules(net)
-    assert res.complete and res.states_explored == 1023
+    assert res.complete and res.states_explored == 33
     repeated = {key: n for key, n in stepped.items() if n > 1}
     assert not repeated, f"{len(repeated)} (machine, inbox) pairs stepped more than once"
+
+
+def test_a_walk_from_a_root_with_messages_in_flight_keeps_sleep_sets():
+    # the one-machine-at-a-time walk needs a swept root: the first step of
+    # a machine is the one that sends, and a root in flight may not have
+    # taken it, so such a root enters every state the unreduced walk does
+    cfg = cfg_for("deadlock", "check.json")
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    root = net.copy()
+    assert netsim._sweep(root, netsim.DEFAULT_STEP_BUDGET) and root.pending
+    swept, in_flight = enumerate_schedules(net), enumerate_schedules(root)
+    assert (swept.states_explored, in_flight.states_explored) == (33, 1023)
+    assert [o.union_output for o in in_flight.outcomes] == [o.union_output for o in swept.outcomes]
 
 
 def test_a_rerun_on_one_network_executes_no_step():

@@ -99,9 +99,9 @@ def test_exhaustive_bound_inconclusive(programs):
 
 @pytest.mark.parametrize("budget", [1, 10, 100])
 def test_exhaustive_walk_stops_at_the_state_bound(budget):
-    # deadlock's full walk has 1023 states; once the bound is met, every
-    # pending sibling must return without examining another state
-    cfg = cfg_for("deadlock")
+    # gc_coordinated's full walk has 978 states; once the bound is met,
+    # every pending sibling must return without examining another state
+    cfg = cfg_for("gc_coordinated")
     v = check_confluence(cfg.program, cfg.fixture, cfg.partitioning(), mode="exhaustive",
                          budget=budget)
     assert (v.outcome, v.runs_examined) == (OUTCOME_INCONCLUSIVE, budget)
