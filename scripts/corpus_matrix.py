@@ -22,7 +22,7 @@ def main() -> int:
     for entry in corpus.ENTRIES:
         vp = corpus.load_program(entry.name)
         rep = monocheck.analyze_program(vp)
-        reasons = sorted({r for c in rep.rule_classes for r in c.reasons})
+        reasons = sorted({p.kind for p in rep.coordination_points})
         static = "monotone" if rep.program_monotone else "non-monotone{%s}" % ",".join(reasons)
         first = True
         for config in sorted(entry.expected_dynamic):

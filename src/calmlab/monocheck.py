@@ -2,10 +2,12 @@
 
 Classification is purely syntactic and deliberately conservative: a rule is
 monotone iff it has no negated literal, no aggregate, and does not read the
-reserved network-membership relation ``all``. Semantic monotonicity behind
+reserved network-membership relation ``all``. ``coordination_points`` finds
+each such construct where it stands in the source; a rule's reasons and the
+program's verdict are read off those points. Semantic monotonicity behind
 non-monotone syntax is out of scope, so false "non-monotone" verdicts are
 possible. False "monotone" verdicts are possible too, through one known
-hole (ROADMAP item 1(a)): a rule that joins a channel fact, which is visible
+hole (ROADMAP item 1): a rule that joins a channel fact, which is visible
 only in the iteration that delivers it, with a relation that can still
 grow. Such a program can be called monotone and still diverge. Reading a
 lattice value as a scalar, once a second hole, is a validation error.
@@ -91,8 +93,8 @@ class AnalysisReport:
                     "line": r.rule.pos[0],
                     "class": "monotone" if cls.monotone else "non-monotone",
                     "reasons": sorted(cls.reasons),
-                    "reads_id": _reads(r, "id"),
-                    "reads_all": _reads(r, "all"),
+                    "reads_id": "id" in r.body_rels,
+                    "reads_all": "all" in r.body_rels,
                 }
             )
         return {
@@ -101,9 +103,7 @@ class AnalysisReport:
             "rules": rules,
             "dependency_graph": [
                 {"head": e.head, "body": e.body, "kind": e.kind}
-                for e in sorted(
-                    self.dependency_graph, key=lambda e: (e.head, e.body, e.kind)
-                )
+                for e in self.dependency_graph
             ],
             "strata": dict(sorted(self.strata.items())) if self.strata is not None else None,
             "unstratifiable_cycle": (
@@ -124,22 +124,25 @@ class AnalysisReport:
         }
 
 
-def _reads(rule: ValidatedRule, rel: str) -> bool:
-    if any(lit.relation == rel for lit in rule.positives):
-        return True
-    return any(n.literal.relation == rel for n in rule.negations)
+def coordination_points(rule: ValidatedRule) -> tuple:
+    """The rule's non-monotone constructs, in source order: each negation at
+    its ``!``, the aggregate at its term, and each literal of ``all``,
+    positive or negated, at the literal."""
+    points = [CoordinationPoint(rule.index, *n.pos, REASON_NEGATION,
+                                f"negated literal !{n.literal.relation}") for n in rule.negations]
+    if rule.agg is not None:
+        points.append(CoordinationPoint(rule.index, *rule.agg.pos, REASON_AGGREGATION,
+                                        f"{rule.agg.kind} aggregate"))
+    points += (CoordinationPoint(rule.index, *lit.pos, REASON_MEMBERSHIP,
+                                 "reads network membership relation all")
+               for lit in (*rule.positives, *(n.literal for n in rule.negations))
+               if lit.relation == "all")
+    return tuple(sorted(points, key=lambda p: (p.line, p.col)))
 
 
 def classify_rule(rule: ValidatedRule) -> MonotonicityClass:
     """Syntactic classification of a single validated rule."""
-    reasons = set()
-    if rule.negations:
-        reasons.add(REASON_NEGATION)
-    if rule.agg is not None:
-        reasons.add(REASON_AGGREGATION)
-    if _reads(rule, "all"):
-        reasons.add(REASON_MEMBERSHIP)
-    return MonotonicityClass(frozenset(reasons))
+    return MonotonicityClass(frozenset(p.kind for p in coordination_points(rule)))
 
 
 def dependency_graph(vp: ValidatedProgram) -> tuple:
@@ -213,13 +216,7 @@ def stratify(vp: ValidatedProgram) -> list:
     if cycle is not None:
         raise UnstratifiableError(cycle, vp.program.filename)
 
-    rels = set()
-    for r in vp.rules:
-        rels.add(r.rule.head.relation)
-        for lit in r.positives:
-            rels.add(lit.relation)
-        for n in r.negations:
-            rels.add(n.literal.relation)
+    rels = {r.rule.head.relation for r in vp.rules}.union(*(r.body_rels for r in vp.rules))
     stratum = {rel: 0 for rel in rels}
     changed = True
     guard = 0
@@ -241,41 +238,7 @@ def stratify(vp: ValidatedProgram) -> list:
 
 def analyze_program(vp: ValidatedProgram) -> AnalysisReport:
     """Full static report: per-rule classes, dependencies, strata, flags."""
-    classes = tuple(classify_rule(r) for r in vp.rules)
-    edges = dependency_graph(vp)
-    points = []
-    uses_all = False
-    uses_id = False
-    for r in vp.rules:
-        if _reads(r, "id"):
-            uses_id = True
-        for n in r.negations:
-            points.append(
-                CoordinationPoint(
-                    r.index, n.pos[0], n.pos[1], REASON_NEGATION,
-                    f"negated literal !{n.literal.relation}",
-                )
-            )
-        if r.agg is not None:
-            points.append(
-                CoordinationPoint(
-                    r.index, r.agg.pos[0], r.agg.pos[1], REASON_AGGREGATION,
-                    f"{r.agg.kind} aggregate",
-                )
-            )
-        for lit in r.positives:
-            if lit.relation == "all":
-                uses_all = True
-                points.append(
-                    CoordinationPoint(
-                        r.index, lit.pos[0], lit.pos[1], REASON_MEMBERSHIP,
-                        "reads network membership relation all",
-                    )
-                )
-        for n in r.negations:
-            if n.literal.relation == "all":
-                uses_all = True
-
+    points = tuple(p for r in vp.rules for p in coordination_points(r))
     strata = None
     cycle = None
     try:
@@ -284,14 +247,12 @@ def analyze_program(vp: ValidatedProgram) -> AnalysisReport:
         cycle = e.cycle
 
     return AnalysisReport(
-        program_monotone=all(c.monotone for c in classes),
-        rule_classes=classes,
-        dependency_graph=edges,
+        program_monotone=not points,
+        rule_classes=tuple(classify_rule(r) for r in vp.rules),
+        dependency_graph=dependency_graph(vp),
         strata=strata,
         unstratifiable_cycle=cycle,
-        coordination_points=tuple(
-            sorted(points, key=lambda p: (p.rule_index, p.line, p.col))
-        ),
-        uses_all=uses_all,
-        uses_id=uses_id,
+        coordination_points=points,
+        uses_all=any("all" in r.body_rels for r in vp.rules),
+        uses_id=any("id" in r.body_rels for r in vp.rules),
     )

@@ -51,6 +51,7 @@ def test_tracer_sees_step_under_both_walks_and_restores_everything():
     assert len(sampled_runs) == 2
     assert sum(1 for span in spans if span[0] == "transducer.step") == step_runs
     assert any(name == "netsim.state_key" for name, _ in tracer.leaves)
+    assert any(span[0] == "monocheck.stratify" for span in spans)
     for owner, snapshot in zip(owners, before):
         now = vars(owner)
         assert all(now[attr] is value for attr, value in snapshot.items()), owner

@@ -20,10 +20,7 @@ def test_expected_static_verdict(entry, programs):
     rep = monocheck.analyze_program(programs[entry.name])
     verdict = "monotone" if rep.program_monotone else "non-monotone"
     assert verdict == entry.expected_static
-    reasons = set()
-    for c in rep.rule_classes:
-        reasons |= set(c.reasons)
-    assert reasons == set(entry.expected_reasons)
+    assert {p.kind for p in rep.coordination_points} == set(entry.expected_reasons)
 
 
 @pytest.mark.parametrize(

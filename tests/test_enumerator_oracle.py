@@ -279,6 +279,39 @@ def test_walk_matches_the_oracle_on_a_state_entered_with_less_asleep():
     assert _reference_enumerate(net.machines, 400)[2:] == (6, 9)
 
 
+# m1 sends z to m2 and x to m3; m3 relays x to m2 as y. m2 derives both(k)
+# only if y and z arrive in one batch, so the outcome depends on what m2
+# waits for, and m3 sends on receipt. A walk that took the program to send
+# once would deliver to m2 before m3 relays, and lose both(k).
+RELAY_JOIN = """
+rel seedz(@dest, k) [input]
+rel seedx(@dest, k) [input]
+rel peer(@p) [input]
+chan z(@dest, k)
+chan x(@dest, k)
+chan y(@dest, k)
+rel both(k) [output]
+
+z(D, K) :- seedz(D, K).
+x(D, K) :- seedx(D, K).
+y(P, K) :- x(_, K), peer(P).
+both(K) :- y(_, K), z(_, K).
+"""
+
+
+def test_walk_matches_the_oracle_on_a_join_of_a_relayed_message():
+    machines = machine_addresses(3)
+    mapping = {"m1": ["seedz(@m2, k)", "seedx(@m3, k)"], "m3": ["peer(@m2)"]}
+    fixture = Database.from_facts(parse_facts("\n".join(sum(mapping.values(), []))))
+    part = partitioning_from_map(fixture, machines, mapping)
+    net = init_network(validate_program(parse_program(RELAY_JOIN)), fixture, part)
+    for bound, stop_after_distinct in ((400, None), (3, None), (400, 1)):
+        _check_against_the_oracle(net, bound, stop_after_distinct)
+    res = enumerate_schedules(net)
+    assert [db_to_obj(o.union_output) for o in res.outcomes] == [{}, {"both": [["k"]]}]
+    assert res.states_explored == 5
+
+
 # --- depth ---------------------------------------------------------------------
 
 RELAY = """
@@ -298,7 +331,7 @@ def test_a_program_that_sends_on_receipt_does_not_send_once():
     # so the walk keeps sleep sets for it, under the oracle above
     assert corpus.load_program("deadlock").sends_once
     assert not _program("flood").sends_once
-    for text in (EPHEMERAL, RELAY):
+    for text in (EPHEMERAL, RELAY, RELAY_JOIN):
         assert not validate_program(parse_program(text)).sends_once
 
 

@@ -1,4 +1,5 @@
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,39 @@ def test_program_verdict_is_conjunction_of_rule_verdicts(programs):
     for vp in programs.values():
         rep = monocheck.analyze_program(vp)
         assert rep.program_monotone == all(c.monotone for c in rep.rule_classes)
+
+
+NEGATED_ALL = "rel seen(@m) [input]\nrel lonely(@m) [output]\nlonely(M) :- seen(M), !all(M)."
+
+# one rule for each kind of non-monotone construct
+REASON_TABLE = (
+    "rel object(x) [input]\nrel reach(x) [input]\nrel garbage(x) [output]\n"
+    "garbage(X) :- object(X), !reach(X).",
+    "rel member(x) [input]\nrel n(k) [output]\nn(count<X>) :- member(X).",
+    "rel out(@a) [output]\nout(X) :- all(X).",
+    NEGATED_ALL,
+)
+
+GC_BARRIER = Path(__file__).resolve().parents[1] / "perfbench" / "programs" / "gc_barrier.calm"
+
+
+def test_a_negated_all_is_a_negation_point_and_a_membership_query_point():
+    rep = monocheck.analyze_program(vp_of(NEGATED_ALL))
+    assert [(p.kind, p.line, p.col) for p in rep.coordination_points] == [
+        ("negation", 3, 23),  # the !
+        ("membership-query", 3, 24),  # all
+    ]
+
+
+def test_a_rules_reasons_are_the_kinds_of_its_coordination_points(programs):
+    gc_barrier = validate_program(parse_program(GC_BARRIER.read_text(), str(GC_BARRIER)))
+    for vp in [*programs.values(), gc_barrier, *map(vp_of, REASON_TABLE)]:
+        rep = monocheck.analyze_program(vp)
+        for r in vp.rules:
+            points = monocheck.coordination_points(r)
+            assert monocheck.classify_rule(r).reasons == {p.kind for p in points}
+            assert all(p.rule_index == r.index for p in points)
+        assert rep.program_monotone == (rep.coordination_points == ())
 
 
 def test_stratify_pure_positive_single_stratum():
