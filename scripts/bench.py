@@ -8,6 +8,11 @@ Workloads:
   edges t_i -> t_(i+1 mod N), dealt round-robin to M machines, each owner
   holding the full ``nbr`` mesh of its machine. The walk is exhaustive;
   ``6x4`` runs under a fixed state bound, and completes within it.
+- ``flood_ring_NxM``: the same walk of ``deadlock`` changed to forward
+  every edge it knows (``edge`` for ``local_edge`` in the ``copy`` rule),
+  so a machine sends on receipt. Its deliveries commute, so the walk is one
+  path; the walk before that reduction took 50,652 states at ``3x3`` and
+  did not finish ``6x3``.
 - ``gc``: the corpus ``gc`` check walked exhaustively, with no early stop.
 - ``gc_coordinated_sampled``: the corpus ``gc_coordinated`` check in
   sampled mode over its config's 24 seeds: many small non-monotone steps
@@ -48,6 +53,7 @@ import time
 from pathlib import Path
 
 from calmlab import corpus
+from calmlab.calmlang import parse_program, validate_program
 from calmlab.config import load_config
 from calmlab.netsim import (
     Schedule,
@@ -64,8 +70,14 @@ from calmlab.verdicts import check_confluence, detect_coordination
 RING_6X4_BOUND = 30_000
 GC_COORDINATED_BOUND = 10_000
 
+FLOOD = corpus.read_text("deadlock", "program.calm").replace(
+    "copy(P, X, Y) :- local_edge(X, Y), id(M), nbr(M, P).",
+    "copy(P, X, Y) :- edge(X, Y), id(M), nbr(M, P).",
+)
 
-def ring_network(n: int, m: int):
+
+def ring_network(n: int, m: int, vp=None):
+    """``vp``, by default the corpus ``deadlock``, on the ring layout."""
     edges = [f"local_edge(t{i + 1}, t{(i + 1) % n + 1})" for i in range(n)]
     machines = machine_addresses(m)
     mapping = {a.name: [] for a in machines}
@@ -75,7 +87,7 @@ def ring_network(n: int, m: int):
         mapping[a.name] += [f"nbr({a}, {b})" for b in machines if b != a]
     fixture = Database.from_facts(parse_facts("\n".join(sum(mapping.values(), []))))
     part = partitioning_from_map(fixture, machines, mapping)
-    return init_network(corpus.load_program("deadlock"), fixture, part)
+    return init_network(vp or corpus.load_program("deadlock"), fixture, part)
 
 
 def walk(net, bound=None) -> dict:
@@ -152,6 +164,8 @@ WORKLOADS = {
     "deadlock_ring_5x3": lambda: walk(ring_network(5, 3)),
     "deadlock_ring_6x3": lambda: walk(ring_network(6, 3)),
     "deadlock_ring_6x4": lambda: walk(ring_network(6, 4), bound=RING_6X4_BOUND),
+    "flood_ring_3x3": lambda: walk(ring_network(3, 3, validate_program(parse_program(FLOOD)))),
+    "flood_ring_6x3": lambda: walk(ring_network(6, 3, validate_program(parse_program(FLOOD)))),
     "gc": lambda: walk(check_network("gc")),
     "gc_coordinated_sampled": gc_coordinated_sampled,
     "gc_coordinated_exhaustive": lambda: walk(

@@ -162,6 +162,39 @@ class ValidatedProgram:
                    if r.rule.head.relation in self.channel_rels)
 
     @cached_property
+    def ephemeral(self) -> frozenset:
+        """The relations whose facts live only in the step that delivers a
+        message: the channels, and every event relation that a rule derives
+        from an ephemeral relation, read positively or negated."""
+        ephemeral = set(self.channel_rels)
+        events = {n for n, s in self.schemas.items() if s.kind == "event"}
+        while True:
+            grown = {r.rule.head.relation for r in self.rules
+                     if r.rule.head.relation in events and r.body_rels & ephemeral}
+            if grown <= ephemeral:
+                return frozenset(ephemeral)
+            ephemeral |= grown
+
+    @cached_property
+    def deliveries_commute(self) -> bool:
+        """Every rule that reads an ephemeral relation reads exactly one
+        ephemeral literal, positively, with no aggregate, and all its other
+        literals are fixed; and every negated relation, and every body
+        relation of an aggregate rule, is fixed. A machine's state is then a
+        function of the set of messages delivered to it, whatever their
+        order and batching (see ``netsim.enumerate_schedules``)."""
+        for r in self.rules:
+            if not {n.literal.relation for n in r.negations} <= self.fixed:
+                return False
+            if r.agg is not None and not r.body_rels <= self.fixed:
+                return False
+            moving = [lit for lit in r.positives if lit.relation not in self.fixed]
+            if (any(lit.relation in self.ephemeral for lit in moving)
+                    and len(moving) != 1):
+                return False
+        return True
+
+    @cached_property
     def refire(self) -> frozenset:
         """Indexes of the rules that a step must fire naively even on a
         closed state: those with an event head or a negated event or

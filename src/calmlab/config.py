@@ -72,7 +72,10 @@ class RunConfig:
             if const.value not in addrs:
                 raise ConfigError(f"address {const.value} is not in the network", const.pos,
                                   self.program.program.filename)
-        for f in self.fixture.facts():
+        if all(not isinstance(a, Address) or a in addrs
+               for tuples in self.fixture.relations.values() for args in tuples for a in args):
+            return
+        for f in self.fixture.facts():  # name the first offending fact, sorted
             for a in f.args:
                 if isinstance(a, Address) and a not in addrs:
                     raise ConfigError(

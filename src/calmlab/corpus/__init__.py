@@ -85,7 +85,7 @@ ENTRIES = (
         title="cart with racing add/remove events (divergent)",
         fixtures=("concurrent.facts",),
         expected_static="non-monotone",
-        expected_reasons=frozenset({"negation"}),
+        expected_reasons=frozenset({"negation", "ephemeral-join"}),
         expected_dynamic={"check.json": "divergent"},
     ),
     CorpusEntry(

@@ -1,16 +1,16 @@
 """Static monotonicity analysis.
 
 Classification is purely syntactic and deliberately conservative: a rule is
-monotone iff it has no negated literal, no aggregate, and does not read the
-reserved network-membership relation ``all``. ``coordination_points`` finds
-each such construct where it stands in the source; a rule's reasons and the
-program's verdict are read off those points. Semantic monotonicity behind
-non-monotone syntax is out of scope, so false "non-monotone" verdicts are
-possible. False "monotone" verdicts are possible too, through one known
-hole (ROADMAP item 1): a rule that joins a channel fact, which is visible
-only in the iteration that delivers it, with a relation that can still
-grow. Such a program can be called monotone and still diverge. Reading a
-lattice value as a scalar, once a second hole, is a validation error.
+monotone iff it has no negated literal, no aggregate, does not read the
+reserved network-membership relation ``all``, and joins no ephemeral
+literal with another that is not fixed. An ephemeral fact (a message, or
+an event derived from one) is visible only in the iteration that delivers
+it, so such an ephemeral join fires or not by what its machine knew when
+the message arrived. ``coordination_points`` finds each such construct
+where it stands in the source; a rule's reasons and the program's verdict
+are read off those points. Semantic monotonicity behind non-monotone
+syntax is out of scope, so false "non-monotone" verdicts are possible.
+Reading a lattice value as a scalar is a validation error.
 
 Reading ``id`` (the machine's own address) is surfaced as a flag and does not
 affect the verdict.
@@ -28,6 +28,7 @@ from .errors import CalmlabError
 REASON_NEGATION = "negation"
 REASON_AGGREGATION = "aggregation"
 REASON_MEMBERSHIP = "membership-query"
+REASON_EPHEMERAL_JOIN = "ephemeral-join"
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +45,7 @@ class UnstratifiableError(CalmlabError):
 
 @dataclass(frozen=True)
 class MonotonicityClass:
-    reasons: frozenset  # subset of the three reason strings
+    reasons: frozenset  # subset of the four reason strings
 
     @property
     def monotone(self) -> bool:
@@ -68,7 +69,7 @@ class CoordinationPoint:
     rule_index: int
     line: int
     col: int
-    kind: str  # negation | aggregation | membership-query
+    kind: str  # negation | aggregation | membership-query | ephemeral-join
     detail: str
 
 
@@ -124,10 +125,16 @@ class AnalysisReport:
         }
 
 
-def coordination_points(rule: ValidatedRule) -> tuple:
-    """The rule's non-monotone constructs, in source order: each negation at
-    its ``!``, the aggregate at its term, and each literal of ``all``,
-    positive or negated, at the literal."""
+def coordination_points(vp: ValidatedProgram, rule: ValidatedRule) -> tuple:
+    """The non-monotone constructs of ``vp``'s rule ``rule``, in source
+    order: each negation at its ``!``, the aggregate at its term, each
+    literal of ``all``, positive or negated, at the literal, and an
+    ephemeral join at the second literal, in source order, that is not
+    fixed: a rule with a positive ephemeral literal and another literal,
+    positive or negated, that is not fixed (``ValidatedProgram.ephemeral``
+    and ``fixed``)."""
+    literals = sorted((*rule.positives, *(n.literal for n in rule.negations)),
+                      key=lambda lit: lit.pos)
     points = [CoordinationPoint(rule.index, *n.pos, REASON_NEGATION,
                                 f"negated literal !{n.literal.relation}") for n in rule.negations]
     if rule.agg is not None:
@@ -135,14 +142,20 @@ def coordination_points(rule: ValidatedRule) -> tuple:
                                         f"{rule.agg.kind} aggregate"))
     points += (CoordinationPoint(rule.index, *lit.pos, REASON_MEMBERSHIP,
                                  "reads network membership relation all")
-               for lit in (*rule.positives, *(n.literal for n in rule.negations))
-               if lit.relation == "all")
+               for lit in literals if lit.relation == "all")
+    moving = [lit for lit in literals if lit.relation not in vp.fixed]
+    message = next((lit for lit in rule.positives if lit.relation in vp.ephemeral), None)
+    if message is not None and len(moving) > 1:
+        other = next(lit for lit in moving if lit is not message)
+        points.append(CoordinationPoint(
+            rule.index, *moving[1].pos, REASON_EPHEMERAL_JOIN,
+            f"joins ephemeral {message.relation} with {other.relation}, which is not fixed"))
     return tuple(sorted(points, key=lambda p: (p.line, p.col)))
 
 
-def classify_rule(rule: ValidatedRule) -> MonotonicityClass:
-    """Syntactic classification of a single validated rule."""
-    return MonotonicityClass(frozenset(p.kind for p in coordination_points(rule)))
+def classify_rule(vp: ValidatedProgram, rule: ValidatedRule) -> MonotonicityClass:
+    """Syntactic classification of one validated rule of ``vp``."""
+    return MonotonicityClass(frozenset(p.kind for p in coordination_points(vp, rule)))
 
 
 def dependency_graph(vp: ValidatedProgram) -> tuple:
@@ -238,7 +251,7 @@ def stratify(vp: ValidatedProgram) -> list:
 
 def analyze_program(vp: ValidatedProgram) -> AnalysisReport:
     """Full static report: per-rule classes, dependencies, strata, flags."""
-    points = tuple(p for r in vp.rules for p in coordination_points(r))
+    points = tuple(p for r in vp.rules for p in coordination_points(vp, r))
     strata = None
     cycle = None
     try:
@@ -248,7 +261,7 @@ def analyze_program(vp: ValidatedProgram) -> AnalysisReport:
 
     return AnalysisReport(
         program_monotone=not points,
-        rule_classes=tuple(classify_rule(r) for r in vp.rules),
+        rule_classes=tuple(classify_rule(vp, r) for r in vp.rules),
         dependency_graph=dependency_graph(vp),
         strata=strata,
         unstratifiable_cycle=cycle,

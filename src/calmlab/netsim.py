@@ -27,8 +27,12 @@ only (sleep sets): a batch whose envelopes are all asleep at its machine is
 not delivered. It still enters every state the unreduced walk would, in the
 same order. A program that ``sends_once`` sends nothing after the first
 sweep, so there the walk delivers only to the first machine with a nonempty
-inbox (persistent sets) and enters fewer states. Either way its outcomes and
-witnesses are those of the unreduced walk.
+inbox (persistent sets) and enters fewer states. A program whose
+``deliveries_commute`` (each message is read alone, next to fixed
+relations only, and nothing negates or aggregates a relation that can
+grow) reaches one outcome on every path, so there the walk follows one
+path, delivering the whole first inbox at each state. In every case its
+outcomes and witnesses are those of the unreduced walk.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 
 from .calmlang import ValidatedProgram
 from .errors import CalmlabError
-from .relspace import Database, db_to_obj, db_union, parse_fact
+from .relspace import Database, Fact, db_to_obj, db_union, parse_fact
 from .transducer import MachineState, init_machine, step
 from .values import Address
 
@@ -76,7 +80,9 @@ class Partitioning:
 def colocated(input_db: Database, machines: tuple, at: Address) -> Partitioning:
     if at not in machines:
         raise PartitioningError(f"machine {at} not in the network")
-    return Partitioning(machines, {f: at for f in input_db.facts()})
+    return Partitioning(machines, {Fact(rel, args): at
+                                   for rel, tuples in input_db.relations.items()
+                                   for args in tuples})
 
 
 def hash_partitioning(input_db: Database, machines: tuple) -> Partitioning:
@@ -100,9 +106,10 @@ def partitioning_from_map(input_db: Database, machines: tuple, mapping: dict) ->
             if f in assignment:
                 raise PartitioningError(f"fact {f} assigned to more than one machine")
             assignment[f] = addr
-    for f in input_db.facts():
-        if f not in assignment:
-            raise PartitioningError(f"input fact {f} not assigned to any machine")
+    if any(Fact(rel, args) not in assignment
+           for rel, tuples in input_db.relations.items() for args in tuples):
+        f = next(f for f in input_db.facts() if f not in assignment)  # the first, sorted
+        raise PartitioningError(f"input fact {f} not assigned to any machine")
     for f in assignment:
         if f not in input_db:
             raise PartitioningError(f"assigned fact {f} is not in the input fixture")
@@ -467,6 +474,13 @@ def _first_batches(pending: tuple):
         yield batch, {}
 
 
+def _first_inbox(pending: tuple):
+    """The whole first inbox in ``_inboxes`` order, with nothing asleep:
+    the one batch a frame delivers when deliveries commute (see
+    ``enumerate_schedules``)."""
+    yield tuple(next(iter(_inboxes(pending).values()))), {}
+
+
 def _awake_batches(pending: tuple, asleep: dict):
     """The batches a frame delivers, each with the asleep envelopes of the
     child it leads to. Batches come in ``_inboxes`` order, machines in name
@@ -589,44 +603,89 @@ def enumerate_schedules(
     branch. The root must be swept, since a machine's first step is the
     one that sends: ``enter`` sweeps a root with nothing in flight, as
     every ``init_network`` root is, and a root with messages in flight is
-    walked with sleep sets."""
+    walked with sleep sets.
+
+    One path suffices for a program whose ``deliveries_commute``
+    (``ValidatedProgram.deliveries_commute``): every rule that reads an
+    ephemeral relation reads exactly one ephemeral literal, positively,
+    with no aggregate, next to fixed literals only, and every negated
+    relation and every body relation of an aggregate rule is fixed. A
+    machine's ``(persisted, sent)`` after a step is then a function of its
+    input and of the *set* of messages delivered to it so far, whatever
+    their order and batching:
+
+    - a message reaches the rules only through a chain of rules that each
+      read one ephemeral literal and fixed relations, so each message
+      derives a fixed set of facts, the same in every step that delivers
+      it, and a batch derives the union of its messages' sets;
+    - every other rule reads no ephemeral relation and negates or
+      aggregates only fixed ones, so it is monotone in every relation that
+      is not fixed, and a step's fixpoint is the least one over the input
+      and what the messages derived, however many steps that took;
+    - lattice merges are associative, commutative and idempotent, so the
+      merged values do not depend on the order in which facts arrive;
+    - ``sent`` is the union of what the channel rules derive, and those
+      derivations are monotone in the same sense.
+
+    So what a machine sends is monotone in the set delivered to it. On any
+    path, each message delivered was sent because of messages delivered
+    before it, so it lies in the least fixpoint of "machine m receives what
+    the others send given what they receive"; and a path ends only when
+    nothing is pending, with every machine swept, so what it delivered is
+    a fixpoint. Every maximal path from any state therefore delivers that
+    least fixpoint and ends at the same machines, with one outcome. No
+    swept root is needed: a machine's first step computes the same
+    function. The walk expands one batch per frame, the whole first inbox
+    (``_first_inbox``), which is the batch the unreduced walk tries first
+    at every frame; the unreduced walk's first path reaches its first
+    outcome, which is its only one, so the reduced walk finds it on the
+    same path with the same decisions, entering no more states. As with
+    persistent sets, the two walks can differ only where the step budget
+    cuts a branch."""
 
     # outcomes are keyed by the union output: that is the observable the
     # confluence question compares
     outcomes: dict = {}  # union-output Database -> EnumOutcome, first-found order
-    seen: set = set()  # keys of the states entered
+    seen: set = set()  # keys of the states entered and the quiescent states met
     states = deliveries = 0
     truncated = False  # a branch ran out of step budget
     stopped = False  # the state bound or stop_after_distinct ended the walk
     stack: list = []  # (state, path, awake batches) frames
-    # a send-once network sends nothing once its root is swept (see above)
-    first_only = initial.table.program.sends_once and not initial.pending
+    # a network whose deliveries commute has one outcome on every path, and
+    # a send-once one sends nothing once its root is swept (see above)
+    program = initial.table.program
+    one_path = program.deliveries_commute
+    first_only = program.sends_once and not initial.pending
 
     def enter(state: NetworkState, path: tuple, asleep: dict) -> None:
         """Push the frame that expands ``state``, unless it is quiescent
         (its outcome is then recorded), already seen, or past the bound."""
         nonlocal states, truncated, stopped
-        if not state.pending:
-            if not _sweep(state, step_budget):
-                truncated = True
-                return
-            if not state.pending:
-                per_machine, union = _outputs(state)
-                if union not in outcomes:
-                    outcomes[union] = EnumOutcome(union, per_machine, _unwind(path))
-                    if len(outcomes) == stop_after_distinct:
-                        stopped = True
-                return
+        if not state.pending and not _sweep(state, step_budget):
+            truncated = True
+            return
         skey = state.semantic_key()
         if skey in seen:
+            return
+        if not state.pending:
+            seen.add(skey)
+            per_machine, union = _outputs(state)
+            if union not in outcomes:
+                outcomes[union] = EnumOutcome(union, per_machine, _unwind(path))
+                if len(outcomes) == stop_after_distinct:
+                    stopped = True
             return
         if states >= bound:
             stopped = True
             return
         states += 1
         seen.add(skey)
-        batches = (_first_batches(state.pending) if first_only
-                   else _awake_batches(state.pending, asleep))
+        if one_path:
+            batches = _first_inbox(state.pending)
+        elif first_only:
+            batches = _first_batches(state.pending)
+        else:
+            batches = _awake_batches(state.pending, asleep)
         stack.append((state, path, batches))
 
     enter(initial.copy(), (), {})

@@ -82,6 +82,13 @@ def test_calm_reverse_every_nonmonotone_entry_has_evidence():
         ), f"{e.name} records no dynamic evidence of non-monotonicity"
 
 
+def test_deliveries_commute_where_messages_are_read_alone_and_nothing_races():
+    # the monotone entries read each message alone; each non-monotone one
+    # negates a relation that is not fixed
+    commute = {e.name for e in corpus.ENTRIES if corpus.load_program(e.name).deliveries_commute}
+    assert commute == {e.name for e in corpus.MONOTONE_ENTRIES}
+
+
 def test_every_corpus_program_sends_once():
     # each channel rule reads only fixed relations, so the exhaustive walk
     # delivers to one machine at a time on every corpus check
@@ -93,6 +100,8 @@ def test_fixed_relations_take_negation_aggregates_and_recursion_over_inputs():
     fixed = corpus.load_program("gc_coordinated").fixed
     assert {"has_local", "nlocal", "local_edge", "id", "all"} <= fixed
     assert not {"got", "edge", "missing", "garbage", "share"} & fixed
+    # missing is an event, but derived from no message
+    assert corpus.load_program("gc_coordinated").ephemeral == {"share", "share_root", "ack"}
     assert {"edge", "path"} <= corpus.load_program("transitive_closure").fixed
 
 
@@ -101,11 +110,11 @@ def test_fixed_relations_take_negation_aggregates_and_recursion_over_inputs():
 EXHAUSTIVE_STATE_SPACE = {
     "cart_manifest": ("confluent-on-instance", 1, 4),
     "cart_naive": ("divergent", 2, 3),
-    "cart_two_set": ("confluent-on-instance", 1, 4),
-    "deadlock": ("confluent-on-instance", 1, 33),
+    "cart_two_set": ("confluent-on-instance", 1, 2),
+    "deadlock": ("confluent-on-instance", 1, 3),
     "gc": ("divergent", 2, 4),
     "gc_coordinated": ("confluent-on-instance", 1, 978),
-    "tombstone_demo": ("confluent-on-instance", 1, 4),
+    "tombstone_demo": ("confluent-on-instance", 1, 2),
     "transitive_closure": ("confluent-on-instance", 1, 0),
 }
 
@@ -132,16 +141,19 @@ def test_enumeration_outcome_paths_replay(name):
 
 
 # Batches delivered by the same walks. Every corpus program sends once, so
-# a frame delivers only to its first inbox; the unreduced walk delivered
-# 9600 batches on deadlock, and sleep sets 4425.
+# a frame delivers only to its first inbox; where deliveries commute
+# (deadlock, cart_two_set, tombstone_demo, transitive_closure) it delivers
+# that whole inbox alone, so the walk is one path. On deadlock the
+# unreduced walk delivered 9600 batches, sleep sets 4425, and the
+# first-inbox walk 135.
 CHECK_DELIVERIES = {
     "cart_manifest": 6,
     "cart_naive": 4,
-    "cart_two_set": 6,
-    "deadlock": 135,
+    "cart_two_set": 2,
+    "deadlock": 3,
     "gc": 5,
     "gc_coordinated": 11690,
-    "tombstone_demo": 6,
+    "tombstone_demo": 2,
     "transitive_closure": 0,
 }
 

@@ -6,13 +6,14 @@ before envelopes became their own canonical keys: pending messages in a
 ``str(Fact)`` on each expansion, a recursive depth-first walk, and no sleep
 sets: it delivers every batch from every state. It shares nothing with the
 walker under test but ``init_network`` and ``step``, so the hypothesis test
-below checks both of the walker's reductions against it. Under sleep sets
+below checks each of the walker's reductions against it. Under sleep sets
 (a program that sends on receipt) the walker finds the same outcomes, on
 the same paths and in the same order, after the same number of states, and
 only drops deliveries. Under persistent sets (a program that
-``sends_once``) it finds the same outcomes, on the same paths and in the
-same order, after no more states and, when the oracle completes, no more
-deliveries.
+``sends_once``) and on the one path of a program whose
+``deliveries_commute``, it finds the same outcomes, on the same paths and
+in the same order, after no more states and, when the oracle completes, no
+more deliveries.
 """
 
 from __future__ import annotations
@@ -162,19 +163,28 @@ FLOOD = corpus.read_text("deadlock", "program.calm").replace(
     "copy(P, X, Y) :- edge(X, Y), id(M), nbr(M, P).",
 )
 
+# flood with a racing point: acyclic(X, Y) holds while Y does not yet reach
+# X, so its output depends on the order of deliveries, and the walk keeps
+# sleep sets for it
+RACING_FLOOD = FLOOD.replace(
+    "rel cycle(a, b) [output]", "rel cycle(a, b) [output]\nrel acyclic(a, b) [output]"
+) + "acyclic(X, Y) :- edge(X, Y), !path(Y, X).\n"
+
+TEXTS = {"flood": FLOOD, "racing_flood": RACING_FLOOD}
+
 
 def _program(name: str):
-    if name == "flood":
-        return validate_program(parse_program(FLOOD))
+    if name in TEXTS:
+        return validate_program(parse_program(TEXTS[name]))
     return corpus.load_program(name)
 
 
 @st.composite
 def networks(draw):
-    """The deadlock, flood or gc program on a 2-4 edge graph over 2-3
-    machines. Each machine holds its own row of the full ``nbr`` mesh;
-    every other fact is placed at random."""
-    name = draw(st.sampled_from(["deadlock", "flood", "gc"]))
+    """The deadlock, flood, racing flood or gc program on a 2-4 edge graph
+    over 2-3 machines. Each machine holds its own row of the full ``nbr``
+    mesh; every other fact is placed at random."""
+    name = draw(st.sampled_from(["deadlock", "flood", "racing_flood", "gc"]))
     machines = machine_addresses(draw(st.integers(2, 3)))
     pairs = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES))
     edges = draw(st.lists(pairs, min_size=2, max_size=4, unique=True))
@@ -196,7 +206,9 @@ def _check_against_the_oracle(net, bound: int, stop_after_distinct: int | None) 
         net.machines, bound, stop_after_distinct=stop_after_distinct
     )
     got = [(o.union_output, o.per_machine_outputs, o.decisions) for o in res.outcomes]
-    reduced = net.table.program.sends_once  # persistent sets: fewer states
+    # one path, or persistent sets from a swept root: fewer states
+    program = net.table.program
+    reduced = program.deliveries_commute or program.sends_once and not net.pending
     if not reduced:  # sleep sets enter every state the oracle does
         assert (got, res.complete, res.states_explored) == (want, complete, states)
     elif complete:
@@ -312,6 +324,59 @@ def test_walk_matches_the_oracle_on_a_join_of_a_relayed_message():
     assert res.states_explored == 5
 
 
+# m1 sends sa(k) and m2 sends sb(k) to m3, which keeps sb in hb and derives
+# out(k) when sa arrives with hb(k) known: sb first, or both in one batch.
+# The program sends once and reads each message alone, but its join reads
+# hb, which grows, so deliveries do not commute and the walk must find both
+# outcomes.
+EPHEMERAL_JOIN = """
+rel seeda(@d, k) [input]
+rel seedb(@d, k) [input]
+chan sa(@dest, k)
+chan sb(@dest, k)
+rel hb(k)
+rel out(k) [output]
+
+sa(D, K) :- seeda(D, K).
+sb(D, K) :- seedb(D, K).
+hb(X) :- sb(_, X).
+out(X) :- sa(_, X), hb(X).
+"""
+
+# the same program with sa kept before the join: monotone, and one outcome
+REPAIRED_JOIN = EPHEMERAL_JOIN.replace("rel hb(k)", "rel ha(k)\nrel hb(k)").replace(
+    "out(X) :- sa(_, X), hb(X).", "ha(X) :- sa(_, X).\nout(X) :- ha(X), hb(X)."
+)
+# the same join through an event derived from sa, which is as ephemeral
+EVENT_JOIN = EPHEMERAL_JOIN.replace("rel hb(k)", "rel ea(k) [event]\nrel hb(k)").replace(
+    "out(X) :- sa(_, X), hb(X).", "ea(X) :- sa(_, X).\nout(X) :- ea(X), hb(X)."
+)
+PROBE_MAP = {"m1": ["seeda(@m3, k)"], "m2": ["seedb(@m3, k)"]}
+
+
+def probe(text: str) -> tuple:
+    """(program, fixture, partitioning) of ``text``, one of the three
+    programs above, on 3 machines, with m1 and m2 each holding one seed for
+    m3."""
+    fixture = Database.from_facts(parse_facts("\n".join(sum(PROBE_MAP.values(), []))))
+    part = partitioning_from_map(fixture, machine_addresses(3), PROBE_MAP)
+    return validate_program(parse_program(text)), fixture, part
+
+
+def test_walk_matches_the_oracle_on_an_ephemeral_join_and_its_repair():
+    net, repaired = (init_network(*probe(text)) for text in (EPHEMERAL_JOIN, REPAIRED_JOIN))
+    assert net.table.program.sends_once and not net.table.program.deliveries_commute
+    assert repaired.table.program.deliveries_commute
+    for bound, stop_after_distinct in ((400, None), (1, None), (400, 1)):
+        _check_against_the_oracle(net, bound, stop_after_distinct)
+        _check_against_the_oracle(repaired, bound, stop_after_distinct)
+    res = enumerate_schedules(net)
+    assert [db_to_obj(o.union_output) for o in res.outcomes] == [{"out": [["k"]]}, {}]
+    assert res.complete and res.states_explored == 3
+    res = enumerate_schedules(repaired)
+    assert [db_to_obj(o.union_output) for o in res.outcomes] == [{"out": [["k"]]}]
+
+
 # --- depth ---------------------------------------------------------------------
 
 RELAY = """
@@ -328,11 +393,23 @@ token(P, M) :- seen(N), next(N, M), peer(P).
 
 
 def test_a_program_that_sends_on_receipt_does_not_send_once():
-    # so the walk keeps sleep sets for it, under the oracle above
+    # so the walk keeps sleep sets for it, under the oracle above, unless
+    # its deliveries commute
     assert corpus.load_program("deadlock").sends_once
     assert not _program("flood").sends_once
-    for text in (EPHEMERAL, RELAY, RELAY_JOIN):
+    for text in (EPHEMERAL, RELAY, RELAY_JOIN, RACING_FLOOD):
         assert not validate_program(parse_program(text)).sends_once
+
+
+def test_deliveries_commute_for_the_flood_and_the_relay_alone():
+    # each reads a message alone and negates and counts nothing; the others
+    # join two messages (EPHEMERAL, RELAY_JOIN), a message or an event
+    # derived from one with a growing relation (EPHEMERAL_JOIN, EVENT_JOIN)
+    # or negate one that grows (RACING_FLOOD)
+    for text in (FLOOD, RELAY):
+        assert validate_program(parse_program(text)).deliveries_commute
+    for text in (EPHEMERAL, RELAY_JOIN, EPHEMERAL_JOIN, EVENT_JOIN, RACING_FLOOD):
+        assert not validate_program(parse_program(text)).deliveries_commute
 
 
 def _depth() -> int:

@@ -9,6 +9,8 @@ from calmlab.calmlang import parse_program, validate_program
 from calmlab.relspace import Database, db_leq, parse_facts
 from calmlab.transducer import init_machine, step
 from calmlab.values import Address
+from calmlab.verdicts import check_confluence
+from test_enumerator_oracle import EPHEMERAL_JOIN, EVENT_JOIN, REPAIRED_JOIN, probe
 
 
 def vp_of(src: str):
@@ -17,7 +19,7 @@ def vp_of(src: str):
 
 def test_positive_conjunctive_rule_is_monotone():
     vp = vp_of("rel edge(x,y) [input]\nrel path(x,y) [output]\npath(X,Y) :- edge(X,Y).")
-    cls = monocheck.classify_rule(vp.rules[0])
+    cls = monocheck.classify_rule(vp, vp.rules[0])
     assert cls.monotone
     assert str(cls) == "monotone"
 
@@ -27,7 +29,7 @@ def test_negation_classified():
         "rel object(x) [input]\nrel reach(x) [input]\nrel garbage(x) [output]\n"
         "garbage(X) :- object(X), !reach(X)."
     )
-    cls = monocheck.classify_rule(vp.rules[0])
+    cls = monocheck.classify_rule(vp, vp.rules[0])
     assert cls.reasons == frozenset({"negation"})
     assert str(cls) == "non-monotone{negation}"
 
@@ -35,7 +37,7 @@ def test_negation_classified():
 def test_aggregation_classified_and_dynamically_nonmonotone():
     # oracle: growing the member set changes (does not extend) the count output
     vp = vp_of("rel member(x) [input]\nrel n(k) [output]\nn(count<X>) :- member(X).")
-    cls = monocheck.classify_rule(vp.rules[0])
+    cls = monocheck.classify_rule(vp, vp.rules[0])
     assert cls.reasons == frozenset({"aggregation"})
     small = Database.from_facts(parse_facts("member(a)"))
     large = Database.from_facts(parse_facts("member(a)\nmember(b)"))
@@ -49,7 +51,7 @@ def test_aggregation_classified_and_dynamically_nonmonotone():
 
 def test_membership_query_classified():
     vp = vp_of("rel out(@a) [output]\nout(X) :- all(X).")
-    assert monocheck.classify_rule(vp.rules[0]).reasons == frozenset(
+    assert monocheck.classify_rule(vp, vp.rules[0]).reasons == frozenset(
         {"membership-query"}
     )
 
@@ -106,6 +108,7 @@ REASON_TABLE = (
     "rel member(x) [input]\nrel n(k) [output]\nn(count<X>) :- member(X).",
     "rel out(@a) [output]\nout(X) :- all(X).",
     NEGATED_ALL,
+    EPHEMERAL_JOIN,
 )
 
 GC_BARRIER = Path(__file__).resolve().parents[1] / "perfbench" / "programs" / "gc_barrier.calm"
@@ -119,13 +122,29 @@ def test_a_negated_all_is_a_negation_point_and_a_membership_query_point():
     ]
 
 
+def test_an_ephemeral_join_is_not_monotone_and_its_repair_is():
+    # sa is visible only in the step that delivers it, and hb can still
+    # grow, so m3 derives out(k) only if sb arrives no later than sa
+    for text, monotone, outcome in ((EPHEMERAL_JOIN, False, "divergent"),
+                                    (EVENT_JOIN, False, "divergent"),
+                                    (REPAIRED_JOIN, True, "confluent-on-instance")):
+        vp, fixture, part = probe(text)
+        assert monocheck.analyze_program(vp).program_monotone == monotone
+        assert check_confluence(vp, fixture, part, mode="exhaustive").outcome == outcome
+    rep = monocheck.analyze_program(vp_of(EPHEMERAL_JOIN))
+    assert [(p.kind, p.line, p.col) for p in rep.coordination_points] == [
+        ("ephemeral-join", 12, 21),  # hb, the literal that can still grow
+    ]
+    assert vp_of(EVENT_JOIN).ephemeral == {"sa", "sb", "ea"}
+
+
 def test_a_rules_reasons_are_the_kinds_of_its_coordination_points(programs):
     gc_barrier = validate_program(parse_program(GC_BARRIER.read_text(), str(GC_BARRIER)))
     for vp in [*programs.values(), gc_barrier, *map(vp_of, REASON_TABLE)]:
         rep = monocheck.analyze_program(vp)
         for r in vp.rules:
-            points = monocheck.coordination_points(r)
-            assert monocheck.classify_rule(r).reasons == {p.kind for p in points}
+            points = monocheck.coordination_points(vp, r)
+            assert monocheck.classify_rule(vp, r).reasons == {p.kind for p in points}
             assert all(p.rule_index == r.index for p in points)
         assert rep.program_monotone == (rep.coordination_points == ())
 

@@ -275,7 +275,7 @@ def test_cart_naive_concurrent_update_two_outcomes(programs):
 
 
 def test_enumeration_bound_flags_partial(programs):
-    cfg = cfg_for("deadlock", "check.json")
+    cfg = cfg_for("gc", "check.json")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     res = enumerate_schedules(net, bound=3)
     assert not res.complete
@@ -284,7 +284,7 @@ def test_enumeration_bound_flags_partial(programs):
 def test_exhaustive_walk_steps_each_machine_on_each_inbox_once(monkeypatch):
     # the walk memoises step, empty-inbox sweeps included: a machine state
     # and an inbox it has already been stepped on must never be stepped again
-    cfg = cfg_for("deadlock", "check.json")
+    cfg = cfg_for("gc", "check.json")
     stepped = Counter()
     real_step = netsim.step
 
@@ -295,7 +295,7 @@ def test_exhaustive_walk_steps_each_machine_on_each_inbox_once(monkeypatch):
     monkeypatch.setattr(netsim, "step", counting_step)
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     res = enumerate_schedules(net)
-    assert res.complete and res.states_explored == 33
+    assert res.complete and res.states_explored == 56
     repeated = {key: n for key, n in stepped.items() if n > 1}
     assert not repeated, f"{len(repeated)} (machine, inbox) pairs stepped more than once"
 
@@ -304,13 +304,31 @@ def test_a_walk_from_a_root_with_messages_in_flight_keeps_sleep_sets():
     # the one-machine-at-a-time walk needs a swept root: the first step of
     # a machine is the one that sends, and a root in flight may not have
     # taken it, so such a root enters every state the unreduced walk does
-    cfg = cfg_for("deadlock", "check.json")
+    cfg = cfg_for("gc", "check.json")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
     root = net.copy()
     assert netsim._sweep(root, netsim.DEFAULT_STEP_BUDGET) and root.pending
     swept, in_flight = enumerate_schedules(net), enumerate_schedules(root)
-    assert (swept.states_explored, in_flight.states_explored) == (33, 1023)
+    assert (swept.states_explored, in_flight.states_explored) == (56, 4606)
     assert [o.union_output for o in in_flight.outcomes] == [o.union_output for o in swept.outcomes]
+
+
+def test_a_walk_whose_deliveries_commute_is_one_path():
+    # deadlock reads each message alone and negates and counts nothing, so
+    # every path reaches one outcome: each frame delivers its whole first
+    # inbox once, from a swept root and from a root in flight alike
+    cfg = cfg_for("deadlock", "check.json")
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    root = net.copy()
+    assert cfg.program.deliveries_commute
+    assert netsim._sweep(root, netsim.DEFAULT_STEP_BUDGET) and root.pending
+    for start in (net, root):
+        res = enumerate_schedules(start)
+        [outcome] = res.outcomes
+        assert res.complete and res.states_explored == res.deliveries == 3
+        assert len(outcome.decisions) == 3
+        replay = run_schedule(start, Schedule(decisions=outcome.decisions))
+        assert replay.union_output == outcome.union_output
 
 
 def test_a_rerun_on_one_network_executes_no_step():
@@ -337,7 +355,7 @@ def test_a_rerun_on_one_network_executes_no_step():
     assert outcomes[0].to_obj() == outcomes[1].to_obj()
 
 
-@pytest.mark.parametrize("name,steps", [("deadlock", 144), ("gc", 310)])
+@pytest.mark.parametrize("name,steps", [("gc_coordinated", 3474), ("gc", 310)])
 def test_a_walk_keys_each_machine_state_once_per_step(monkeypatch, name, steps):
     # machine states are interned to ids, so the walk keys a machine state
     # only when it enters the table (at init or after a step that changed
