@@ -64,20 +64,26 @@ _PUNCT = {
 }
 _SPELLED = {kind: f"'{sym}'" for sym, kind in _PUNCT.items()}
 
-# one alternative per token shape, the catch-all last; \w is exactly
+# each match is one token with the blanks before it, so blanks cost no match
+# of their own; a token's shape is the number of its group. No two groups
+# start with the same character, except that 2p is tried before an integer
+# and the catch-all, last, takes any character but a blank (so trailing
+# blanks match nothing); the order puts the commonest shapes first, since
+# every group before the one that matches is tried. \w is exactly
 # str.isalnum() or '_', and [^\W\d] also takes numerals that are not
 # letters, such as '²', which tokenize() rejects
+_WORD, _SYMBOL, _NL, _COMMENT, _TWOP, _INT, _ADDR, _STRING, _CLOSE = range(1, 10)
 _TOKEN = re.compile(
-    r"""(?P<ws>[ \t]+)
-    | (?P<nl>\r\n?|\n)
-    | (?P<comment>\#[^\r\n]*)
-    | (?P<twop>2p(?!\w))
-    | (?P<int>-?\d+)
-    | (?P<addr>@(?:[^\W\d]\w*)?)
-    | (?P<string>"(?:[^"\\\r\n]|\\[^\r\n])*(?P<close>"?))
-    | (?P<word>[^\W\d]\w*)
-    | (?P<punct>:-|!=|<=|[(){}\[\],.:<>=!])
-    | (?P<bad>.)""",
+    r"""[ \t]*(?:
+      ([^\W\d]\w*)
+    | (:-|!=|<=|[(){}\[\],.:<>=!])
+    | (\r\n?|\n)
+    | (\#[^\r\n]*)
+    | (2p(?!\w))
+    | (-?\d+)
+    | (@(?:[^\W\d]\w*)?)
+    | ("(?:[^"\\\r\n]|\\[^\r\n])*("?))
+    | ([^ \t]))""",
     re.VERBOSE,
 )
 _ESCAPE = re.compile(r"\\(.)")
@@ -90,30 +96,30 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
     append = toks.append
     line, line_start, m = 1, 0, None
     for m in _TOKEN.finditer(text):
-        shape = m.lastgroup
-        if shape == "ws" or shape == "comment":
+        shape = m.lastindex
+        if shape == _COMMENT:
             continue
-        if shape == "nl":
+        if shape == _NL:
             line += 1
             line_start = m.end()
             continue
-        word, col = m.group(), m.start() - line_start + 1
-        if shape == "word":
+        word, col = m.group(shape), m.start(shape) - line_start + 1
+        if shape == _WORD:
             if not (word[0].isalpha() or word[0] == "_"):
                 raise ParseError(f"unexpected character {word[0]!r}", (line, col), filename)
             kind = "WILD" if word == "_" else "VAR" if word[0].isupper() else "IDENT"
-        elif shape == "punct":
+        elif shape == _SYMBOL:
             kind = _PUNCT[word]
-        elif shape == "int":
+        elif shape == _INT:
             kind = "INT"
-        elif shape == "twop":
+        elif shape == _TWOP:
             kind = "IDENT"
-        elif shape == "addr":
+        elif shape == _ADDR:
             if len(word) == 1 or not (word[1].isalpha() or word[1] == "_"):
                 raise ParseError("expected machine name after '@'", (line, col), filename)
             kind, word = "ADDR", word[1:]
-        elif shape == "string":
-            closed = m.group("close")
+        elif shape == _STRING:
+            closed = m.group(_CLOSE)
             kind, word = "STRING", word[1:-1] if closed else word[1:]
             if "\\" in word:
                 word = _ESCAPE.sub(lambda e: _escaped(e[1], (line, col), filename), word)
@@ -123,7 +129,7 @@ def tokenize(text: str, filename: str = "<input>") -> list[Token]:
             raise ParseError(f"unexpected character {word!r}", (line, col), filename)
         append(Token(kind, word, line, col))
     # after a final comment, EOF sits at the '#'
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(text)
+    end = m.start(_COMMENT) if m is not None and m.lastindex == _COMMENT else len(text)
     append(Token("EOF", "", line, end - line_start + 1))
     return toks
 

@@ -195,6 +195,17 @@ class ValidatedProgram:
         return True
 
     @cached_property
+    def empty_steps_idle(self) -> bool:
+        """No negated literal, and no body of an aggregate rule, reads an
+        ephemeral relation. A step of a committed state on an empty inbox
+        then changes nothing (see ``transducer.step``)."""
+        return not any(
+            r.body_rels & self.ephemeral if r.agg is not None
+            else any(n.literal.relation in self.ephemeral for n in r.negations)
+            for r in self.rules
+        )
+
+    @cached_property
     def refire(self) -> frozenset:
         """Indexes of the rules that a step must fire naively even on a
         closed state: those with an event head or a negated event or

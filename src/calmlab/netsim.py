@@ -6,7 +6,12 @@ and deliver a nonempty subset of them (this one primitive realizes both
 reordering and batching nondeterminism). Whenever the in-flight set drains,
 machines are swept with empty inboxes until none of them changes; if the
 sweep emitted new messages the delivery loop resumes, otherwise the network
-is quiescent and the output relations are read.
+is quiescent and the output relations are read. An empty step can change a
+machine that an earlier step committed only through a negated ephemeral
+relation (``blocked() :- msg(_, _).`` with ``out(X) :- got(X),
+!blocked().``) or an aggregate over one; every other such step returns at
+once (``transducer.step``), so a sweep costs little where nothing is left
+to settle.
 
 A network's machine states live once in its ``MachineTable``, interned to
 small ints by ``semantic_key``. A network state is ``(ids, pending)``: the
@@ -94,20 +99,23 @@ def hash_partitioning(input_db: Database, machines: tuple) -> Partitioning:
 
 
 def partitioning_from_map(input_db: Database, machines: tuple, mapping: dict) -> Partitioning:
-    """mapping: machine name -> list of fact strings (fixture syntax)."""
+    """mapping: machine name -> list of fact strings (fixture syntax). An
+    entry written as a fixture fact's canonical text (``str(Fact)``) is that
+    fact; any other entry is parsed."""
     by_addr = {a.name: a for a in machines}
+    facts = [Fact(rel, args) for rel, tuples in input_db.relations.items() for args in tuples]
+    by_text = {str(f): f for f in facts}
     assignment: dict = {}
     for mname, fact_strs in mapping.items():
         addr = by_addr.get(mname.removeprefix("@"))
         if addr is None:
             raise PartitioningError(f"unknown machine {mname!r} in partitioning map")
         for s in fact_strs:
-            f = parse_fact(s, f"partitioning map entry {mname!r}")
+            f = by_text.get(s) or parse_fact(s, f"partitioning map entry {mname!r}")
             if f in assignment:
                 raise PartitioningError(f"fact {f} assigned to more than one machine")
             assignment[f] = addr
-    if any(Fact(rel, args) not in assignment
-           for rel, tuples in input_db.relations.items() for args in tuples):
+    if any(f not in assignment for f in facts):
         f = next(f for f in input_db.facts() if f not in assignment)  # the first, sorted
         raise PartitioningError(f"input fact {f} not assigned to any machine")
     for f in assignment:
@@ -293,9 +301,14 @@ def _sweep(state: NetworkState, budget: int) -> bool:
     """Step every machine with an empty inbox until none changes.
 
     This both seeds derivations from local input at run start and settles
-    event-dependent rules once a machine's inbox has drained. Machine step
-    effects grow monotonically (persisted state and sent-cache only grow),
-    so the sweep terminates. Returns False if the budget ran out.
+    event-dependent rules once a machine's inbox has drained: a rule that
+    negates an ephemeral relation, or aggregates over one, can derive in an
+    empty step what the step that delivered a message could not. Without
+    such a rule (``ValidatedProgram.empty_steps_idle``), the empty step of a
+    machine that an earlier step committed returns at once and changes
+    nothing; it still counts as a step. Machine step effects grow
+    monotonically (persisted state and sent-cache only grow), so the sweep
+    terminates. Returns False if the budget ran out.
     """
     while True:
         any_change = False

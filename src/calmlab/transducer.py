@@ -65,6 +65,11 @@ still fire naively (``ValidatedProgram.refire``): those with an event head
 or a negated event or channel, since events and the inbox last one step;
 and aggregates over a changed relation, whose value moves. A state of
 iteration 0, fresh from ``init_machine``, runs a full naive first round.
+A committed state stepped on an empty inbox can change only through a
+negated ephemeral relation (``blocked() :- msg(_, _).`` with
+``out(X) :- got(X), !blocked().``) or an aggregate over one; in a program
+with neither (``ValidatedProgram.empty_steps_idle``) such a step returns
+the state at once, which ``step`` proves.
 
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
@@ -492,8 +497,49 @@ def init_machine(vp: ValidatedProgram, address: Address, local_input: Database,
 def step(state: MachineState, inbox) -> StepResult:
     """One Ingest -> Query -> Send iteration. Pure: returns the new state.
     ``inbox`` holds the channel facts delivered to this machine; a machine
-    gets its input once, from ``init_machine``."""
+    gets its input once, from ``init_machine``.
+
+    A committed state (``iteration > 0``) stepped on an empty inbox comes
+    back unchanged, with no outbound, when ``vp.empty_steps_idle``: no
+    negated literal and no aggregate rule reads an ephemeral relation
+    (``ValidatedProgram.ephemeral``). Proof: let T be the step that
+    committed the state, over some inbox; T's fixpoint is closed under the
+    rules. Going up the strata, the empty step's fixpoint holds no fact
+    that T's did not, and each relation that is not ephemeral holds exactly
+    what it held in T:
+
+    - events derived only from persisted relations: a relation that is not
+      ephemeral is persisted, or an event whose every rule reads only
+      relations that are not ephemeral. A persisted relation starts from
+      what T committed, every fact T derived into it, so such an event is
+      derived from the same facts as in T and comes out the same;
+    - positive reads: no message is delivered, so a channel literal
+      matches nothing, and an ephemeral event holds a subset of what it
+      held in T. A rule is monotone in its positive literals, so reading
+      subsets it derives a subset of what it derived in T;
+    - negations and aggregates read only relations that are not ephemeral,
+      which hold what they held in T, so a negation passes the same
+      bindings and an aggregate finds the same groups and values. (Over an
+      ephemeral relation an aggregate would find no group when it is empty,
+      but fewer facts when an empty step still derives some of it.);
+    - lattice merges: a rule reads a merged value only into a lattice
+      column of a head without an aggregate, where it merges into what that
+      head already holds, as merging is associative, commutative and
+      idempotent; merged facts agree with T's on every scalar column, which
+      is all that a join, a negation or an aggregate reads;
+    - ``sent`` holds every channel fact T derived.
+
+    So every rule derives a subset of what it derived in T, which T
+    committed, held for one step, or sent: the persisted state and ``sent``
+    come out as committed, and nothing is offered. A negated ephemeral
+    relation breaks this: ``blocked() :- msg(_, _).`` with
+    ``out(X) :- got(X), !blocked().`` derives ``out`` only in an empty
+    step."""
     vp = state.program
+    if state.iteration and not inbox and vp.empty_steps_idle:
+        return StepResult(
+            MachineState(state.address, state.persisted, vp, state.iteration + 1, state.sent), {}
+        )
     persisted = state.persisted.relations
     delivered: dict[str, set] = {}
     for f in inbox:

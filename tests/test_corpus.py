@@ -65,6 +65,14 @@ def test_every_corpus_and_benchmark_program_validates():
         validate_program(parse_program(path.read_text(encoding="utf-8"), str(path)))
 
 
+def test_empty_steps_are_idle_in_every_corpus_and_benchmark_program():
+    # none negates or aggregates an ephemeral relation, so a swept machine's
+    # empty step returns at once (see transducer.step)
+    for path in [*ROOT.glob("src/calmlab/corpus/*/*.calm"), *ROOT.glob("perfbench/programs/*.calm")]:
+        vp = validate_program(parse_program(path.read_text(encoding="utf-8"), str(path)))
+        assert vp.empty_steps_idle, path
+
+
 def test_every_entry_ships_program_fixtures_readme():
     for e in corpus.ENTRIES:
         assert corpus.read_text(e.name, "program.calm")

@@ -170,7 +170,14 @@ RACING_FLOOD = FLOOD.replace(
     "rel cycle(a, b) [output]", "rel cycle(a, b) [output]\nrel acyclic(a, b) [output]"
 ) + "acyclic(X, Y) :- edge(X, Y), !path(Y, X).\n"
 
-TEXTS = {"flood": FLOOD, "racing_flood": RACING_FLOOD}
+# deadlock with a racing point that fires on receipt: acyclic(X, Y) holds
+# when copy(X, Y) arrives before Y is known to reach X. It still sends once,
+# so this races under persistent sets
+RECEIPT_RACE = corpus.read_text("deadlock", "program.calm").replace(
+    "rel cycle(a, b) [output]", "rel cycle(a, b) [output]\nrel acyclic(a, b) [output]"
+) + "acyclic(X, Y) :- copy(_, X, Y), !path(Y, X).\n"
+
+TEXTS = {"flood": FLOOD, "racing_flood": RACING_FLOOD, "receipt_race": RECEIPT_RACE}
 
 
 def _program(name: str):
@@ -181,10 +188,10 @@ def _program(name: str):
 
 @st.composite
 def networks(draw):
-    """The deadlock, flood, racing flood or gc program on a 2-4 edge graph
-    over 2-3 machines. Each machine holds its own row of the full ``nbr``
-    mesh; every other fact is placed at random."""
-    name = draw(st.sampled_from(["deadlock", "flood", "racing_flood", "gc"]))
+    """The deadlock, flood, racing flood, receipt race or gc program on a 2-4
+    edge graph over 2-3 machines. Each machine holds its own row of the full
+    ``nbr`` mesh; every other fact is placed at random."""
+    name = draw(st.sampled_from(["deadlock", "flood", "racing_flood", "receipt_race", "gc"]))
     machines = machine_addresses(draw(st.integers(2, 3)))
     pairs = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES))
     edges = draw(st.lists(pairs, min_size=2, max_size=4, unique=True))
@@ -395,7 +402,7 @@ token(P, M) :- seen(N), next(N, M), peer(P).
 def test_a_program_that_sends_on_receipt_does_not_send_once():
     # so the walk keeps sleep sets for it, under the oracle above, unless
     # its deliveries commute
-    assert corpus.load_program("deadlock").sends_once
+    assert corpus.load_program("deadlock").sends_once and _program("receipt_race").sends_once
     assert not _program("flood").sends_once
     for text in (EPHEMERAL, RELAY, RELAY_JOIN, RACING_FLOOD):
         assert not validate_program(parse_program(text)).sends_once
@@ -405,10 +412,10 @@ def test_deliveries_commute_for_the_flood_and_the_relay_alone():
     # each reads a message alone and negates and counts nothing; the others
     # join two messages (EPHEMERAL, RELAY_JOIN), a message or an event
     # derived from one with a growing relation (EPHEMERAL_JOIN, EVENT_JOIN)
-    # or negate one that grows (RACING_FLOOD)
+    # or negate one that grows (RACING_FLOOD, RECEIPT_RACE)
     for text in (FLOOD, RELAY):
         assert validate_program(parse_program(text)).deliveries_commute
-    for text in (EPHEMERAL, RELAY_JOIN, EPHEMERAL_JOIN, EVENT_JOIN, RACING_FLOOD):
+    for text in (EPHEMERAL, RELAY_JOIN, EPHEMERAL_JOIN, EVENT_JOIN, RACING_FLOOD, RECEIPT_RACE):
         assert not validate_program(parse_program(text)).deliveries_commute
 
 

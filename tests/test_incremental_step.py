@@ -4,7 +4,10 @@ A state that an earlier step committed is closed under its rules, so
 ``step`` fires only what this step's inbox and events touch (see the
 ``transducer`` module docstring). The oracle is
 the same state stepped with a full naive first round, which is what
-``step`` does for a state of iteration 0.
+``step`` does for a state of iteration 0. It also checks the shortcut of an
+empty step of a committed state, which returns the state at once unless a
+negation or an aggregate reads an ephemeral relation: the explicit examples
+hold one of each, so that there the empty step must derive.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from calmlab.values import Address
 ME, PEER = Address("m1"), Address("m2")
 
 FEATURES = DECLS + """
+rel blk() [event]
+rel d3(x)
 d0(X, Y) :- e(X, Y).
 d0(X, Y) :- msg(_, X, Y).
 d0(X, Z) :- d0(X, Y), e(Y, Z).
@@ -36,6 +41,8 @@ d1(X, Y) :- acc(X, _), acc(Y, _).
 g(X, count<Y>) :- d0(X, Y).
 d2(X, N) :- g(X, N), !ev(X).
 msg(P, X, Y) :- peer(P), d0(X, Y).
+blk() :- msg(_, _, _).
+d3(X) :- d0(X, _), !blk().
 """
 FEATURE_INPUT = ({rel: set(ts) for rel, ts in Database.from_facts(parse_facts(
     "e(a, b)\ne(b, 1)\nf(a, b)\nf(b, a)\nu(a)\npeer(@m2)\n")).relations.items()}, {})
@@ -45,9 +52,22 @@ FEATURE_RUN = [
     parse_facts("msg(@m2, b, 1)\nmsg(@m1, 1, 2)"),
     parse_facts("msg(@m1, a, b)\nmsg(@m2, 1, a)"),
 ]
+# an aggregate over an ephemeral event that an empty step still derives
+# from a persisted relation: the step after msg(@m1, a, b) counts a and b,
+# the empty one after it counts a alone and derives n(1)
+EPHEMERAL_COUNT = DECLS + """
+rel q(x)
+rel ep(x) [event]
+rel n(c)
+q(X) :- msg(_, X, _).
+ep(Y) :- msg(_, _, Y).
+ep(X) :- q(X).
+n(count<X>) :- ep(X).
+"""
 
 
 @example(FEATURES, FEATURE_INPUT, FEATURE_RUN)
+@example(EPHEMERAL_COUNT, ({}, {}), [parse_facts("msg(@m1, a, b)")])
 @settings(max_examples=250, deadline=None)
 @given(programs(), instances(), inbox_runs())
 def test_incremental_steps_match_from_scratch_steps(source, instance, run):
@@ -110,3 +130,9 @@ def test_a_quiesced_lattice_step_fires_no_rule(monkeypatch):
     # the merged gset facts are closed under the rules like any others
     vp = validate_program(parse_program(GSET_CLOSURE))
     _assert_a_quiesced_step_fires_no_rule(monkeypatch, vp, _chain("e"))
+
+
+def test_empty_steps_are_idle_without_an_ephemeral_negation_or_aggregate():
+    assert validate_program(parse_program(GSET_CLOSURE)).empty_steps_idle
+    for text in (FEATURES, EPHEMERAL_COUNT):
+        assert not validate_program(parse_program(text)).empty_steps_idle

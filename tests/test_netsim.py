@@ -8,6 +8,7 @@ import pytest
 from calmlab import corpus, netsim, transducer
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.config import ConfigError, load_config
+from calmlab.errors import ParseError
 from calmlab.netsim import (
     PartitioningError,
     ReplayError,
@@ -21,7 +22,7 @@ from calmlab.netsim import (
     partitioning_from_map,
     run_schedule,
 )
-from calmlab.relspace import Database, canonical_json, parse_facts
+from calmlab.relspace import Database, canonical_json, db_to_obj, parse_facts
 from calmlab.values import Address
 
 
@@ -65,8 +66,9 @@ def test_init_empty_input_three_machines(programs):
 
 def test_partitioning_unassigned_fact_rejected(programs, fixtures):
     fixture = fixtures[("transitive_closure", "chain.facts")]
-    mapping = {"m1": ["edge(a, b)"]}  # misses the rest
-    with pytest.raises(PartitioningError):
+    mapping = {"m1": ["edge(a, b)"]}  # misses the rest; the first missed, sorted
+    with pytest.raises(PartitioningError, match=re.escape(
+            "input fact edge(b, c) not assigned to any machine")):
         partitioning_from_map(fixture, machine_addresses(2), mapping)
 
 
@@ -76,7 +78,8 @@ def test_partitioning_double_assignment_rejected(fixtures):
         "m1": ["edge(a, b)", "edge(b, c)", "edge(c, a)", "edge(c, d)"],
         "m2": ["edge(a, b)"],
     }
-    with pytest.raises(PartitioningError):
+    with pytest.raises(PartitioningError, match=re.escape(
+            "fact edge(a, b) assigned to more than one machine")):
         partitioning_from_map(fixture, machine_addresses(2), mapping)
 
 
@@ -85,8 +88,23 @@ def test_partitioning_unknown_fact_rejected(fixtures):
     mapping = {
         "m1": ["edge(a, b)", "edge(b, c)", "edge(c, a)", "edge(c, d)", "edge(z, z)"]
     }
-    with pytest.raises(PartitioningError):
+    with pytest.raises(PartitioningError, match=re.escape(
+            "assigned fact edge(z, z) is not in the input fixture")):
         partitioning_from_map(fixture, machine_addresses(2), mapping)
+
+
+def test_partitioning_map_entries_are_parsed_unless_canonical(fixtures):
+    # an entry spelled otherwise than the fixture's canonical text names the
+    # same fact; one that is not one fact is located in its entry
+    fixture = fixtures[("transitive_closure", "chain.facts")]
+    rest = ["edge(b, c)", "edge(c, a)", "edge(c, d)"]
+    part = partitioning_from_map(fixture, machine_addresses(2),
+                                 {"m1": ["edge( a ,b )"], "m2": rest})
+    assert part.describe() == {"@m1": ["edge(a, b)"], "@m2": rest}
+    with pytest.raises(ParseError, match=re.escape(
+            "partitioning map entry 'm1':1:1: expected one fact, found 2")):
+        partitioning_from_map(fixture, machine_addresses(2),
+                              {"m1": ["edge(a, b)\nedge(b, c)"], "m2": rest[1:]})
 
 
 def test_fixture_fact_must_be_input_relation(tmp_path):
@@ -187,6 +205,36 @@ def test_empty_program_quiesces_with_empty_output():
     assert out.quiesced
     assert out.union_output == Database({})
     assert out.message_count == 0
+
+
+# m1 sends msg(@m2, k). The step that delivers it derives got(k) at m2 but
+# not out(k), since blocked() holds there; only the sweep's empty step after
+# it derives out(k)
+BLOCKED = """
+rel seed(@d, x) [input]
+chan msg(@d, x)
+rel got(x)
+rel blocked() [event]
+rel out(x) [output]
+
+msg(D, X) :- seed(D, X).
+got(X) :- msg(_, X).
+blocked() :- msg(_, _).
+out(X) :- got(X), !blocked().
+"""
+
+
+def test_a_sweep_settles_what_a_negated_event_blocked():
+    vp = validate_program(parse_program(BLOCKED))
+    assert not vp.empty_steps_idle
+    fixture = Database.from_facts(parse_facts("seed(@m2, k)"))
+    part = partitioning_from_map(fixture, machine_addresses(2), {"m1": ["seed(@m2, k)"]})
+    net = init_network(vp, fixture, part)
+    out = run_schedule(net, Schedule(seed=1))
+    assert out.quiesced and (out.steps_used, out.message_count) == (9, 1)
+    assert db_to_obj(out.union_output) == {"out": [["k"]]}
+    [outcome] = enumerate_schedules(net).outcomes
+    assert db_to_obj(outcome.union_output) == {"out": [["k"]]}
 
 
 def test_budget_one_flags_non_quiescence(programs):
