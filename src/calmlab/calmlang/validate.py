@@ -176,34 +176,30 @@ class ValidatedProgram:
             ephemeral |= grown
 
     @cached_property
+    def coordination_points(self) -> tuple:
+        """The non-monotone constructs of every rule, rule by rule
+        (``monocheck.coordination_points``). A point is *local* if it reads
+        only fixed relations, and *racing* otherwise."""
+        from .. import monocheck  # monocheck imports this package
+
+        return tuple(p for r in self.rules for p in monocheck.coordination_points(self, r))
+
+    @cached_property
     def deliveries_commute(self) -> bool:
-        """Every rule that reads an ephemeral relation reads exactly one
-        ephemeral literal, positively, with no aggregate, and all its other
-        literals are fixed; and every negated relation, and every body
-        relation of an aggregate rule, is fixed. A machine's state is then a
-        function of the set of messages delivered to it, whatever their
-        order and batching (see ``netsim.enumerate_schedules``)."""
-        for r in self.rules:
-            if not {n.literal.relation for n in r.negations} <= self.fixed:
-                return False
-            if r.agg is not None and not r.body_rels <= self.fixed:
-                return False
-            moving = [lit for lit in r.positives if lit.relation not in self.fixed]
-            if (any(lit.relation in self.ephemeral for lit in moving)
-                    and len(moving) != 1):
-                return False
-        return True
+        """No coordination point races. Every rule that reads an ephemeral
+        relation then reads it alone, next to fixed relations, and nothing
+        negates or aggregates a relation that can grow; a machine's state
+        is a function of the set of messages delivered to it, whatever
+        their order and batching (see ``netsim.enumerate_schedules``)."""
+        return all(p.reads <= self.fixed for p in self.coordination_points)
 
     @cached_property
     def empty_steps_idle(self) -> bool:
-        """No negated literal, and no body of an aggregate rule, reads an
-        ephemeral relation. A step of a committed state on an empty inbox
-        then changes nothing (see ``transducer.step``)."""
-        return not any(
-            r.body_rels & self.ephemeral if r.agg is not None
-            else any(n.literal.relation in self.ephemeral for n in r.negations)
-            for r in self.rules
-        )
+        """No negation or aggregation point reads an ephemeral relation. A
+        step of a committed state on an empty inbox then changes nothing
+        (see ``transducer.step``)."""
+        return not any(p.reads & self.ephemeral for p in self.coordination_points
+                       if p.kind in ("negation", "aggregation"))
 
     @cached_property
     def refire(self) -> frozenset:

@@ -8,7 +8,9 @@ an event derived from one) is visible only in the iteration that delivers
 it, so such an ephemeral join fires or not by what its machine knew when
 the message arrived. ``coordination_points`` finds each such construct
 where it stands in the source; a rule's reasons and the program's verdict
-are read off those points. Semantic monotonicity behind non-monotone
+are read off those points, as are the walk's and the step's conditions
+(``ValidatedProgram.deliveries_commute`` and ``empty_steps_idle``) from
+the relations each point reads. Semantic monotonicity behind non-monotone
 syntax is out of scope, so false "non-monotone" verdicts are possible.
 Reading a lattice value as a scalar is a validation error.
 
@@ -44,20 +46,6 @@ class UnstratifiableError(CalmlabError):
 
 
 @dataclass(frozen=True)
-class MonotonicityClass:
-    reasons: frozenset  # subset of the four reason strings
-
-    @property
-    def monotone(self) -> bool:
-        return not self.reasons
-
-    def __str__(self) -> str:
-        if self.monotone:
-            return "monotone"
-        return "non-monotone{%s}" % ",".join(sorted(self.reasons))
-
-
-@dataclass(frozen=True)
 class DepEdge:
     head: str
     body: str
@@ -71,33 +59,36 @@ class CoordinationPoint:
     col: int
     kind: str  # negation | aggregation | membership-query | ephemeral-join
     detail: str
+    reads: frozenset  # the relations whose contents decide the construct
 
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    program_monotone: bool
-    rule_classes: tuple  # tuple[MonotonicityClass]
     dependency_graph: tuple  # tuple[DepEdge]
     strata: dict | None  # relation -> stratum, None if unstratifiable
     unstratifiable_cycle: tuple | None
     coordination_points: tuple  # tuple[CoordinationPoint]
-    uses_all: bool
-    uses_id: bool
+
+    @property
+    def program_monotone(self) -> bool:
+        return not self.coordination_points
 
     def to_obj(self, vp: ValidatedProgram) -> dict:
-        rules = []
-        for r, cls in zip(vp.rules, self.rule_classes):
-            rules.append(
-                {
-                    "index": r.index,
-                    "rule": rule_to_text(r.rule),
-                    "line": r.rule.pos[0],
-                    "class": "monotone" if cls.monotone else "non-monotone",
-                    "reasons": sorted(cls.reasons),
-                    "reads_id": "id" in r.body_rels,
-                    "reads_all": "all" in r.body_rels,
-                }
-            )
+        reasons: dict = {r.index: set() for r in vp.rules}
+        for p in self.coordination_points:
+            reasons[p.rule_index].add(p.kind)
+        rules = [
+            {
+                "index": r.index,
+                "rule": rule_to_text(r.rule),
+                "line": r.rule.pos[0],
+                "class": "non-monotone" if reasons[r.index] else "monotone",
+                "reasons": sorted(reasons[r.index]),
+                "reads_id": "id" in r.body_rels,
+                "reads_all": "all" in r.body_rels,
+            }
+            for r in vp.rules
+        ]
         return {
             "schema_version": SCHEMA_VERSION,
             "verdict": "monotone" if self.program_monotone else "non-monotone",
@@ -120,8 +111,8 @@ class AnalysisReport:
                 }
                 for p in self.coordination_points
             ],
-            "uses_all": self.uses_all,
-            "uses_id": self.uses_id,
+            "uses_all": any(r["reads_all"] for r in rules),
+            "uses_id": any(r["reads_id"] for r in rules),
         }
 
 
@@ -132,16 +123,19 @@ def coordination_points(vp: ValidatedProgram, rule: ValidatedRule) -> tuple:
     ephemeral join at the second literal, in source order, that is not
     fixed: a rule with a positive ephemeral literal and another literal,
     positive or negated, that is not fixed (``ValidatedProgram.ephemeral``
-    and ``fixed``)."""
+    and ``fixed``). Each point ``reads`` the relations it observes: a
+    negation its negated relation, an aggregate the rule's body, ``all``
+    itself, and an ephemeral join every literal that is not fixed."""
     literals = sorted((*rule.positives, *(n.literal for n in rule.negations)),
                       key=lambda lit: lit.pos)
     points = [CoordinationPoint(rule.index, *n.pos, REASON_NEGATION,
-                                f"negated literal !{n.literal.relation}") for n in rule.negations]
+                                f"negated literal !{n.literal.relation}",
+                                frozenset((n.literal.relation,))) for n in rule.negations]
     if rule.agg is not None:
         points.append(CoordinationPoint(rule.index, *rule.agg.pos, REASON_AGGREGATION,
-                                        f"{rule.agg.kind} aggregate"))
+                                        f"{rule.agg.kind} aggregate", rule.body_rels))
     points += (CoordinationPoint(rule.index, *lit.pos, REASON_MEMBERSHIP,
-                                 "reads network membership relation all")
+                                 "reads network membership relation all", frozenset(("all",)))
                for lit in literals if lit.relation == "all")
     moving = [lit for lit in literals if lit.relation not in vp.fixed]
     message = next((lit for lit in rule.positives if lit.relation in vp.ephemeral), None)
@@ -149,13 +143,9 @@ def coordination_points(vp: ValidatedProgram, rule: ValidatedRule) -> tuple:
         other = next(lit for lit in moving if lit is not message)
         points.append(CoordinationPoint(
             rule.index, *moving[1].pos, REASON_EPHEMERAL_JOIN,
-            f"joins ephemeral {message.relation} with {other.relation}, which is not fixed"))
+            f"joins ephemeral {message.relation} with {other.relation}, which is not fixed",
+            frozenset(lit.relation for lit in moving)))
     return tuple(sorted(points, key=lambda p: (p.line, p.col)))
-
-
-def classify_rule(vp: ValidatedProgram, rule: ValidatedRule) -> MonotonicityClass:
-    """Syntactic classification of one validated rule of ``vp``."""
-    return MonotonicityClass(frozenset(p.kind for p in coordination_points(vp, rule)))
 
 
 def dependency_graph(vp: ValidatedProgram) -> tuple:
@@ -250,22 +240,15 @@ def stratify(vp: ValidatedProgram) -> list:
 
 
 def analyze_program(vp: ValidatedProgram) -> AnalysisReport:
-    """Full static report: per-rule classes, dependencies, strata, flags."""
-    points = tuple(p for r in vp.rules for p in coordination_points(vp, r))
-    strata = None
-    cycle = None
+    """Full static report: dependencies, strata and coordination points,
+    from which ``to_obj`` reads each rule's class and flags."""
     try:
-        strata = vp.stratum_of
+        strata, cycle = vp.stratum_of, None
     except UnstratifiableError as e:
-        cycle = e.cycle
-
+        strata, cycle = None, e.cycle
     return AnalysisReport(
-        program_monotone=not points,
-        rule_classes=tuple(classify_rule(vp, r) for r in vp.rules),
         dependency_graph=dependency_graph(vp),
         strata=strata,
         unstratifiable_cycle=cycle,
-        coordination_points=points,
-        uses_all=any("all" in r.body_rels for r in vp.rules),
-        uses_id=any("id" in r.body_rels for r in vp.rules),
+        coordination_points=vp.coordination_points,
     )

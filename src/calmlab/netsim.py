@@ -9,8 +9,9 @@ sweep emitted new messages the delivery loop resumes, otherwise the network
 is quiescent and the output relations are read. An empty step can change a
 machine that an earlier step committed only through a negated ephemeral
 relation (``blocked() :- msg(_, _).`` with ``out(X) :- got(X),
-!blocked().``) or an aggregate over one; every other such step returns at
-once (``transducer.step``), so a sweep costs little where nothing is left
+!blocked().``) or an aggregate over one: a negation or aggregation point
+that reads an ephemeral relation. Every other such step returns at once
+(``transducer.step``), so a sweep costs little where nothing is left
 to settle.
 
 A network's machine states live once in its ``MachineTable``, interned to
@@ -33,11 +34,11 @@ not delivered. It still enters every state the unreduced walk would, in the
 same order. A program that ``sends_once`` sends nothing after the first
 sweep, so there the walk delivers only to the first machine with a nonempty
 inbox (persistent sets) and enters fewer states. A program whose
-``deliveries_commute`` (each message is read alone, next to fixed
-relations only, and nothing negates or aggregates a relation that can
-grow) reaches one outcome on every path, so there the walk follows one
-path, delivering the whole first inbox at each state. In every case its
-outcomes and witnesses are those of the unreduced walk.
+``deliveries_commute`` (no coordination point races: each message is read
+alone, next to fixed relations only, and nothing negates or aggregates a
+relation that can grow) reaches one outcome on every path, so there the
+walk follows one path, delivering the whole first inbox at each state. In
+every case its outcomes and witnesses are those of the unreduced walk.
 """
 
 from __future__ import annotations
@@ -265,8 +266,7 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
 def _stepped(table: MachineTable, mid: int, src: str, texts) -> tuple:
     """``step`` of machine ``mid`` on ``texts``, as the memo stores it: (new
     id, sent envelopes, changed). A step that changes nothing keeps its id
-    without hashing its new ``Database``. An id's stored state may carry
-    another path's ``iteration``, which ``step`` only tests against 0."""
+    without hashing its new ``Database``."""
     machine = table.states[mid]
     res = step(machine, [table.facts[text] for text in texts])
     if not res.changed(machine):
@@ -487,13 +487,6 @@ def _first_batches(pending: tuple):
         yield batch, {}
 
 
-def _first_inbox(pending: tuple):
-    """The whole first inbox in ``_inboxes`` order, with nothing asleep:
-    the one batch a frame delivers when deliveries commute (see
-    ``enumerate_schedules``)."""
-    yield tuple(next(iter(_inboxes(pending).values()))), {}
-
-
 def _awake_batches(pending: tuple, asleep: dict):
     """The batches a frame delivers, each with the asleep envelopes of the
     child it leads to. Batches come in ``_inboxes`` order, machines in name
@@ -596,7 +589,7 @@ def enumerate_schedules(
       ``sent`` holds;
     - lattice columns live only in persisted relations and never reach a
       channel, so a merge moves no channel fact;
-    - an id whose stored state still has iteration 0 had a first step
+    - an id whose stored state is not yet committed had a first step
       that changed nothing, so it sent nothing, and its next step runs the
       same naive round over the same fixed relations.
 
@@ -619,13 +612,14 @@ def enumerate_schedules(
     walked with sleep sets.
 
     One path suffices for a program whose ``deliveries_commute``
-    (``ValidatedProgram.deliveries_commute``): every rule that reads an
-    ephemeral relation reads exactly one ephemeral literal, positively,
-    with no aggregate, next to fixed literals only, and every negated
-    relation and every body relation of an aggregate rule is fixed. A
-    machine's ``(persisted, sent)`` after a step is then a function of its
-    input and of the *set* of messages delivered to it so far, whatever
-    their order and batching:
+    (``ValidatedProgram.deliveries_commute``): no coordination point races,
+    that is, every point reads only fixed relations. With no racing
+    ephemeral join, every rule that reads an ephemeral relation reads one
+    ephemeral literal, positively, next to fixed literals only; with no
+    racing negation or aggregate, every negated relation and every body
+    relation of an aggregate rule is fixed. A machine's ``(persisted,
+    sent)`` after a step is then a function of its input and of the *set*
+    of messages delivered to it so far, whatever their order and batching:
 
     - a message reaches the rules only through a chain of rules that each
       read one ephemeral literal and fixed relations, so each message
@@ -648,11 +642,12 @@ def enumerate_schedules(
     a fixpoint. Every maximal path from any state therefore delivers that
     least fixpoint and ends at the same machines, with one outcome. No
     swept root is needed: a machine's first step computes the same
-    function. The walk expands one batch per frame, the whole first inbox
-    (``_first_inbox``), which is the batch the unreduced walk tries first
-    at every frame; the unreduced walk's first path reaches its first
-    outcome, which is its only one, so the reduced walk finds it on the
-    same path with the same decisions, entering no more states. As with
+    function. The walk expands one batch per frame, the first that
+    ``_first_batches`` yields: the whole first inbox, which is the batch
+    the unreduced walk tries first at every frame; the unreduced walk's
+    first path reaches its first outcome, which is its only one, so the
+    reduced walk finds it on the same path with the same decisions,
+    entering no more states. As with
     persistent sets, the two walks can differ only where the step budget
     cuts a branch."""
 
@@ -694,7 +689,7 @@ def enumerate_schedules(
         states += 1
         seen.add(skey)
         if one_path:
-            batches = _first_inbox(state.pending)
+            batches = itertools.islice(_first_batches(state.pending), 1)
         elif first_only:
             batches = _first_batches(state.pending)
         else:

@@ -53,7 +53,7 @@ set: ``_Space.add`` keeps the ones not there yet, adds just those to the
 relation's indexes, and they join the next round's delta.
 
 Steps are incremental. Persisted facts only grow, so a state that an
-earlier step committed (``iteration > 0``) is closed: its persisted
+earlier step committed (``committed``) is closed: its persisted
 relations are the persisted part of that step's fixpoint, and every channel
 fact they derive is already in ``sent``. A rule over persisted relations
 alone can then derive nothing new until one of them grows; a negated one
@@ -63,13 +63,14 @@ A rule fires once per positive literal over a changed relation, reading
 just the changed tuples there, and is skipped without one. Some rules
 still fire naively (``ValidatedProgram.refire``): those with an event head
 or a negated event or channel, since events and the inbox last one step;
-and aggregates over a changed relation, whose value moves. A state of
-iteration 0, fresh from ``init_machine``, runs a full naive first round.
+and aggregates over a changed relation, whose value moves. A state not
+yet committed, fresh from ``init_machine``, runs a full naive first round.
 A committed state stepped on an empty inbox can change only through a
 negated ephemeral relation (``blocked() :- msg(_, _).`` with
 ``out(X) :- got(X), !blocked().``) or an aggregate over one; in a program
-with neither (``ValidatedProgram.empty_steps_idle``) such a step returns
-the state at once, which ``step`` proves.
+where no negation or aggregation point reads an ephemeral relation
+(``ValidatedProgram.empty_steps_idle``) such a step returns the state at
+once, which ``step`` proves.
 
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
@@ -468,14 +469,14 @@ class MachineState:
     address: Address
     persisted: Database
     program: ValidatedProgram
-    iteration: int = 0
+    committed: bool = False  # produced by a step, not fresh from init_machine
     # channel facts already offered to the network, each addressed by its
     # column 1; grows monotonically and keeps re-derived messages from
     # resending forever
     sent: frozenset = frozenset()
 
     def semantic_key(self):
-        """State identity for schedule enumeration (iteration excluded)."""
+        """State identity for schedule enumeration (``committed`` excluded)."""
         return (self.address, self.persisted, self.sent)
 
 
@@ -499,9 +500,9 @@ def step(state: MachineState, inbox) -> StepResult:
     ``inbox`` holds the channel facts delivered to this machine; a machine
     gets its input once, from ``init_machine``.
 
-    A committed state (``iteration > 0``) stepped on an empty inbox comes
-    back unchanged, with no outbound, when ``vp.empty_steps_idle``: no
-    negated literal and no aggregate rule reads an ephemeral relation
+    A ``committed`` state stepped on an empty inbox comes back unchanged,
+    with no outbound, when ``vp.empty_steps_idle``: no negation or
+    aggregation coordination point reads an ephemeral relation
     (``ValidatedProgram.ephemeral``). Proof: let T be the step that
     committed the state, over some inbox; T's fixpoint is closed under the
     rules. Going up the strata, the empty step's fixpoint holds no fact
@@ -536,17 +537,15 @@ def step(state: MachineState, inbox) -> StepResult:
     ``out(X) :- got(X), !blocked().`` derives ``out`` only in an empty
     step."""
     vp = state.program
-    if state.iteration and not inbox and vp.empty_steps_idle:
-        return StepResult(
-            MachineState(state.address, state.persisted, vp, state.iteration + 1, state.sent), {}
-        )
+    if state.committed and not inbox and vp.empty_steps_idle:
+        return StepResult(state, {})
     persisted = state.persisted.relations
     delivered: dict[str, set] = {}
     for f in inbox:
         delivered.setdefault(f.relation, set()).add(f.args)
 
     # a state committed by an earlier step is closed, see the module docstring
-    changed = dict(delivered) if state.iteration else None
+    changed = dict(delivered) if state.committed else None
     space = _query(vp, persisted, delivered, changed)
 
     new_persisted = {rel: _fold_lattice(rel, tups, vp) for rel, tups in space.facts.items()
@@ -565,7 +564,7 @@ def step(state: MachineState, inbox) -> StepResult:
         address=state.address,
         persisted=_to_db(new_persisted),
         program=vp,
-        iteration=state.iteration + 1,
+        committed=True,
         sent=state.sent.union(new_sent) if new_sent else state.sent,
     )
     return StepResult(

@@ -4,7 +4,7 @@ A state that an earlier step committed is closed under its rules, so
 ``step`` fires only what this step's inbox and events touch (see the
 ``transducer`` module docstring). The oracle is
 the same state stepped with a full naive first round, which is what
-``step`` does for a state of iteration 0. It also checks the shortcut of an
+``step`` does for a state not yet committed. It also checks the shortcut of an
 empty step of a committed state, which returns the state at once unless a
 negation or an aggregate reads an ephemeral relation: the explicit examples
 hold one of each, so that there the empty step must derive.
@@ -76,7 +76,7 @@ def test_incremental_steps_match_from_scratch_steps(source, instance, run):
     state = init_machine(vp, ME, local, (ME, PEER))
     for inbox in [[], *run, []]:
         got = step(state, inbox)
-        want = step(replace(state, iteration=0), inbox)
+        want = step(replace(state, committed=False), inbox)
         assert got.new_state.persisted == want.new_state.persisted
         assert got.new_state.sent == want.new_state.sent
         assert got.outbound == want.outbound
@@ -106,7 +106,7 @@ def _assert_a_quiesced_step_fires_no_rule(monkeypatch, vp, local: Database) -> N
 
     monkeypatch.setattr(transducer, "compile_rule", counting)
     first = step(init_machine(vp, ME, local, (ME,)), [])
-    assert fired  # iteration 0: a full naive round
+    assert fired  # not yet committed: a full naive round
     fired.clear()
     again = step(first.new_state, [])
     assert fired == []

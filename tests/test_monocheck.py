@@ -17,11 +17,20 @@ def vp_of(src: str):
     return validate_program(parse_program(src))
 
 
+def kinds(vp, index: int = 0) -> set:
+    """The kinds of the coordination points of ``vp``'s rule ``index``."""
+    return {p.kind for p in monocheck.coordination_points(vp, vp.rules[index])}
+
+
+def rule_objs(vp) -> list:
+    return monocheck.analyze_program(vp).to_obj(vp)["rules"]
+
+
 def test_positive_conjunctive_rule_is_monotone():
     vp = vp_of("rel edge(x,y) [input]\nrel path(x,y) [output]\npath(X,Y) :- edge(X,Y).")
-    cls = monocheck.classify_rule(vp, vp.rules[0])
-    assert cls.monotone
-    assert str(cls) == "monotone"
+    assert monocheck.coordination_points(vp, vp.rules[0]) == ()
+    [obj] = rule_objs(vp)
+    assert (obj["class"], obj["reasons"]) == ("monotone", [])
 
 
 def test_negation_classified():
@@ -29,16 +38,15 @@ def test_negation_classified():
         "rel object(x) [input]\nrel reach(x) [input]\nrel garbage(x) [output]\n"
         "garbage(X) :- object(X), !reach(X)."
     )
-    cls = monocheck.classify_rule(vp, vp.rules[0])
-    assert cls.reasons == frozenset({"negation"})
-    assert str(cls) == "non-monotone{negation}"
+    assert kinds(vp) == {"negation"}
+    [obj] = rule_objs(vp)
+    assert (obj["class"], obj["reasons"]) == ("non-monotone", ["negation"])
 
 
 def test_aggregation_classified_and_dynamically_nonmonotone():
     # oracle: growing the member set changes (does not extend) the count output
     vp = vp_of("rel member(x) [input]\nrel n(k) [output]\nn(count<X>) :- member(X).")
-    cls = monocheck.classify_rule(vp, vp.rules[0])
-    assert cls.reasons == frozenset({"aggregation"})
+    assert kinds(vp) == {"aggregation"}
     small = Database.from_facts(parse_facts("member(a)"))
     large = Database.from_facts(parse_facts("member(a)\nmember(b)"))
     m1 = Address("m1")
@@ -51,21 +59,21 @@ def test_aggregation_classified_and_dynamically_nonmonotone():
 
 def test_membership_query_classified():
     vp = vp_of("rel out(@a) [output]\nout(X) :- all(X).")
-    assert monocheck.classify_rule(vp, vp.rules[0]).reasons == frozenset(
-        {"membership-query"}
-    )
+    assert kinds(vp) == {"membership-query"}
 
 
 def test_reading_id_does_not_affect_verdict(programs):
-    rep = monocheck.analyze_program(programs["deadlock"])
-    assert rep.uses_id and rep.program_monotone
+    vp = programs["deadlock"]
+    rep = monocheck.analyze_program(vp)
+    assert rep.to_obj(vp)["uses_id"] and rep.program_monotone
 
 
 def test_analyze_deadlock_monotone_no_coordination_points(programs):
-    rep = monocheck.analyze_program(programs["deadlock"])
+    vp = programs["deadlock"]
+    rep = monocheck.analyze_program(vp)
     assert rep.program_monotone
     assert rep.coordination_points == ()
-    assert not rep.uses_all
+    assert not rep.to_obj(vp)["uses_all"]
 
 
 def test_analyze_gc_exactly_one_coordination_point(programs):
@@ -76,27 +84,24 @@ def test_analyze_gc_exactly_one_coordination_point(programs):
 
 
 def test_analyze_cart_manifest_nonmonotone(programs):
-    rep = monocheck.analyze_program(programs["cart_manifest"])
-    assert not rep.program_monotone
-    reasons = set()
-    for c in rep.rule_classes:
-        reasons |= set(c.reasons)
-    assert "negation" in reasons
+    vp = programs["cart_manifest"]
+    assert not monocheck.analyze_program(vp).program_monotone
+    assert "negation" in {k for r in rule_objs(vp) for k in r["reasons"]}
 
 
 def test_analyze_gc_coordinated_uses_all(programs):
-    rep = monocheck.analyze_program(programs["gc_coordinated"])
-    assert rep.uses_all
-    reasons = set()
-    for c in rep.rule_classes:
-        reasons |= set(c.reasons)
+    vp = programs["gc_coordinated"]
+    obj = monocheck.analyze_program(vp).to_obj(vp)
+    assert obj["uses_all"]
+    reasons = {k for r in obj["rules"] for k in r["reasons"]}
     assert reasons == {"negation", "aggregation", "membership-query"}
 
 
 def test_program_verdict_is_conjunction_of_rule_verdicts(programs):
     for vp in programs.values():
-        rep = monocheck.analyze_program(vp)
-        assert rep.program_monotone == all(c.monotone for c in rep.rule_classes)
+        obj = monocheck.analyze_program(vp).to_obj(vp)
+        monotone = all(r["class"] == "monotone" for r in obj["rules"])
+        assert (obj["verdict"] == "monotone") == monotone
 
 
 NEGATED_ALL = "rel seen(@m) [input]\nrel lonely(@m) [output]\nlonely(M) :- seen(M), !all(M)."
@@ -142,10 +147,12 @@ def test_a_rules_reasons_are_the_kinds_of_its_coordination_points(programs):
     gc_barrier = validate_program(parse_program(GC_BARRIER.read_text(), str(GC_BARRIER)))
     for vp in [*programs.values(), gc_barrier, *map(vp_of, REASON_TABLE)]:
         rep = monocheck.analyze_program(vp)
-        for r in vp.rules:
-            points = monocheck.coordination_points(vp, r)
-            assert monocheck.classify_rule(vp, r).reasons == {p.kind for p in points}
+        per_rule = [monocheck.coordination_points(vp, r) for r in vp.rules]
+        for r, points, obj in zip(vp.rules, per_rule, rep.to_obj(vp)["rules"]):
+            assert obj["reasons"] == sorted({p.kind for p in points})
+            assert obj["class"] == ("non-monotone" if points else "monotone")
             assert all(p.rule_index == r.index for p in points)
+        assert rep.coordination_points == vp.coordination_points == sum(per_rule, ())
         assert rep.program_monotone == (rep.coordination_points == ())
 
 
@@ -192,18 +199,18 @@ def test_classification_stable_under_rule_reorder_and_renaming(programs):
     src = corpus.read_text("gc", "program.calm")
     p = parse_program(src)
     reordered = type(p)(p.decls, tuple(reversed(p.rules)), p.filename)
-    rep1 = monocheck.analyze_program(validate_program(p))
-    rep2 = monocheck.analyze_program(validate_program(reordered))
+    vp1, vp2 = validate_program(p), validate_program(reordered)
+    rep1, rep2 = monocheck.analyze_program(vp1), monocheck.analyze_program(vp2)
     assert rep1.program_monotone == rep2.program_monotone
-    assert {
-        (c.reasons) for c in rep1.rule_classes
-    } == {(c.reasons) for c in rep2.rule_classes}
+    reasons1 = [tuple(r["reasons"]) for r in rep1.to_obj(vp1)["rules"]]
+    assert sorted(reasons1) == sorted(tuple(r["reasons"]) for r in rep2.to_obj(vp2)["rules"])
     assert rep1.strata == rep2.strata
 
     renamed = src.replace("X", "Xv").replace("Y", "Yv").replace("R", "Rv")
-    rep3 = monocheck.analyze_program(validate_program(parse_program(renamed)))
+    vp3 = validate_program(parse_program(renamed))
+    rep3 = monocheck.analyze_program(vp3)
     assert rep3.strata == rep1.strata
-    assert [c.reasons for c in rep3.rule_classes] == [c.reasons for c in rep1.rule_classes]
+    assert [tuple(r["reasons"]) for r in rep3.to_obj(vp3)["rules"]] == reasons1
 
 
 def test_dependency_graph_edge_kinds(programs):

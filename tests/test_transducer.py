@@ -314,7 +314,7 @@ def test_stepping_twice_builds_each_rule_kernel_once(monkeypatch):
     monkeypatch.setattr(transducer, "compile_rule", counting)
     vp = vp_of(RELAY)
     first = step(fresh(vp, Database.from_facts(parse_facts("edge(b, c)"))), ())
-    assert sorted(set(fired)) == sorted(built) == [0, 1, 2]  # iteration 0 fires every rule
+    assert sorted(set(fired)) == sorted(built) == [0, 1, 2]  # a fresh state fires every rule
     fired.clear()
     second = step(first.new_state, [Fact("link", (M1, Symbol("c"), Symbol("d")))])
     assert sorted(set(fired)) == [1, 2]  # the inbox, then the new path facts
