@@ -27,6 +27,12 @@ Workloads:
 - ``load_chain_400``: ``load_config`` on a config whose fixture is the
   chain of ``tc_chain_400``, written to a temporary directory; the best of
   7 loads, as it takes milliseconds.
+- ``import_cli``: a fresh interpreter importing ``calmlab.cli``, which
+  imports every verb, next to one that runs ``pass`` (``bare_seconds``);
+  the median of 11 runs of each, alternated, with
+  ``PYTHONDONTWRITEBYTECODE=1``, so that no run writes ``__pycache__``
+  into the checkout (without one, each run compiles calmlab's sources).
+  Every CLI verb pays this before its own work.
 
 A walk row gives its time, the states it entered, the batches it delivered
 (``deliveries``), whether it completed, its distinct outcomes, and two
@@ -34,9 +40,9 @@ counts of its network's ``MachineTable``: the distinct machine states
 interned (``machine_states``) and the steps memoised (``memo_entries``,
 each one execution of ``step``).
 
-Each workload but ``load_chain_400`` runs once, in this process, and the
-whole set takes well under two minutes on a 2-vCPU VM. Usage, from the
-root of a checkout::
+Each workload but ``load_chain_400`` and ``import_cli`` runs once, in this
+process, and the whole set takes well under two minutes on a 2-vCPU VM.
+Usage, from the root of a checkout::
 
     PYTHONPATH=src python scripts/bench.py BENCH_<n>.json
 """
@@ -47,6 +53,8 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -133,6 +141,19 @@ def load_chain(n: int, repeats: int = 7) -> dict:
     return {"seconds": round(best, 5), "facts": cfg.fixture.size(), "repeats": repeats}
 
 
+def import_cli(runs: int = 11) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    times: dict = {"pass": [], "import calmlab.cli": []}
+    for _ in range(runs):
+        for code, took in times.items():
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            took.append(time.perf_counter() - start)
+    return {"seconds": round(statistics.median(times["import calmlab.cli"]), 4),
+            "bare_seconds": round(statistics.median(times["pass"]), 4), "runs": runs}
+
+
 def check_network(name: str):
     cfg = load_config(corpus.config_path(name, "check.json"))
     return init_network(cfg.program, cfg.fixture, cfg.partitioning())
@@ -176,6 +197,7 @@ WORKLOADS = {
     "tc_chain_200": lambda: tc_chain(200),
     "tc_chain_400": lambda: tc_chain(400),
     "load_chain_400": lambda: load_chain(400),
+    "import_cli": import_cli,
 }
 
 

@@ -4,112 +4,148 @@ parse/print round trip compares equal."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .. import lattices
 from ..errors import CalmlabError
+from ..record import Record, set_field
 
 Pos = tuple  # (line, col)
 
 NOPOS: Pos = (0, 0)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: Pos = field(default=NOPOS, compare=False)
+class Var(Record):
+    __slots__ = ("name", "pos")
+    _fields = ("name",)
+
+    def __init__(self, name: str, pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Wildcard:
-    pos: Pos = field(default=NOPOS, compare=False)
+class Wildcard(Record):
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: Pos = NOPOS):
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: object  # scalar Value
-    pos: Pos = field(default=NOPOS, compare=False)
+class Const(Record):
+    __slots__ = ("value", "pos")
+    _fields = ("value",)
+
+    def __init__(self, value, pos: Pos = NOPOS):
+        set_field(self, "value", value)  # scalar Value
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class LatticeTerm:
+class LatticeTerm(Record):
     """A lattice constructor of a ``variant`` of ``lattices.VARIANT_NAMES``;
     ``parts`` holds its scalar terms, grouped as in ``lattices.text``."""
 
-    variant: str
-    parts: tuple
-    pos: Pos = field(default=NOPOS, compare=False)
+    __slots__ = ("variant", "parts", "pos")
+    _fields = ("variant", "parts")
+
+    def __init__(self, variant: str, parts: tuple, pos: Pos = NOPOS):
+        set_field(self, "variant", variant)
+        set_field(self, "parts", parts)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class AggTerm:
+class AggTerm(Record):
     """count<X> / min<X> / max<X>; head position only."""
 
-    kind: str  # count | min | max
-    var: Var
-    pos: Pos = field(default=NOPOS, compare=False)
+    __slots__ = ("kind", "var", "pos")
+    _fields = ("kind", "var")
+
+    def __init__(self, kind: str, var: Var, pos: Pos = NOPOS):
+        set_field(self, "kind", kind)  # count | min | max
+        set_field(self, "var", var)
+        set_field(self, "pos", pos)
 
 
 Term = object  # Var | Wildcard | Const | LatticeTerm | AggTerm (head only)
 
 
-@dataclass(frozen=True)
-class Literal:
-    relation: str
-    args: tuple
-    pos: Pos = field(default=NOPOS, compare=False)
+class Literal(Record):
+    __slots__ = ("relation", "args", "pos")
+    _fields = ("relation", "args")
+
+    def __init__(self, relation: str, args: tuple, pos: Pos = NOPOS):
+        set_field(self, "relation", relation)
+        set_field(self, "args", args)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Negation:
-    literal: Literal
-    pos: Pos = field(default=NOPOS, compare=False)
+class Negation(Record):
+    __slots__ = ("literal", "pos")
+    _fields = ("literal",)
+
+    def __init__(self, literal: Literal, pos: Pos = NOPOS):
+        set_field(self, "literal", literal)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # = != < <=
-    left: object
-    right: object
-    pos: Pos = field(default=NOPOS, compare=False)
+class Comparison(Record):
+    __slots__ = ("op", "left", "right", "pos")
+    _fields = ("op", "left", "right")
+
+    def __init__(self, op: str, left, right, pos: Pos = NOPOS):
+        set_field(self, "op", op)  # = != < <=
+        set_field(self, "left", left)
+        set_field(self, "right", right)
+        set_field(self, "pos", pos)
 
 
 BodyElem = object  # Literal | Negation | Comparison
 
 
-@dataclass(frozen=True)
-class Rule:
-    head: Literal
-    body: tuple  # tuple[BodyElem]; empty for ground-fact rules
-    pos: Pos = field(default=NOPOS, compare=False)
+class Rule(Record):
+    __slots__ = ("head", "body", "pos")
+    _fields = ("head", "body")
+
+    def __init__(self, head: Literal, body: tuple, pos: Pos = NOPOS):
+        set_field(self, "head", head)
+        set_field(self, "body", body)  # tuple[BodyElem]; empty for ground-fact rules
+        set_field(self, "pos", pos)
 
 
 ADDR, SCALAR = "addr", "scalar"
 
 
-@dataclass(frozen=True)
-class ColSpec:
-    name: str
-    role: str  # ADDR | SCALAR | a lattice variant: gset | maxint | boolor | 2p
-    pos: Pos = field(default=NOPOS, compare=False)
+class ColSpec(Record):
+    __slots__ = ("name", "role", "pos")
+    _fields = ("name", "role")
+
+    def __init__(self, name: str, role: str, pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        # ADDR | SCALAR | a lattice variant: gset | maxint | boolor | 2p
+        set_field(self, "role", role)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class RelDecl:
-    name: str
-    cols: tuple  # tuple[ColSpec]
-    channel: bool
-    persistence: str  # persisted | event
-    is_input: bool = False
-    is_output: bool = False
-    pos: Pos = field(default=NOPOS, compare=False)
+class RelDecl(Record):
+    __slots__ = ("name", "cols", "channel", "persistence", "is_input", "is_output", "pos")
+    _fields = ("name", "cols", "channel", "persistence", "is_input", "is_output")
+
+    def __init__(self, name: str, cols: tuple, channel: bool, persistence: str,
+                 is_input: bool = False, is_output: bool = False, pos: Pos = NOPOS):
+        set_field(self, "name", name)
+        set_field(self, "cols", cols)  # tuple[ColSpec]
+        set_field(self, "channel", channel)
+        set_field(self, "persistence", persistence)  # persisted | event
+        set_field(self, "is_input", is_input)
+        set_field(self, "is_output", is_output)
+        set_field(self, "pos", pos)
 
 
-@dataclass(frozen=True)
-class Program:
-    decls: tuple  # tuple[RelDecl]
-    rules: tuple  # tuple[Rule]
-    filename: str = field(default="<input>", compare=False)
+class Program(Record):
+    __slots__ = ("decls", "rules", "filename")
+    _fields = ("decls", "rules")
+
+    def __init__(self, decls: tuple, rules: tuple, filename: str = "<input>"):
+        set_field(self, "decls", decls)  # tuple[RelDecl]
+        set_field(self, "rules", rules)  # tuple[Rule]
+        set_field(self, "filename", filename)
 
 
 def term_vars(t) -> list[Var]:

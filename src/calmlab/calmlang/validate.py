@@ -18,12 +18,12 @@ variables are bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .. import lattices
 from ..errors import CalmlabError
 from ..lattices import VARIANT_NAMES
+from ..record import Frozen, set_field
 from ..values import Address
 from .printer import term_to_text
 from .syntax import (
@@ -55,14 +55,15 @@ class ValidationError(CalmlabError):
     """A program that parses but breaks a static rule, at its position."""
 
 
-@dataclass(frozen=True)
-class Schema:
-    name: str
-    cols: tuple  # tuple[ColSpec]
-    kind: str  # persisted | event | channel
-    is_input: bool = False
-    is_output: bool = False
-    reserved: bool = False
+class Schema(Frozen):
+    def __init__(self, name: str, cols: tuple, kind: str, is_input: bool = False,
+                 is_output: bool = False, reserved: bool = False):
+        set_field(self, "name", name)
+        set_field(self, "cols", cols)  # tuple[ColSpec]
+        set_field(self, "kind", kind)  # persisted | event | channel
+        set_field(self, "is_input", is_input)
+        set_field(self, "is_output", is_output)
+        set_field(self, "reserved", reserved)
 
     @property
     def arity(self) -> int:
@@ -77,15 +78,16 @@ class Schema:
         return tuple(i for i, c in enumerate(self.cols) if c.role in JOINABLE)
 
 
-@dataclass(frozen=True)
-class ValidatedRule:
-    rule: Rule
-    index: int
-    plan: tuple  # body elements ordered so filters run once bound
-    positives: tuple  # positive body literals, source order
-    negations: tuple
-    agg: AggTerm | None
-    agg_pos: int | None
+class ValidatedRule(Frozen):
+    def __init__(self, rule: Rule, index: int, plan: tuple, positives: tuple, negations: tuple,
+                 agg: AggTerm | None, agg_pos: int | None):
+        set_field(self, "rule", rule)
+        set_field(self, "index", index)
+        set_field(self, "plan", plan)  # body elements ordered so filters run once bound
+        set_field(self, "positives", positives)  # positive body literals, source order
+        set_field(self, "negations", negations)
+        set_field(self, "agg", agg)
+        set_field(self, "agg_pos", agg_pos)
 
     @cached_property
     def reads(self) -> tuple:
@@ -107,14 +109,14 @@ class ValidatedRule:
         return transducer.compile_rule(self)
 
 
-@dataclass(frozen=True)
-class ValidatedProgram:
+class ValidatedProgram(Frozen):
     """A checked program. The derived views below are computed on first use
     and kept on the instance; ``schemas`` and ``rules`` never change."""
 
-    program: Program
-    schemas: dict  # name -> Schema (includes reserved id/all)
-    rules: tuple  # tuple[ValidatedRule]
+    def __init__(self, program: Program, schemas: dict, rules: tuple):
+        set_field(self, "program", program)
+        set_field(self, "schemas", schemas)  # name -> Schema (includes reserved id/all)
+        set_field(self, "rules", rules)  # tuple[ValidatedRule]
 
     @cached_property
     def channel_rels(self) -> frozenset:

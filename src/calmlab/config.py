@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 from .calmlang import ValidatedProgram, parse_program, validate_program
@@ -46,22 +45,29 @@ KEYS = ("program", "fixture", "machines", "partitioning", "seed", "step_budget",
         "mode", "enum_bound", "seeds", "schedules_per_partitioning", "partition_cap")
 
 
-@dataclass
 class RunConfig:
-    path: Path
-    program: ValidatedProgram
-    fixture_path: Path
-    fixture: Database
-    machines: int
-    partitioning_spec: object  # "hash" | "colocate" | dict
-    seed: int
-    step_budget: int
-    duplicate_every: int
-    mode: str
-    enum_bound: int
-    seeds: int
-    schedules_per_partitioning: int
-    partition_cap: int
+    __slots__ = ("path", "program", "fixture_path", "fixture", "machines", "partitioning_spec",
+                 "seed", "step_budget", "duplicate_every", "mode", "enum_bound", "seeds",
+                 "schedules_per_partitioning", "partition_cap")
+
+    def __init__(self, path: Path, program: ValidatedProgram, fixture_path: Path,
+                 fixture: Database, machines: int, partitioning_spec, seed: int,
+                 step_budget: int, duplicate_every: int, mode: str, enum_bound: int, seeds: int,
+                 schedules_per_partitioning: int, partition_cap: int):
+        self.path = path
+        self.program = program
+        self.fixture_path = fixture_path
+        self.fixture = fixture
+        self.machines = machines
+        self.partitioning_spec = partitioning_spec  # "hash" | "colocate" | dict
+        self.seed = seed
+        self.step_budget = step_budget
+        self.duplicate_every = duplicate_every
+        self.mode = mode
+        self.enum_bound = enum_bound
+        self.seeds = seeds
+        self.schedules_per_partitioning = schedules_per_partitioning
+        self.partition_cap = partition_cap
 
     def check_network(self, machines: int) -> None:
         """Every address constant of the program, at its position in the

@@ -4,22 +4,26 @@ expectation here is regression-tested."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
 
 from ..calmlang import ValidatedProgram, parse_program, validate_program
+from ..record import Frozen, set_field
 from ..relspace import Database, parse_facts
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    title: str
-    fixtures: tuple
-    expected_static: str  # monotone | non-monotone
-    expected_reasons: frozenset
-    # config file -> expected outcome/verdict string
-    expected_dynamic: dict
+class CorpusEntry(Frozen):
+    __slots__ = ("name", "title", "fixtures", "expected_static", "expected_reasons",
+                 "expected_dynamic")
+
+    def __init__(self, name: str, title: str, fixtures: tuple, expected_static: str,
+                 expected_reasons: frozenset, expected_dynamic: dict):
+        set_field(self, "name", name)
+        set_field(self, "title", title)
+        set_field(self, "fixtures", fixtures)
+        set_field(self, "expected_static", expected_static)  # monotone | non-monotone
+        set_field(self, "expected_reasons", expected_reasons)
+        # config file -> expected outcome/verdict string
+        set_field(self, "expected_dynamic", expected_dynamic)
 
 
 ENTRIES = (

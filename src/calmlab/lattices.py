@@ -23,9 +23,8 @@ Textual literals used in fixtures and programs::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CalmlabError
+from .record import Record, set_field
 from .values import Int, value_sort_key
 
 
@@ -34,9 +33,20 @@ class LatticeTypeError(CalmlabError):
     that is not a lattice value; or maxint made of a non-integer."""
 
 
-@dataclass(frozen=True, slots=True)
-class GSet:
-    elems: frozenset
+class _Lattice(Record):
+    """A lattice value, rebuilt from its fields by copy and pickle."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class GSet(_Lattice):
+    __slots__ = _fields = ("elems",)
+
+    def __init__(self, elems: frozenset):
+        set_field(self, "elems", elems)
 
     def sort_key(self):
         return (4, "gset", _keys(self.elems))
@@ -45,9 +55,11 @@ class GSet:
         return text("gset", (_texts(self.elems),))
 
 
-@dataclass(frozen=True, slots=True)
-class MaxInt:
-    value: int
+class MaxInt(_Lattice):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        set_field(self, "value", value)
 
     def sort_key(self):
         return (4, "maxint", (self.value,))
@@ -56,9 +68,11 @@ class MaxInt:
         return text("maxint", ((str(self.value),),))
 
 
-@dataclass(frozen=True, slots=True)
-class BoolOr:
-    value: bool
+class BoolOr(_Lattice):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
     def sort_key(self):
         return (4, "boolor", (self.value,))
@@ -67,10 +81,12 @@ class BoolOr:
         return text("boolor", (("true" if self.value else "false",),))
 
 
-@dataclass(frozen=True, slots=True)
-class TwoPSet:
-    added: frozenset
-    tombstoned: frozenset
+class TwoPSet(_Lattice):
+    __slots__ = _fields = ("added", "tombstoned")
+
+    def __init__(self, added: frozenset, tombstoned: frozenset):
+        set_field(self, "added", added)
+        set_field(self, "tombstoned", tombstoned)
 
     def sort_key(self):
         return (4, "2p", (_keys(self.added), _keys(self.tombstoned)))

@@ -21,11 +21,11 @@ affect the verdict.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .calmlang import ValidatedProgram, ValidatedRule
 from .calmlang.printer import rule_to_text
 from .errors import CalmlabError
+from .record import Frozen, Record, set_field
 
 REASON_NEGATION = "negation"
 REASON_AGGREGATION = "aggregation"
@@ -45,29 +45,38 @@ class UnstratifiableError(CalmlabError):
         )
 
 
-@dataclass(frozen=True)
-class DepEdge:
-    head: str
-    body: str
-    kind: str  # positive | negative | aggregate
+class DepEdge(Record):
+    __slots__ = _fields = ("head", "body", "kind")
+
+    def __init__(self, head: str, body: str, kind: str):
+        set_field(self, "head", head)
+        set_field(self, "body", body)
+        set_field(self, "kind", kind)  # positive | negative | aggregate
 
 
-@dataclass(frozen=True)
-class CoordinationPoint:
-    rule_index: int
-    line: int
-    col: int
-    kind: str  # negation | aggregation | membership-query | ephemeral-join
-    detail: str
-    reads: frozenset  # the relations whose contents decide the construct
+class CoordinationPoint(Record):
+    __slots__ = _fields = ("rule_index", "line", "col", "kind", "detail", "reads")
+
+    def __init__(self, rule_index: int, line: int, col: int, kind: str, detail: str,
+                 reads: frozenset):
+        set_field(self, "rule_index", rule_index)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
+        # negation | aggregation | membership-query | ephemeral-join
+        set_field(self, "kind", kind)
+        set_field(self, "detail", detail)
+        set_field(self, "reads", reads)  # the relations whose contents decide the construct
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    dependency_graph: tuple  # tuple[DepEdge]
-    strata: dict | None  # relation -> stratum, None if unstratifiable
-    unstratifiable_cycle: tuple | None
-    coordination_points: tuple  # tuple[CoordinationPoint]
+class AnalysisReport(Frozen):
+    __slots__ = ("dependency_graph", "strata", "unstratifiable_cycle", "coordination_points")
+
+    def __init__(self, dependency_graph: tuple, strata: dict | None,
+                 unstratifiable_cycle: tuple | None, coordination_points: tuple):
+        set_field(self, "dependency_graph", dependency_graph)  # tuple[DepEdge]
+        set_field(self, "strata", strata)  # relation -> stratum, None if unstratifiable
+        set_field(self, "unstratifiable_cycle", unstratifiable_cycle)
+        set_field(self, "coordination_points", coordination_points)  # tuple[CoordinationPoint]
 
     @property
     def program_monotone(self) -> bool:

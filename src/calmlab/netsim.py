@@ -46,10 +46,10 @@ from __future__ import annotations
 import itertools
 import random
 import zlib
-from dataclasses import dataclass, field
 
 from .calmlang import ValidatedProgram
 from .errors import CalmlabError
+from .record import Frozen, set_field
 from .relspace import Database, Fact, db_to_obj, db_union, parse_fact
 from .transducer import MachineState, init_machine, step
 from .values import Address
@@ -71,10 +71,12 @@ def machine_addresses(m: int) -> tuple:
     return tuple(Address(f"m{i}") for i in range(1, m + 1))
 
 
-@dataclass(frozen=True)
-class Partitioning:
-    machines: tuple  # tuple[Address]
-    assignment: dict  # Fact -> Address
+class Partitioning(Frozen):
+    __slots__ = ("machines", "assignment")
+
+    def __init__(self, machines: tuple, assignment: dict):
+        set_field(self, "machines", machines)  # tuple[Address]
+        set_field(self, "assignment", assignment)  # Fact -> Address
 
     def describe(self) -> dict:
         by_machine: dict[str, list] = {str(a): [] for a in self.machines}
@@ -151,8 +153,7 @@ def enumerate_partitionings(
 
 # --- schedules ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Frozen):
     """Either a seed for pseudo-random choices or an explicit decision list.
 
     A decision is (machine name, tuple of envelope tails (src name, fact
@@ -162,9 +163,13 @@ class Schedule:
     enumeration paths are always recorded with duplication off (the
     default)."""
 
-    seed: int | None = None
-    decisions: tuple | None = None
-    duplicate_every: int = 0  # at-least-once toggle: 0 = off
+    __slots__ = ("seed", "decisions", "duplicate_every")
+
+    def __init__(self, seed: int | None = None, decisions: tuple | None = None,
+                 duplicate_every: int = 0):
+        set_field(self, "seed", seed)
+        set_field(self, "decisions", decisions)
+        set_field(self, "duplicate_every", duplicate_every)  # at-least-once toggle: 0 = off
 
     def to_obj(self):
         """A decision schedule as JSON; only those are ever reported."""
@@ -175,20 +180,22 @@ class Schedule:
         }
 
 
-@dataclass
 class MachineTable:
     """One network's machine states and memos, shared by the network's
     copies and dropped with them. ``states[i]`` is the machine state of id
     ``i``; each distinct ``semantic_key`` gets one id (collapse compression,
     Holzmann, *State Compression in SPIN*, 1997)."""
 
-    program: ValidatedProgram  # the program every machine runs
-    names: tuple  # machine names, in name order
-    states: list = field(default_factory=list)  # id -> MachineState
-    ids: dict = field(default_factory=dict)  # MachineState.semantic_key() -> id
-    facts: dict = field(default_factory=dict)  # fact string -> Fact, for a memo miss
-    memo: dict = field(default_factory=dict)  # step memo, see _step
-    outputs: dict = field(default_factory=dict)  # ids -> _outputs of that state
+    __slots__ = ("program", "names", "states", "ids", "facts", "memo", "outputs")
+
+    def __init__(self, program: ValidatedProgram, names: tuple):
+        self.program = program  # the program every machine runs
+        self.names = names  # machine names, in name order
+        self.states = []  # id -> MachineState
+        self.ids = {}  # MachineState.semantic_key() -> id
+        self.facts = {}  # fact string -> Fact, for a memo miss
+        self.memo = {}  # step memo, see _step
+        self.outputs = {}  # ids -> _outputs of that state
 
     def intern(self, machine: MachineState) -> int:
         mid = self.ids.setdefault(machine.semantic_key(), len(self.states))
@@ -197,15 +204,17 @@ class MachineTable:
         return mid
 
 
-@dataclass(slots=True)
 class NetworkState:
     """A network on one path of a run: ``(ids, pending)`` is its key, and
     ``steps`` counts the steps the path took. Copies share ``table``."""
 
-    ids: tuple  # machine-state ids of ``table``, in machine-name order
-    table: MachineTable
-    pending: tuple = ()  # sorted envelopes, one entry per copy
-    steps: int = 0
+    __slots__ = ("ids", "table", "pending", "steps")
+
+    def __init__(self, ids: tuple, table: MachineTable, pending: tuple = (), steps: int = 0):
+        self.ids = ids  # machine-state ids of ``table``, in machine-name order
+        self.table = table
+        self.pending = pending  # sorted envelopes, one entry per copy
+        self.steps = steps
 
     @property
     def machines(self) -> dict:
@@ -219,14 +228,18 @@ class NetworkState:
         return self.ids, self.pending
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    per_machine_outputs: dict  # machine name -> Database
-    union_output: Database
-    trace: tuple  # ((src, dst, fact_str, step), ...)
-    quiesced: bool
-    steps_used: int
-    decisions: tuple  # resolved schedule, replayable
+class RunOutcome(Frozen):
+    __slots__ = ("per_machine_outputs", "union_output", "trace", "quiesced", "steps_used",
+                 "decisions")
+
+    def __init__(self, per_machine_outputs: dict, union_output: Database, trace: tuple,
+                 quiesced: bool, steps_used: int, decisions: tuple):
+        set_field(self, "per_machine_outputs", per_machine_outputs)  # machine name -> Database
+        set_field(self, "union_output", union_output)
+        set_field(self, "trace", trace)  # ((src, dst, fact_str, step), ...)
+        set_field(self, "quiesced", quiesced)
+        set_field(self, "steps_used", steps_used)
+        set_field(self, "decisions", decisions)  # resolved schedule, replayable
 
     @property
     def message_count(self) -> int:
@@ -457,19 +470,24 @@ def run_schedule(
 # --- exhaustive schedule enumeration ------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnumOutcome:
-    union_output: Database
-    per_machine_outputs: dict
-    decisions: tuple  # replayable path that reached this outcome
+class EnumOutcome(Frozen):
+    __slots__ = ("union_output", "per_machine_outputs", "decisions")
+
+    def __init__(self, union_output: Database, per_machine_outputs: dict, decisions: tuple):
+        set_field(self, "union_output", union_output)
+        set_field(self, "per_machine_outputs", per_machine_outputs)
+        set_field(self, "decisions", decisions)  # replayable path that reached this outcome
 
 
-@dataclass
 class EnumerationResult:
-    outcomes: list  # distinct quiescent outcomes, first-found order
-    complete: bool  # False if the walk stopped early or a branch ran out of step budget
-    states_explored: int
-    deliveries: int  # batches the walk delivered
+    __slots__ = ("outcomes", "complete", "states_explored", "deliveries")
+
+    def __init__(self, outcomes: list, complete: bool, states_explored: int, deliveries: int):
+        self.outcomes = outcomes  # distinct quiescent outcomes, first-found order
+        # False if the walk stopped early or a branch ran out of step budget
+        self.complete = complete
+        self.states_explored = states_explored
+        self.deliveries = deliveries  # batches the walk delivered
 
 
 def _subsets(envs: list):

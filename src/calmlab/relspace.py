@@ -25,10 +25,10 @@ of construction order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .calmlang.parser import parse_ground_literals
 from .errors import ParseError
+from .record import Frozen, Record, set_field
 from .values import value_sort_key
 
 
@@ -36,20 +36,33 @@ def _args_key(args: tuple) -> tuple:
     return tuple(value_sort_key(a) for a in args)
 
 
-@dataclass(frozen=True, slots=True)
-class Fact:
-    relation: str
-    args: tuple
+class Fact(Record):
+    __slots__ = _fields = ("relation", "args")
+
+    def __init__(self, relation: str, args: tuple):
+        set_field(self, "relation", relation)
+        set_field(self, "args", args)
+
+    # written out, not Record's: the engine hashes and compares facts most
+    def __eq__(self, other):
+        if other.__class__ is not Fact:
+            return NotImplemented
+        return self.relation == other.relation and self.args == other.args
+
+    def __hash__(self):
+        return hash((self.relation, self.args))
 
     def __str__(self) -> str:
         return "%s(%s)" % (self.relation, ", ".join(str(a) for a in self.args))
 
 
-@dataclass(frozen=True)
-class Database:
-    # name -> nonempty frozenset of argument tuples; every constructor keeps
-    # empty relations out, so equal databases have equal dicts
-    relations: dict = field(default_factory=dict)
+class Database(Frozen):
+    __slots__ = ("relations", "_hash")
+
+    def __init__(self, relations: dict):
+        # name -> nonempty frozenset of argument tuples; every constructor
+        # keeps empty relations out, so equal databases have equal dicts
+        set_field(self, "relations", relations)
 
     @staticmethod
     def from_facts(facts) -> Database:
@@ -81,9 +94,11 @@ class Database:
         return self.relations == other.relations
 
     def __hash__(self) -> int:
-        if "_hash" not in self.__dict__:  # computed once: databases never change
-            object.__setattr__(self, "_hash", hash(frozenset(self.relations.items())))
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:  # computed once: databases never change
+            set_field(self, "_hash", hash(frozenset(self.relations.items())))
+            return self._hash
 
 
 def db_union(a: Database, b: Database) -> Database:

@@ -79,7 +79,6 @@ quiescence detection by no-op probing sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import eq, itemgetter, ne
 
@@ -95,6 +94,7 @@ from .calmlang.syntax import (
     eval_head_term,
     term_vars,
 )
+from .record import Frozen, set_field
 from .relspace import Database, Fact
 from .values import Address, Int, value_sort_key
 
@@ -464,26 +464,32 @@ def _fold_lattice(rel: str, tups: set, vp: ValidatedProgram) -> set:
 # --- the machine -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MachineState:
-    address: Address
-    persisted: Database
-    program: ValidatedProgram
-    committed: bool = False  # produced by a step, not fresh from init_machine
-    # channel facts already offered to the network, each addressed by its
-    # column 1; grows monotonically and keeps re-derived messages from
-    # resending forever
-    sent: frozenset = frozenset()
+class MachineState(Frozen):
+    __slots__ = ("address", "persisted", "program", "committed", "sent")
+
+    def __init__(self, address: Address, persisted: Database, program: ValidatedProgram,
+                 committed: bool = False, sent: frozenset = frozenset()):
+        set_field(self, "address", address)
+        set_field(self, "persisted", persisted)
+        set_field(self, "program", program)
+        # produced by a step, not fresh from init_machine
+        set_field(self, "committed", committed)
+        # channel facts already offered to the network, each addressed by
+        # its column 1; grows monotonically and keeps re-derived messages
+        # from resending forever
+        set_field(self, "sent", sent)
 
     def semantic_key(self):
         """State identity for schedule enumeration (``committed`` excluded)."""
         return (self.address, self.persisted, self.sent)
 
 
-@dataclass(frozen=True)
-class StepResult:
-    new_state: MachineState
-    outbound: dict  # Address -> frozenset[Fact]
+class StepResult(Frozen):
+    __slots__ = ("new_state", "outbound")
+
+    def __init__(self, new_state: MachineState, outbound: dict):
+        set_field(self, "new_state", new_state)
+        set_field(self, "outbound", outbound)  # Address -> frozenset[Fact]
 
     def changed(self, old: MachineState) -> bool:
         return bool(self.outbound) or self.new_state.persisted != old.persisted

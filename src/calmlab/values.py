@@ -20,7 +20,8 @@ from __future__ import annotations
 import operator
 import re
 import weakref
-from dataclasses import FrozenInstanceError
+
+from .record import Frozen
 
 INT_MIN = -(2**63)
 INT_MAX = 2**63 - 1
@@ -38,7 +39,7 @@ class ValueError_(ValueError):
     """Malformed value (bad symbol name, integer out of range, ...)."""
 
 
-class _Scalar:
+class _Scalar(Frozen):
     """An interned, immutable carrier of one payload, stored in the slot
     named ``_field``. ``cls(payload)`` returns the payload's live instance;
     only when there is none does it check the payload (``_check``) and make
@@ -63,12 +64,6 @@ class _Scalar:
     @staticmethod
     def _check(payload) -> None:
         pass
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     # copies and unpickled values come back through the table
     def __reduce__(self):

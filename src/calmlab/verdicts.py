@@ -19,8 +19,6 @@ quiesce without messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .calmlang import ValidatedProgram
 from .netsim import (
     DEFAULT_ENUM_BOUND,
@@ -32,6 +30,7 @@ from .netsim import (
     init_network,
     run_schedule,
 )
+from .record import Frozen, set_field
 from .relspace import Database, db_to_obj
 
 OUTCOME_CONFLUENT = "confluent-on-instance"
@@ -47,13 +46,17 @@ DEFAULT_SAMPLED_SEEDS = 64
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ConfluenceVerdict:
-    mode: str  # exhaustive | sampled
-    outcome: str  # confluent-on-instance | divergent | inconclusive
-    distinct_outcomes: int
-    witnesses: tuple  # up to 2 (Schedule, union Database) pairs when divergent
-    runs_examined: int
+class ConfluenceVerdict(Frozen):
+    __slots__ = ("mode", "outcome", "distinct_outcomes", "witnesses", "runs_examined")
+
+    def __init__(self, mode: str, outcome: str, distinct_outcomes: int, witnesses: tuple,
+                 runs_examined: int):
+        set_field(self, "mode", mode)  # exhaustive | sampled
+        set_field(self, "outcome", outcome)  # confluent-on-instance | divergent | inconclusive
+        set_field(self, "distinct_outcomes", distinct_outcomes)
+        # up to 2 (Schedule, union Database) pairs when divergent
+        set_field(self, "witnesses", witnesses)
+        set_field(self, "runs_examined", runs_examined)
 
     def to_obj(self) -> dict:
         return {
@@ -69,11 +72,14 @@ class ConfluenceVerdict:
         }
 
 
-@dataclass(frozen=True)
-class CoordinationReport:
-    per_partitioning: tuple  # ({"partitioning": map, "colocated": bool, "min_messages": n|None}, ...)
-    colocated_min_messages: int | None
-    verdict: str
+class CoordinationReport(Frozen):
+    __slots__ = ("per_partitioning", "colocated_min_messages", "verdict")
+
+    def __init__(self, per_partitioning: tuple, colocated_min_messages: int | None, verdict: str):
+        # ({"partitioning": map, "colocated": bool, "min_messages": n|None}, ...)
+        set_field(self, "per_partitioning", per_partitioning)
+        set_field(self, "colocated_min_messages", colocated_min_messages)
+        set_field(self, "verdict", verdict)
 
     def to_obj(self) -> dict:
         return {

@@ -43,12 +43,14 @@ INPUTS = ("e", "f", "u")
 # Every relation a rule reads sits in a lower layer or is the head itself,
 # and negated or aggregated ones sit strictly lower, so every program
 # drawn here is stratifiable. Reading its own head makes a rule recursive.
+# ``g`` reads ``ev`` positively, so that an aggregate can read an ephemeral
+# relation where no negation does.
 LAYERS = {
     "d0": (INPUTS + ("msg", "d0"), INPUTS),
     "ev": (INPUTS + ("msg", "d0"), INPUTS + ("d0",)),
     "acc": (INPUTS + ("msg", "d0", "ev", "acc"), INPUTS + ("d0", "ev")),
     "d1": (INPUTS + ("msg", "d0", "ev", "acc", "d1"), INPUTS + ("d0", "ev")),
-    "g": (INPUTS + ("d0", "d1", "acc"), INPUTS + ("d0", "ev")),
+    "g": (INPUTS + ("d0", "ev", "d1", "acc"), INPUTS + ("d0", "ev")),
     "d2": (INPUTS + ("msg", "d0", "ev", "d1", "g", "d2"), INPUTS + ("d0", "ev", "d1", "g")),
 }
 

@@ -633,3 +633,15 @@ def test_a_reader_that_closes_stdout_changes_no_exit_code(unbuffered):
         os.close(write_end)
     assert proc.returncode == 0
     assert proc.stderr == ""  # no error: line, and no failed flush at exit
+
+
+def test_the_cli_starts_without_generating_code():
+    """Importing ``calmlab.cli`` imports every verb, and none may pull in
+    ``dataclasses`` (nor ``inspect``, which it imports): every verb's
+    start-up would pay for its class generation (see ``calmlab.record``)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(calmlab.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    probe = "import sys, calmlab.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, env=env, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "[]\n"

@@ -12,8 +12,6 @@ hold one of each, so that there the empty step must derive.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import example, given, settings
 from strategies import DECLS, inbox_runs, instances, programs
 
@@ -21,7 +19,7 @@ from calmlab import corpus, transducer
 from calmlab.calmlang import parse_program, validate_program
 from calmlab.calmlang.validate import value_error
 from calmlab.relspace import Database, parse_facts
-from calmlab.transducer import init_machine, step
+from calmlab.transducer import MachineState, init_machine, step
 from calmlab.values import Address
 
 ME, PEER = Address("m1"), Address("m2")
@@ -76,7 +74,8 @@ def test_incremental_steps_match_from_scratch_steps(source, instance, run):
     state = init_machine(vp, ME, local, (ME, PEER))
     for inbox in [[], *run, []]:
         got = step(state, inbox)
-        want = step(replace(state, committed=False), inbox)
+        fresh = MachineState(state.address, state.persisted, state.program, sent=state.sent)
+        want = step(fresh, inbox)
         assert got.new_state.persisted == want.new_state.persisted
         assert got.new_state.sent == want.new_state.sent
         assert got.outbound == want.outbound
