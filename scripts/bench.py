@@ -40,6 +40,10 @@ counts of its network's ``MachineTable``: the distinct machine states
 interned (``machine_states``) and the steps memoised (``memo_entries``,
 each one execution of ``step``).
 
+The report's top-level ``src_lines`` counts the lines (as ``wc -l`` does)
+of ``src/calmlab/**/*.py`` outside ``corpus/``: the size of the code that
+these numbers time.
+
 Each workload but ``load_chain_400`` and ``import_cli`` runs once, in this
 process, and the whole set takes well under two minutes on a 2-vCPU VM.
 Usage, from the root of a checkout::
@@ -75,6 +79,7 @@ from calmlab.netsim import (
 from calmlab.relspace import Database, parse_facts
 from calmlab.verdicts import check_confluence, detect_coordination
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 RING_6X4_BOUND = 30_000
 GC_COORDINATED_BOUND = 10_000
 
@@ -142,8 +147,7 @@ def load_chain(n: int, repeats: int = 7) -> dict:
 
 
 def import_cli(runs: int = 11) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
     times: dict = {"pass": [], "import calmlab.cli": []}
     for _ in range(runs):
         for code, took in times.items():
@@ -152,6 +156,12 @@ def import_cli(runs: int = 11) -> dict:
             took.append(time.perf_counter() - start)
     return {"seconds": round(statistics.median(times["import calmlab.cli"]), 4),
             "bare_seconds": round(statistics.median(times["pass"]), 4), "runs": runs}
+
+
+def src_lines() -> int:
+    package = SRC / "calmlab"
+    return sum(path.read_bytes().count(b"\n") for path in package.rglob("*.py")
+               if path.relative_to(package).parts[0] != "corpus")
 
 
 def check_network(name: str):
@@ -214,6 +224,7 @@ def main(argv=None) -> int:
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
+        "src_lines": src_lines(),
         "workloads": results,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

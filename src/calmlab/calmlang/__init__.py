@@ -18,53 +18,11 @@ aggregates are ``count<X>`` / ``min<X>`` / ``max<X>`` in rule heads.
 See docs/language.md for the full grammar.
 """
 
-from .syntax import (
-    AggTerm,
-    BodyElem,
-    ColSpec,
-    Comparison,
-    Const,
-    LatticeTerm,
-    Literal,
-    Negation,
-    Program,
-    RelDecl,
-    Rule,
-    Term,
-    Var,
-    Wildcard,
-)
+from .syntax import Negation
 from .parser import ParseError, parse_program
 from .validate import (
-    RESERVED_RELATIONS,
-    Schema,
     ValidatedProgram,
     ValidatedRule,
     ValidationError,
     validate_program,
 )
-
-__all__ = [
-    "AggTerm",
-    "BodyElem",
-    "ColSpec",
-    "Comparison",
-    "Const",
-    "LatticeTerm",
-    "Literal",
-    "Negation",
-    "ParseError",
-    "Program",
-    "RESERVED_RELATIONS",
-    "RelDecl",
-    "Rule",
-    "Schema",
-    "Term",
-    "ValidatedProgram",
-    "ValidatedRule",
-    "ValidationError",
-    "Var",
-    "Wildcard",
-    "parse_program",
-    "validate_program",
-]

@@ -465,32 +465,19 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
                 raise ValidationError("wildcard not allowed in a comparison", side.pos)
 
     # evaluation plan: join positives in source order, attach each filter
-    # at the earliest point where its variables are bound
-    plan: list = []
-    pending = [*negations, *comparisons]
-    seen: set[str] = set()
-
-    def attach_ready() -> None:
-        nonlocal pending
-        still = []
-        for f in pending:
-            vars_ = (
-                literal_vars(f.literal)
-                if isinstance(f, Negation)
-                else [v for s in (f.left, f.right) for v in term_vars(s)]
-            )
-            if all(v.name in seen for v in vars_):
-                plan.append(f)
-            else:
-                still.append(f)
-        pending = still
-
-    attach_ready()
-    for lit in positives:
-        plan.append(lit)
-        seen.update(v.name for v in literal_vars(lit))
-        attach_ready()
-    assert not pending, "safety checks above guarantee filters become bound"
+    # right after the first positive that leaves its variables bound (before
+    # them all when it has none); the stable sort keeps negations before
+    # comparisons, each in source order
+    first: dict[str, int] = {}
+    for i, lit in enumerate(positives):
+        for v in literal_vars(lit):
+            first.setdefault(v.name, i)
+    keyed = [(i, 0, lit) for i, lit in enumerate(positives)]
+    for f in (*negations, *comparisons):
+        terms = f.literal.args if isinstance(f, Negation) else (f.left, f.right)
+        at = max((first[v.name] for t in terms for v in term_vars(t)), default=-1)
+        keyed.append((at, 1, f))
+    plan = [elem for _, _, elem in sorted(keyed, key=lambda k: k[:2])]
 
     return ValidatedRule(
         rule=rule,

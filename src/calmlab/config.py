@@ -14,7 +14,6 @@ error in the config file."""
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 from .calmlang import ValidatedProgram, parse_program, validate_program
@@ -117,16 +116,6 @@ def _address_constants(program: Program):
         yield from (t for t in terms if isinstance(t, Const) and isinstance(t.value, Address))
 
 
-def default_seed() -> int:
-    env = os.environ.get("CALMLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"CALMLAB_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
 def _int_field(obj: dict, key: str, default: int, path: Path, least: int | None = None) -> int:
     """A JSON integer field of the config, or ``default`` when absent."""
     value = obj.get(key, default)
@@ -189,7 +178,7 @@ def load_config(path) -> RunConfig:
         fixture=Database.from_facts(facts),
         machines=_int_field(obj, "machines", 1, path, least=1),
         partitioning_spec=_partitioning_field(obj, path),
-        seed=_int_field(obj, "seed", 0, path) if "seed" in obj else default_seed(),
+        seed=_int_field(obj, "seed", 0, path),
         step_budget=_int_field(obj, "step_budget", DEFAULT_STEP_BUDGET, path, least=1),
         duplicate_every=_int_field(obj, "duplicate_every", 0, path, least=0),
         mode=mode,

@@ -278,36 +278,40 @@ def init_network(vp: ValidatedProgram, input_db: Database, part: Partitioning) -
 
 def _stepped(table: MachineTable, mid: int, src: str, texts) -> tuple:
     """``step`` of machine ``mid`` on ``texts``, as the memo stores it: (new
-    id, sent envelopes, changed). A step that changes nothing keeps its id
-    without hashing its new ``Database``."""
+    id, sent envelopes). A step that changes nothing returns its state
+    itself, which keeps its id without hashing a ``Database``; a changed
+    state has a new ``semantic_key``, as its persisted facts or ``sent``
+    differ, and so a new id."""
     machine = table.states[mid]
-    res = step(machine, [table.facts[text] for text in texts])
-    if not res.changed(machine):
-        return mid, (), False
+    nxt, offered = step(machine, [table.facts[text] for text in texts])
+    if nxt is machine:
+        return mid, ()
     sent = []
-    for dst, facts in res.outbound.items():
-        by_text = {str(f): f for f in facts}
-        table.facts.update(by_text)
-        sent += [(dst.name, src, text) for text in by_text]
-    return table.intern(res.new_state), tuple(sent), True
+    for f in offered:
+        text = str(f)
+        table.facts[text] = f
+        sent.append((f.args[0].name, src, text))
+    return table.intern(nxt), tuple(sent)
 
 
 def _step(state: NetworkState, at: int, texts) -> bool:
     """Step the machine at position ``at`` on the fact strings ``texts`` and
-    commit it; True if it changed. The step is memoised in the table by the
-    machine's id and the set of texts: ``step`` reads its inbox as a set
-    and never sees the sender."""
+    commit it; True if it changed, which is when its id changed. The step
+    is memoised in the table as (new id, sent envelopes), by the machine's
+    id and the set of texts: ``step`` reads its inbox as a set and never
+    sees the sender."""
     table, mid = state.table, state.ids[at]
     key = (mid, frozenset(texts))
     hit = table.memo.get(key)
     if hit is None:
         hit = table.memo[key] = _stepped(table, mid, table.names[at], texts)
-    new, sent, changed = hit
+    new, sent = hit
     state.steps += 1
-    if changed:
-        state.ids = state.ids[:at] + (new,) + state.ids[at + 1:]
-        state.pending = tuple(sorted(state.pending + sent))
-    return changed
+    if new == mid:
+        return False
+    state.ids = state.ids[:at] + (new,) + state.ids[at + 1:]
+    state.pending = tuple(sorted(state.pending + sent))
+    return True
 
 
 def _sweep(state: NetworkState, budget: int) -> bool:

@@ -72,6 +72,11 @@ where no negation or aggregation point reads an ephemeral relation
 (``ValidatedProgram.empty_steps_idle``) such a step returns the state at
 once, which ``step`` proves.
 
+``step`` maps a state and the messages delivered to it to ``(next state,
+offered)``, the channel facts it sends for the first time. A step that
+changes nothing returns its input state object, uncommitted if it was, so
+a caller tells a change by identity.
+
 A machine's observable step effects (persisted growth, messages offered to
 the network) are monotone functions of its history, which is what makes
 quiescence detection by no-op probing sound.
@@ -472,7 +477,7 @@ class MachineState(Frozen):
         set_field(self, "address", address)
         set_field(self, "persisted", persisted)
         set_field(self, "program", program)
-        # produced by a step, not fresh from init_machine
+        # produced by a step that changed it, not fresh from init_machine
         set_field(self, "committed", committed)
         # channel facts already offered to the network, each addressed by
         # its column 1; grows monotonically and keeps re-derived messages
@@ -484,31 +489,25 @@ class MachineState(Frozen):
         return (self.address, self.persisted, self.sent)
 
 
-class StepResult(Frozen):
-    __slots__ = ("new_state", "outbound")
-
-    def __init__(self, new_state: MachineState, outbound: dict):
-        set_field(self, "new_state", new_state)
-        set_field(self, "outbound", outbound)  # Address -> frozenset[Fact]
-
-    def changed(self, old: MachineState) -> bool:
-        return bool(self.outbound) or self.new_state.persisted != old.persisted
-
-
 def init_machine(vp: ValidatedProgram, address: Address, local_input: Database,
                  members: tuple) -> MachineState:
     tuples = {**local_input.relations, "id": {(address,)}, "all": {(a,) for a in members}}
     return MachineState(address=address, persisted=_to_db(tuples), program=vp)
 
 
-def step(state: MachineState, inbox) -> StepResult:
-    """One Ingest -> Query -> Send iteration. Pure: returns the new state.
-    ``inbox`` holds the channel facts delivered to this machine; a machine
-    gets its input once, from ``init_machine``.
+def step(state: MachineState, inbox) -> tuple:
+    """One Ingest -> Query -> Send iteration. Pure: returns ``(next state,
+    offered)``, where ``offered`` is the tuple of channel facts, in no set
+    order, that this step offers to the network: those not already in
+    ``state.sent``, each addressed by its column 1. ``inbox`` holds the
+    channel facts delivered to this machine; a machine gets its input once,
+    from ``init_machine``. A step that changes nothing (no new persisted
+    fact after the lattice merge, nothing offered) returns ``(state, ())``,
+    ``state`` itself, committed or not.
 
-    A ``committed`` state stepped on an empty inbox comes back unchanged,
-    with no outbound, when ``vp.empty_steps_idle``: no negation or
-    aggregation coordination point reads an ephemeral relation
+    A ``committed`` state stepped on an empty inbox is such a step, and
+    returns before evaluating anything, when ``vp.empty_steps_idle``: no
+    negation or aggregation coordination point reads an ephemeral relation
     (``ValidatedProgram.ephemeral``). Proof: let T be the step that
     committed the state, over some inbox; T's fixpoint is closed under the
     rules. Going up the strata, the empty step's fixpoint holds no fact
@@ -544,7 +543,7 @@ def step(state: MachineState, inbox) -> StepResult:
     step."""
     vp = state.program
     if state.committed and not inbox and vp.empty_steps_idle:
-        return StepResult(state, {})
+        return state, ()
     persisted = state.persisted.relations
     delivered: dict[str, set] = {}
     for f in inbox:
@@ -556,24 +555,14 @@ def step(state: MachineState, inbox) -> StepResult:
 
     new_persisted = {rel: _fold_lattice(rel, tups, vp) for rel, tups in space.facts.items()
                      if vp.schemas[rel].kind == "persisted"}
-
-    outbound: dict[Address, set] = {}
-    new_sent = []
-    for rel, tups in space.outbound.items():
-        for tup in tups:
-            fact = Fact(rel, tup)
-            if fact not in state.sent:
-                new_sent.append(fact)
-                outbound.setdefault(tup[0], set()).add(fact)
-
-    new_state = MachineState(
+    offered = tuple(fact for rel, tups in space.outbound.items() for tup in tups
+                    if (fact := Fact(rel, tup)) not in state.sent)
+    if not offered and new_persisted == persisted:
+        return state, ()
+    return MachineState(
         address=state.address,
         persisted=_to_db(new_persisted),
         program=vp,
         committed=True,
-        sent=state.sent.union(new_sent) if new_sent else state.sent,
-    )
-    return StepResult(
-        new_state=new_state,
-        outbound={a: frozenset(fs) for a, fs in sorted(outbound.items(), key=lambda kv: kv[0].name)},
-    )
+        sent=state.sent.union(offered) if offered else state.sent,
+    ), offered

@@ -299,32 +299,28 @@ def test_corpus_list_json(capsys):
     assert all("path" in r for r in obj["entries"])
 
 
-def test_env_seed_is_the_default(monkeypatch, tmp_path, capsys):
-    # a config without a seed field picks up CALMLAB_SEED
+def test_seed_is_the_flag_then_the_config_then_zero(tmp_path, capsys):
     src = json.loads(Path(corpus_file("deadlock", "run.json")).read_text())
-    del src["seed"]
     src["program"] = corpus_file("deadlock", "program.calm")
     src["fixture"] = corpus_file("deadlock", "fig1.facts")
-    cfg = tmp_path / "noseed.json"
-    cfg.write_text(json.dumps(src))
 
-    monkeypatch.setenv("CALMLAB_SEED", "7")
-    _, out_env, _ = run_cli(capsys, "run", str(cfg), "--json")
-    monkeypatch.delenv("CALMLAB_SEED")
-    _, out_seed7, _ = run_cli(capsys, "run", str(cfg), "--json", "--seed", "7")
-    _, out_seed0, _ = run_cli(capsys, "run", str(cfg), "--json")
-    assert out_env == out_seed7
-    # --seed beats the env var
-    monkeypatch.setenv("CALMLAB_SEED", "3")
-    _, out_flag, _ = run_cli(capsys, "run", str(cfg), "--json", "--seed", "7")
-    monkeypatch.delenv("CALMLAB_SEED")
-    assert out_flag == out_seed7
+    def run_json(seed, *flags):
+        if seed is None:
+            src.pop("seed", None)
+        else:
+            src["seed"] = seed
+        cfg = tmp_path / f"seed_{seed}.json"
+        cfg.write_text(json.dumps(src))
+        code, out, err = run_cli(capsys, "run", str(cfg), "--json", *flags)
+        assert (code, err) == (0, "")
+        return out
 
-
-def test_env_seed_is_not_read_when_the_config_sets_one(monkeypatch, capsys):
-    monkeypatch.setenv("CALMLAB_SEED", "not-a-number")
-    code, _, err = run_cli(capsys, "run", corpus_file("deadlock", "run.json"))
-    assert code == 0 and err == ""
+    seed0, seed3, seed7 = run_json(0), run_json(3), run_json(7)
+    assert len({seed0, seed3, seed7}) == 3  # the seeds tell their runs apart
+    # a config without a seed runs seed 0
+    assert run_json(None) == seed0
+    # --seed beats the config's seed
+    assert run_json(3, "--seed", "7") == seed7
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -52,10 +52,9 @@ def _inboxes(pending: Counter) -> dict:
     return out
 
 
-def _enqueue(pending: Counter, src, outbound: dict) -> None:
-    for dst, facts in outbound.items():
-        for f in facts:
-            pending[(src, dst, f)] += 1
+def _enqueue(pending: Counter, src, offered: tuple) -> None:
+    for f in offered:
+        pending[(src, f.args[0], f)] += 1
 
 
 def _sweep(machines: dict, pending: Counter, steps: list, budget: int, stepper) -> bool:
@@ -65,11 +64,11 @@ def _sweep(machines: dict, pending: Counter, steps: list, budget: int, stepper) 
             if steps[0] >= budget:
                 return False
             m = machines[a]
-            res = stepper(m, ())
+            nxt, offered = stepper(m, ())
             steps[0] += 1
-            if res.changed(m):
-                machines[a] = res.new_state
-                _enqueue(pending, a, res.outbound)
+            if offered or nxt.persisted != m.persisted:
+                machines[a] = nxt
+                _enqueue(pending, a, offered)
                 any_change = True
         if not any_change:
             return True
@@ -139,11 +138,10 @@ def _reference_enumerate(machines: dict, bound: int, step_budget: int = 10_000,
                         rest[env] -= 1
                         if not rest[env]:
                             del rest[env]
-                    res = memo_step(child[dst], [f for _, _, f in batch])
+                    child[dst], offered = memo_step(child[dst], [f for _, _, f in batch])
                     deliveries += 1
                     child_steps = [steps[0] + 1]
-                    child[dst] = res.new_state
-                    _enqueue(rest, dst, res.outbound)
+                    _enqueue(rest, dst, offered)
                     decision = (dst.name, tuple(map(_key, batch)))
                     found |= explore(child, rest, child_steps, path + (decision,))
         memo[skey] = frozenset(found)

@@ -73,18 +73,17 @@ def test_incremental_steps_match_from_scratch_steps(source, instance, run):
     local = Database({rel: frozenset(ts) for rel, ts in instance[0].items()})
     state = init_machine(vp, ME, local, (ME, PEER))
     for inbox in [[], *run, []]:
-        got = step(state, inbox)
+        got, offered = step(state, inbox)
         fresh = MachineState(state.address, state.persisted, state.program, sent=state.sent)
-        want = step(fresh, inbox)
-        assert got.new_state.persisted == want.new_state.persisted
-        assert got.new_state.sent == want.new_state.sent
-        assert got.outbound == want.outbound
+        want, want_offered = step(fresh, inbox)
+        assert got.persisted == want.persisted
+        assert got.sent == want.sent
+        assert set(offered) == set(want_offered)
         # the engine derives only facts whose values fit their columns
-        outbound = [f for facts in got.outbound.values() for f in facts]
-        for f in [*got.new_state.persisted.facts(), *outbound]:
+        for f in [*got.persisted.facts(), *offered]:
             cols = vp.schemas[f.relation].cols
             assert not any(value_error(v, col, f.relation) for v, col in zip(f.args, cols)), f
-        state = got.new_state
+        state = got
 
 
 def _chain(rel: str) -> Database:
@@ -104,12 +103,12 @@ def _assert_a_quiesced_step_fires_no_rule(monkeypatch, vp, local: Database) -> N
         return counted
 
     monkeypatch.setattr(transducer, "compile_rule", counting)
-    first = step(init_machine(vp, ME, local, (ME,)), [])
+    first, _ = step(init_machine(vp, ME, local, (ME,)), [])
     assert fired  # not yet committed: a full naive round
     fired.clear()
-    again = step(first.new_state, [])
+    again, offered = step(first, [])
     assert fired == []
-    assert again.new_state.persisted == first.new_state.persisted and not again.outbound
+    assert again.persisted == first.persisted and not offered
 
 
 def test_a_quiesced_transitive_closure_step_fires_no_rule(monkeypatch):

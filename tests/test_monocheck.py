@@ -51,7 +51,7 @@ def test_aggregation_classified_and_dynamically_nonmonotone():
     large = Database.from_facts(parse_facts("member(a)\nmember(b)"))
     m1 = Address("m1")
     out_small, out_large = (
-        step(init_machine(vp, m1, db, (m1,)), ()).new_state.persisted.restrict(vp.output_rels)
+        step(init_machine(vp, m1, db, (m1,)), ())[0].persisted.restrict(vp.output_rels)
         for db in (small, large)
     )
     assert not db_leq(out_small, out_large)  # n(1) is not in {n(2)}

@@ -237,6 +237,30 @@ def test_a_sweep_settles_what_a_negated_event_blocked():
     assert db_to_obj(outcome.union_output) == {"out": [["k"]]}
 
 
+def test_a_step_that_changes_nothing_returns_its_state():
+    # once a sweep settles, every machine's empty step changes nothing, and
+    # step returns the very state it was given, committed or still fresh
+    # (m2 of BLOCKED, before its message arrives, derived nothing)
+    nets = [init_network(cfg.program, cfg.fixture, cfg.partitioning())
+            for cfg in (cfg_for(e.name, "check.json") for e in corpus.ENTRIES)]
+    blocked = Database.from_facts(parse_facts("seed(@m2, k)"))
+    nets.append(init_network(validate_program(parse_program(BLOCKED)), blocked,
+                             partitioning_from_map(blocked, machine_addresses(2),
+                                                   {"m1": ["seed(@m2, k)"]})))
+    fresh = 0
+    for net in nets:
+        while True:
+            assert netsim._sweep(net, netsim.DEFAULT_STEP_BUDGET)
+            for m in net.machines.values():
+                nxt, offered = transducer.step(m, ())
+                assert nxt is m and offered == ()
+                fresh += not m.committed
+            if not net.pending:
+                break
+            netsim._deliver(net, next(iter(netsim._inboxes(net.pending).values())))
+    assert fresh
+
+
 def test_budget_one_flags_non_quiescence(programs):
     cfg = cfg_for("deadlock")
     net = init_network(cfg.program, cfg.fixture, cfg.partitioning())

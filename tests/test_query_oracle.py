@@ -259,5 +259,5 @@ def test_closure_of_a_200_edge_chain():
         Fact("edge", (Symbol(f"n{i}"), Symbol(f"n{i + 1}"))) for i in range(200)
     )
     m1 = Address("m1")
-    out = step(init_machine(vp, m1, chain, (m1,)), ()).new_state.persisted
+    out = step(init_machine(vp, m1, chain, (m1,)), ())[0].persisted
     assert len(out.relation("path")) == 200 * 201 // 2 == 20_100

@@ -32,7 +32,7 @@ def fresh(vp, db: Database):
 
 def fixpoint(vp, db: Database) -> Database:
     """One machine's fixpoint over ``db``: a fresh machine stepped once."""
-    return step(fresh(vp, db), ()).new_state.persisted
+    return step(fresh(vp, db), ())[0].persisted
 
 
 TC = """
@@ -67,10 +67,10 @@ def test_evaluate_idempotent_on_corpus(name, programs, fixtures):
     # a committed fixpoint is closed: stepping it again on an empty inbox
     # derives nothing and sends nothing
     db = fixtures[(name, corpus.entry(name).fixtures[0])]
-    once = step(fresh(programs[name], db), ()).new_state
-    twice = step(once, ())
-    assert twice.new_state.persisted == once.persisted
-    assert not twice.outbound
+    once, _ = step(fresh(programs[name], db), ())
+    twice, offered = step(once, ())
+    assert twice.persisted == once.persisted
+    assert not offered
 
 
 REACH = """
@@ -155,9 +155,9 @@ def fig1_machine1(programs, fixtures):
 
 def test_seed_step_sends_edge_copies_to_peers(programs, fixtures):
     m = fig1_machine1(programs, fixtures)
-    res = step(m, ())
-    assert set(res.outbound) == {Address("m2"), Address("m3")}
-    copies = {str(f) for f in res.outbound[Address("m2")]}
+    _, offered = step(m, ())
+    assert {f.args[0] for f in offered} == {Address("m2"), Address("m3")}
+    copies = {str(f) for f in offered if f.args[0] == Address("m2")}
     assert copies == {
         "copy(@m2, t1, t2)",
         "copy(@m2, t2, t1)",
@@ -167,33 +167,33 @@ def test_seed_step_sends_edge_copies_to_peers(programs, fixtures):
 
 def test_step_on_quiesced_state_is_noop(programs, fixtures):
     m = fig1_machine1(programs, fixtures)
-    res = step(m, ())
-    res2 = step(res.new_state, ())
-    assert not res2.outbound
-    assert res2.new_state.persisted == res.new_state.persisted
+    first, _ = step(m, ())
+    second, offered = step(first, ())
+    assert not offered
+    assert second.persisted == first.persisted
 
 
 def test_reingesting_same_inbox_idempotent(programs):
     m = fig1_machine1(programs, None)
     inbox = [parse_fact("copy(@m1, t3, t1)")]
-    once = step(step(m, ()).new_state, inbox)
-    twice = step(once.new_state, inbox)
-    assert twice.new_state.persisted == once.new_state.persisted
+    once, _ = step(step(m, ())[0], inbox)
+    twice, _ = step(once, inbox)
+    assert twice.persisted == once.persisted
 
 
 def test_step_inflationary_for_monotone_programs(programs):
     m = fig1_machine1(programs, None)
-    seeded = step(m, ()).new_state
-    grown = step(seeded, [parse_fact("copy(@m1, t3, t1)")]).new_state
+    seeded, _ = step(m, ())
+    grown, _ = step(seeded, [parse_fact("copy(@m1, t3, t1)")])
     assert db_leq(seeded.persisted, grown.persisted)
 
 
 def test_batching_insensitive_for_monotone_program(programs):
-    m = step(fig1_machine1(programs, None), ()).new_state
+    m, _ = step(fig1_machine1(programs, None), ())
     a = parse_fact("copy(@m1, t3, t1)")
     b = parse_fact("copy(@m1, t3, t4)")
-    batched = step(m, [a, b]).new_state
-    split = step(step(m, [a]).new_state, [b]).new_state
+    batched, _ = step(m, [a, b])
+    split, _ = step(step(m, [a])[0], [b])
     assert batched.persisted == split.persisted
 
 
@@ -205,9 +205,9 @@ def test_channel_derivations_not_visible_in_same_iteration(programs):
         parse_facts("add_req(apple)\nnbr(@m1, @m1)\nnbr(@m1, @m2)")
     )
     m = init_machine(vp, Address("m1"), local, (Address("m1"), Address("m2")))
-    res = step(m, ())
-    assert res.new_state.persisted.relation("cart") == frozenset()
-    assert res.outbound  # the message is on the wire instead
+    m2, offered = step(m, ())
+    assert m2.persisted.relation("cart") == frozenset()
+    assert offered  # the message is on the wire instead
 
 
 def test_gc_not_inflationary_across_growing_inputs(programs):
@@ -235,8 +235,8 @@ def test_lattice_merge_on_insert_single_store_fact(programs):
         parse_facts("add(apple)\nadd(bread)\ndel(bread)\nnbr(@m1, @m2)")
     )
     m = init_machine(vp, Address("m1"), local, (Address("m1"), Address("m2")))
-    res = step(m, ())
-    store = res.new_state.persisted.relation("store")
+    first, _ = step(m, ())
+    store = first.persisted.relation("store")
     assert len(store) == 1
     (fact,) = store
     val = fact.args[0]
@@ -244,8 +244,8 @@ def test_lattice_merge_on_insert_single_store_fact(programs):
     assert val.added == frozenset([Symbol("apple"), Symbol("bread")])
     assert val.tombstoned == frozenset([Symbol("bread")])
     # lattice state grows under the lattice order across steps
-    res2 = step(res.new_state, [parse_fact("xdel(@m1, apple)")])
-    (fact2,) = res2.new_state.persisted.relation("store")
+    second, _ = step(first, [parse_fact("xdel(@m1, apple)")])
+    (fact2,) = second.persisted.relation("store")
     assert lattice_leq(val, fact2.args[0])
 
 
@@ -313,13 +313,13 @@ def test_stepping_twice_builds_each_rule_kernel_once(monkeypatch):
 
     monkeypatch.setattr(transducer, "compile_rule", counting)
     vp = vp_of(RELAY)
-    first = step(fresh(vp, Database.from_facts(parse_facts("edge(b, c)"))), ())
+    first, _ = step(fresh(vp, Database.from_facts(parse_facts("edge(b, c)"))), ())
     assert sorted(set(fired)) == sorted(built) == [0, 1, 2]  # a fresh state fires every rule
     fired.clear()
-    second = step(first.new_state, [Fact("link", (M1, Symbol("c"), Symbol("d")))])
+    second, _ = step(first, [Fact("link", (M1, Symbol("c"), Symbol("d")))])
     assert sorted(set(fired)) == [1, 2]  # the inbox, then the new path facts
     assert sorted(built) == [0, 1, 2]
-    assert {str(f) for f in second.new_state.persisted.relation("path")} == {
+    assert {str(f) for f in second.persisted.relation("path")} == {
         "path(b, c)", "path(c, d)", "path(b, d)"}
 
 
