@@ -224,23 +224,23 @@ def stratify(vp: ValidatedProgram) -> list:
     through negation or aggregation.
     """
     edges = dependency_graph(vp)
-    cycle = _find_strict_cycle(edges)
-    if cycle is not None:
-        raise UnstratifiableError(cycle, vp.program.filename)
-
     rels = {r.rule.head.relation for r in vp.rules}.union(*(r.body_rels for r in vp.rules))
     stratum = {rel: 0 for rel in rels}
-    changed = True
-    guard = 0
-    while changed:
+    # a relation's level is the most strict edges on a dependency path from
+    # it. Without a cycle through a strict edge, dropping a cycle from a path
+    # loses none, so paths of at most len(rels) - 1 edges fix every level
+    # and a later pass changes nothing; with one, every pass raises a level
+    for _ in range(len(rels) + 1):
         changed = False
-        guard += 1
-        assert guard <= len(rels) + 2, "stratification did not converge"
         for e in edges:
             need = stratum[e.body] + (1 if e.kind in ("negative", "aggregate") else 0)
             if stratum[e.head] < need:
                 stratum[e.head] = need
                 changed = True
+        if not changed:
+            break
+    else:
+        raise UnstratifiableError(_find_strict_cycle(edges), vp.program.filename)
     height = max(stratum.values(), default=0)
     return [
         sorted(rel for rel, s in stratum.items() if s == level)

@@ -28,29 +28,32 @@ every value a rule derives comes from the finitely many values of the
 program, the database and the inbox, or from one aggregate firing.
 
 Each rule compiles once, on its first firing, into a join kernel that the
-rule keeps (``ValidatedRule.kernel``, built by ``compile_rule``). Every
-variable gets an integer slot in one list per firing, which the depth-first
-walk overwrites in place; constants get pre-filled slots of their own, so
-probe keys and head tuples are ``itemgetter`` reads of the slots. Scalar
-values are interned (:mod:`calmlab.values`), so those keys and tuples hash
-and compare by the identity of their values, with no Python-level call,
-in every probe, index and set insert. Each plan
-element becomes one closure that calls the next one's. ``compile_rule``
-alone decides how a literal looks its tuples up: a constant, or a variable
-bound earlier in the plan, makes a probe column. A literal that binds a
-variable is a binding loop (``_bind``): it scans its relation when it has
-no probe column and looks its probe columns up otherwise. A literal that
-binds none, negated or not, is an existence test (``_test``): a
-set-membership test when every column is probed, else a lookup. A variable
-repeated within one literal (``p(X, X)``) filters the literal's source once
-per firing, and a probed one indexes what is left. ``_Space.finder`` picks
-each lookup: an index is built on the second probe of its (relation,
-columns) pair within one fixpoint, the first probe scans, since most
-relations of a small step are probed once, and building an index for them
-costs more than the scan it replaces. The semi-naive delta gets its own
-index for each rule firing. A firing's head tuples enter the space as one
-set: ``_Space.add`` keeps the ones not there yet, adds just those to the
-relation's indexes, and they join the next round's delta.
+rule keeps (``ValidatedRule.kernel``, built by ``compile_rule``). The
+kernel evaluates the body set at a time. A binding is a tuple: the rule's
+constants first, then its variables in plan order, so probe keys and head
+tuples are ``itemgetter`` reads of a binding. Each plan element is a step
+that maps the list of bindings to the next list in one comprehension, and
+a firing stops at the first empty list. Scalar values are interned
+(:mod:`calmlab.values`), so keys and tuples hash and compare by the
+identity of their values, with no Python-level call, in every probe, index
+and set insert. ``compile_rule`` alone decides how a literal looks its
+tuples up: a constant, or a variable bound earlier in the plan, makes a
+probe column. A literal that binds a variable (``_bind``) extends each
+binding by every tuple that matches it: from a scan of its relation when it
+has no probe column, else from a lookup of its probe columns. A literal
+that binds none, negated or not, is an existence test (``_test``) that
+filters the list: a set-membership test when every column is probed, else a
+lookup. A variable repeated within one literal (``p(X, X)``) filters the
+literal's source once per firing, and a probed one indexes what is left.
+``_Space.finder`` picks each lookup: an index is built on the second probe
+of its (relation, columns) pair within one fixpoint, the first probe scans,
+since most relations of a small step are probed once, and building an index
+for them costs more than the scan it replaces. The semi-naive delta gets
+its own index for each rule firing. A firing's head tuples enter the space
+as one set: ``_Space.add`` keeps the ones not there yet, which join the
+next round's delta, and queues that set on each index of the relation; an
+index files what is queued on it when it is next probed, so an index that
+nothing reads again costs nothing more.
 
 Steps are incremental. Persisted facts only grow, so a state that an
 earlier step committed (``committed``) is closed: its persisted
@@ -107,8 +110,7 @@ from .values import Address, Int, value_sort_key
 # --- the fact space ----------------------------------------------------------
 
 
-def _index(tuples, get) -> dict:
-    index: dict = {}
+def _file(index: dict, get, tuples) -> dict:
     for tup in tuples:
         index.setdefault(get(tup), []).append(tup)
     return index
@@ -127,7 +129,8 @@ class _Space:
         # what channel heads derive: the messages of the Send phase
         self.outbound: dict[str, set] = {}
         self.owned: set = set()  # relations whose set this space has copied
-        # relation -> probe columns -> (key getter, key -> tuples)
+        # relation -> probe columns -> (key getter, key -> tuples, the new
+        # tuple sets not filed yet)
         self.indexes: dict[str, dict] = {}
         self.scanned: set = set()  # (relation, probe columns) probed once
 
@@ -145,7 +148,7 @@ class _Space:
             if (rel, cols) not in self.scanned:
                 self.scanned.add((rel, cols))
                 return [tup for tup in self.readable(rel) if get(tup) == key]
-            entry = get, _index(self.readable(rel), get)
+            entry = get, _file({}, get, self.readable(rel)), []
             self.indexes.setdefault(rel, {})[cols] = entry
         return entry[1].get(key, ())
 
@@ -153,15 +156,22 @@ class _Space:
         """The one lookup of a (relation, columns) pair within a firing:
         ``key -> tuples``, which may return None for no tuples. Given
         ``delta`` (the delta, or a literal's filtered source), a per-firing
-        index over it; else ``lookup``, or the index's own ``get`` once the
-        pair's index exists."""
+        index over it; else ``lookup``, or the pair's index once it exists,
+        which first files the tuples ``add`` queued on it."""
         if delta is not None:
-            return _index(delta, itemgetter(*cols)).get
+            return _file({}, itemgetter(*cols), delta).get
         entry = self.indexes.get(rel, {}).get(cols)
-        return entry[1].get if entry else partial(self.lookup, rel, cols)
+        if entry is None:
+            return partial(self.lookup, rel, cols)
+        get, index, queued = entry
+        for tuples in queued:
+            _file(index, get, tuples)
+        queued.clear()
+        return index.get
 
     def add(self, rel: str, tuples: set) -> set:
-        """Record derived tuples; returns the ones that are new."""
+        """Record derived tuples; returns the ones that are new, which the
+        caller must not change: each index of ``rel`` queues them."""
         bucket_of = self.outbound if rel in self.channels else self.facts
         bucket = bucket_of.get(rel)
         new = tuples - bucket if bucket else tuples
@@ -173,9 +183,8 @@ class _Space:
         bucket |= new
         # a channel's indexes cover its inbox, which derivations never touch
         if rel not in self.channels and rel in self.indexes:
-            for get, index in self.indexes[rel].values():
-                for tup in new:
-                    index.setdefault(get(tup), []).append(tup)
+            for entry in self.indexes[rel].values():
+                entry[2].append(new)
         return new
 
 
@@ -191,8 +200,8 @@ _TESTS = {
 
 
 def _tuple_at(positions: tuple):
-    """Reads the values at ``positions`` of a slot list or a tuple as a
-    tuple, where ``itemgetter(*positions)`` reads a lone value bare."""
+    """Reads the values at ``positions`` of a tuple as a tuple, where
+    ``itemgetter(*positions)`` reads a lone value bare."""
     if not positions:
         return lambda seq: ()
     if len(positions) == 1:
@@ -201,84 +210,62 @@ def _tuple_at(positions: tuple):
     return itemgetter(*positions)
 
 
-def _dead(env) -> None:
-    """An element no binding gets past in this firing."""
-
-
-def _test(rel: str, cols: tuple, key_slots: tuple, arity: int, negated: bool):
-    """The linker of a literal that binds no variable: a negated one, or a
-    positive one whose variables are all bound or wildcards. It passes a
-    binding on once when whether some tuple matches differs from
-    ``negated``: rule outputs are sets."""
+def _test(rel: str, cols: tuple, key_at: tuple, arity: int, negated: bool):
+    """The step of a literal that binds no variable: a negated one, or a
+    positive one whose variables are all bound or wildcards. It keeps the
+    bindings for which whether some tuple matches differs from
+    ``negated``, each once: rule outputs are sets."""
     full = len(cols) == arity
-    key = _tuple_at(key_slots) if full else itemgetter(*key_slots) if cols else None
+    key = _tuple_at(key_at) if full else itemgetter(*key_at) if cols else None
 
-    def link(space, delta, nxt):
+    def run(space, delta, rows):
         src = space.readable(rel) if delta is None else delta
         if not src or not cols:  # the outcome is the same for every binding
-            return nxt if bool(src) != negated else _dead
+            return rows if bool(src) != negated else []
         if full:
-            def member(env):
-                if (key(env) in src) != negated:
-                    nxt(env)
-            return member
+            return [row for row in rows if (key(row) in src) != negated]
         find = space.finder(rel, cols, delta)
-
-        def exists(env):
-            if (not find(key(env))) == negated:
-                nxt(env)
-        return exists
-    return link
+        return [row for row in rows if (not find(key(row))) == negated]
+    return run
 
 
-def _bind(rel: str, cols: tuple, key_slots: tuple, bind_cols: tuple, lo: int, checks: tuple):
-    """The linker of a positive literal that binds variables. Its tuples
-    come from a scan (no probe column) or a keyed lookup; each binds the
-    columns ``bind_cols`` into the slots from ``lo`` on. A variable
-    repeated within the literal (``p(X, X)``) gives ``checks`` (column,
-    column), which filter the source once per firing."""
-    key = itemgetter(*key_slots) if cols else None
-    pick = _tuple_at(bind_cols)
-    hi = lo + len(bind_cols)
+def _bind(rel: str, cols: tuple, key_at: tuple, fresh: tuple, arity: int, checks: tuple):
+    """The step of a positive literal that binds variables: each binding
+    extends by the columns ``fresh`` of every tuple that matches it, from a
+    scan (no probe column) or a keyed lookup. A variable repeated within
+    the literal (``p(X, X)``) gives ``checks`` (column, column), which
+    filter the source once per firing."""
+    key = itemgetter(*key_at) if cols else None
+    pick = _tuple_at(fresh)
+    whole = fresh == tuple(range(arity))  # a scan that binds every column in order
 
-    def link(space, delta, nxt):
+    def run(space, delta, rows):
         src = space.readable(rel) if delta is None else delta
         if checks:
             src = [tup for tup in src if all(tup[a] == tup[b] for a, b in checks)]
         if not src:
-            return _dead
+            return []
         if not cols:
-            def scan(env):
-                for tup in src:
-                    env[lo:hi] = pick(tup)
-                    nxt(env)
-            return scan
+            ext = src if whole else set(map(pick, src))
+            return [row + e for row in rows for e in ext]
         find = space.finder(rel, cols, src if checks else delta)
-
-        def probe(env):
-            for tup in find(key(env)) or ():
-                env[lo:hi] = pick(tup)
-                nxt(env)
-        return probe
-    return link
+        if len(fresh) == 1:
+            (i,) = fresh
+            return [row + (tup[i],) for row in rows for tup in find(key(row)) or ()]
+        return [row + pick(tup) for row in rows for tup in find(key(row)) or ()]
+    return run
 
 
 def _comparison(comp: Comparison, slot_of):
-    """The linker of a comparison. Each side, a variable or a constant
+    """The step of a comparison. Each side, a variable or a constant
     (``calmlang.validate`` allows no other term), is read from its slot."""
     test = _TESTS[comp.op]
     ls, rs = slot_of(comp.left), slot_of(comp.right)
-
-    def link(space, delta, nxt):
-        def compare(env):
-            if test(env[ls], env[rs]):
-                nxt(env)
-        return compare
-    return link
+    return lambda space, delta, rows: [row for row in rows if test(row[ls], row[rs])]
 
 
 def _head(args: tuple, slot_of, names: dict):
-    """Builds a head tuple from the slots; lattice constructors evaluate
+    """Builds a head tuple from a binding; lattice constructors evaluate
     through ``eval_head_term`` on their variables."""
     if not any(isinstance(t, LatticeTerm) for t in args):
         return _tuple_at(tuple(slot_of(t) for t in args))
@@ -287,10 +274,10 @@ def _head(args: tuple, slot_of, names: dict):
         if not isinstance(term, LatticeTerm):
             return itemgetter(slot_of(term))
         used = {v.name: names[v.name] for v in term_vars(term)}
-        return lambda env: eval_head_term(term, {name: env[slot] for name, slot in used.items()})
+        return lambda row: eval_head_term(term, {name: row[slot] for name, slot in used.items()})
 
     parts = [part(t) for t in args]
-    return lambda env: tuple([p(env) for p in parts])
+    return lambda row: tuple([p(row) for p in parts])
 
 
 def compile_rule(rule: ValidatedRule):
@@ -298,54 +285,56 @@ def compile_rule(rule: ValidatedRule):
     ``kernel(space, delta_at, delta) -> set`` of the head tuples derivable
     under the delta restriction (see ``_query``).
 
-    Each variable gets a slot in one list per firing, in plan order, so a
-    literal's fresh variables fill consecutive slots; constants get slots
-    of their own, pre-filled, allocated before those of the literal's
-    fresh variables. Each plan element compiles to a linker that,
-    per firing, closes over its source (the relation, or ``delta`` at plan
-    position ``delta_at``) and the next element's closure. The depth-first
-    walk binds and rebinds the slots in place.
+    A binding is a tuple: the rule's constants first, then its variables in
+    plan order, so a literal's fresh variables take the next slots. Each
+    plan element compiles to a step that maps the list of bindings to the
+    next list in one comprehension: a literal that binds variables extends
+    each binding by every tuple that matches it, and a test, a negation or
+    a comparison filters the list. A step reads its source per firing: the
+    relation, or ``delta`` at plan position ``delta_at``. The head maps the
+    last list to a set, or groups it for an aggregate; a firing returns at
+    the first empty list.
     """
-    names: dict[str, int] = {}
-    template: list = []
+    const_at: dict = {}  # constant value -> slot
+    for elem in (*rule.plan, rule.rule.head):
+        lit = elem.literal if isinstance(elem, Negation) else elem
+        for term in (elem.left, elem.right) if isinstance(elem, Comparison) else lit.args:
+            if isinstance(term, Const):
+                const_at.setdefault(term.value, len(const_at))
+    names: dict[str, int] = {}  # variable -> slot, after the constants'
 
     def slot_of(term) -> int:
-        if isinstance(term, Var):
-            return names[term.name]
-        template.append(term.value)
-        return len(template) - 1
+        return names[term.name] if isinstance(term, Var) else const_at[term.value]
 
-    linkers = []
+    steps = []
     for elem in rule.plan:
         if isinstance(elem, Comparison):
-            linkers.append(_comparison(elem, slot_of))
+            steps.append(_comparison(elem, slot_of))
             continue
         negated = isinstance(elem, Negation)
         lit = elem.literal if negated else elem
         # a constant or an earlier-bound variable is a probe column; a
         # fresh variable binds at its first column and is checked at others
-        cols, key_slots, first, checks = [], [], {}, []
+        cols, key_at, first, checks = [], [], {}, []
         for col, arg in enumerate(lit.args):
             if isinstance(arg, Const) or isinstance(arg, Var) and arg.name in names:
                 cols.append(col)
-                key_slots.append(slot_of(arg))
+                key_at.append(slot_of(arg))
             elif isinstance(arg, Var):
                 if arg.name in first:
                     checks.append((col, first[arg.name]))
                 else:
                     first[arg.name] = col
-        cols, key_slots = tuple(cols), tuple(key_slots)
+        cols, key_at, arity = tuple(cols), tuple(key_at), len(lit.args)
         if not first:
-            linkers.append(_test(lit.relation, cols, key_slots, len(lit.args), negated))
+            steps.append(_test(lit.relation, cols, key_at, arity, negated))
             continue
-        lo = len(template)
         for name in first:
-            names[name] = len(template)
-            template.append(None)
-        linkers.append(_bind(lit.relation, cols, key_slots, tuple(first.values()), lo,
-                             tuple(checks)))
-    linkers.reverse()
+            names[name] = len(const_at) + len(names)
+        steps.append(_bind(lit.relation, cols, key_at, tuple(first.values()), arity,
+                           tuple(checks)))
 
+    consts = tuple(const_at)
     args = rule.rule.head.args
     agg, agg_pos = rule.agg, rule.agg_pos
     if agg is None:
@@ -353,23 +342,19 @@ def compile_rule(rule: ValidatedRule):
     else:
         group = _head(tuple(t for i, t in enumerate(args) if i != agg_pos), slot_of, names)
         agg_slot = names[agg.var.name]
-    last = len(linkers) - 1
 
     def kernel(space: _Space, delta_at: int | None, delta) -> set:
-        out: set = set()
+        rows = [consts]
+        for pos, run in enumerate(steps):
+            rows = run(space, delta if pos == delta_at else None, rows)
+            if not rows:
+                return set()
         if agg is None:
-            def nxt(env):
-                out.add(head(env))
-        else:
-            groups: dict[tuple, set] = {}
-
-            def nxt(env):
-                groups.setdefault(group(env), set()).add(env[agg_slot])
-        for i, link in enumerate(linkers):
-            nxt = link(space, delta if last - i == delta_at else None, nxt)
-        nxt(list(template))
-        if agg is None:
-            return out
+            return set(map(head, rows))
+        groups: dict[tuple, set] = {}
+        for row in rows:
+            groups.setdefault(group(row), set()).add(row[agg_slot])
+        out = set()
         for key, vals in groups.items():
             if agg.kind == "count":
                 agg_val = Int(len(vals))
@@ -404,10 +389,8 @@ def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | N
         added = space.add(head, r.kernel(space, delta_at, delta))
         # derived channel facts are outbound, no rule reads them
         if added and head not in channels:
-            if head in new:
-                new[head] |= added
-            else:
-                new[head] = added
+            # a new set, not ``|=``: ``added`` is queued on indexes
+            new[head] = new[head] | added if head in new else added
 
     def fire_on(r: ValidatedRule, delta: dict, new: dict) -> None:
         for pos, rel in r.reads:

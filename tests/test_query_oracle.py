@@ -223,8 +223,25 @@ FEATURE_INSTANCE = (
 )
 
 
+# one program for each binding shape that the kernel's steps handle apart
+SHAPE_PROGRAMS = [
+    # a whole tuple bound in column order, scanned
+    DECLS + "d0(X, Y) :- e(X, Y).\n",
+    # one fresh column after a probe
+    DECLS + "d0(X, Z) :- e(X, Y), f(Y, Z).\n",
+    # a repeated fresh variable next to a probe column
+    DECLS + "d0(Z, Z) :- msg(@m2, Z, Z).\n",
+    # a constant probe
+    DECLS + "d0(a, Y) :- e(a, Y).\n",
+    # literals with no probe column, positive and negated
+    DECLS + "ev(X) :- u(X).\nd0(X, Y) :- e(X, Y), ev(_).\nd1(X, Y) :- f(X, Y), !u(_).\n",
+    # a comparison with a constant
+    DECLS + "d0(X, Y) :- e(X, Y), X != a.\n",
+]
+
+
 def _examples(test):
-    for source in FEATURE_PROGRAMS:
+    for source in FEATURE_PROGRAMS + SHAPE_PROGRAMS:
         test = example(source, FEATURE_INSTANCE)(test)
     return test
 
@@ -243,7 +260,7 @@ def test_indexed_query_matches_the_nested_loop_oracle(source, instance):
 
 def test_feature_programs_derive_something():
     # the hand-written examples exercise their features only if they fire
-    for source in FEATURE_PROGRAMS:
+    for source in FEATURE_PROGRAMS + SHAPE_PROGRAMS:
         vp = validate_program(parse_program(source))
         space = _query(vp, *FEATURE_INSTANCE)
         derived = {rel for rel in ("d0", "d1", "g", "d2") if space.facts.get(rel)}

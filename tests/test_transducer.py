@@ -2,6 +2,7 @@ import gc
 import weakref
 
 import pytest
+from test_query_oracle import _reference_query
 
 from calmlab import corpus, transducer
 from calmlab.calmlang import parse_program, validate_program
@@ -349,3 +350,31 @@ def test_relation_is_indexed_on_its_second_probe_only(starts, indexed):
     space = _query(vp_of(HOP), persisted, {})
     assert ("edge" in space.indexes) == indexed
     assert space.facts["hop"] == {t for t in persisted["edge"] if (t[0],) in persisted["start"]}
+
+
+TWO_CLOSURES = """
+rel e(x, y) [input]
+rel f(x, y) [input]
+rel p(x, y)
+rel q(x, y)
+rel r(x, y)
+p(X, Y) :- e(X, Y).
+p(X, Z) :- p(X, Y), e(Y, Z).
+q(X, Y) :- f(X, Y).
+q(X, Z) :- q(X, Y), f(Y, Z).
+r(X, Z) :- p(X, Y), q(Y, Z).
+"""
+
+
+def test_an_index_built_early_finds_the_tuples_its_relation_gained_since():
+    # r's first firing indexes q on its first column while p and q are both
+    # short. p(a0, a6) arrives rounds after q(a6, b4), and r reads that pair
+    # only through the early index, as r fires on p's delta
+    a = [Symbol(f"a{i}") for i in range(7)]
+    b = [Symbol(f"b{i}") for i in range(1, 6)]
+    persisted = {"e": set(zip(a, a[1:])), "f": set(zip([a[6], *b], b))}
+    vp = vp_of(TWO_CLOSURES)
+    got = _query(vp, persisted, {})
+    assert (a[0], b[3]) in got.facts["r"]
+    assert (0,) in got.indexes["q"]
+    assert got.facts == _reference_query(vp, persisted, {}).facts
