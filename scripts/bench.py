@@ -187,9 +187,11 @@ def gc_coordinated_coordination() -> dict:
     cfg = load_config(corpus.config_path("gc_coordinated", "coordination.json"))
     start = time.perf_counter()
     r = detect_coordination(
-        cfg.program, cfg.fixture, cfg.machines,
+        cfg.program, cfg.fixture, max(cfg.machines, 2),
         schedules_per_partitioning=cfg.schedules_per_partitioning,
         partition_cap=cfg.partition_cap,
+        base_seed=cfg.seed,
+        step_budget=cfg.step_budget,
     )
     return {"seconds": round(time.perf_counter() - start, 3), "verdict": r.verdict,
             "colocated_min_messages": r.colocated_min_messages,

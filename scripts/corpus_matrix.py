@@ -31,8 +31,10 @@ def main() -> int:
             # the config's knobs, passed as `calmlab check` and `calmlab
             # coordination` pass them without flags
             if config == "coordination.json":
+                machines = max(cfg.machines, 2)
+                cfg.check_network(machines)
                 r = detect_coordination(
-                    cfg.program, cfg.fixture, max(cfg.machines, 2),
+                    cfg.program, cfg.fixture, machines,
                     schedules_per_partitioning=cfg.schedules_per_partitioning,
                     partition_cap=cfg.partition_cap,
                     base_seed=cfg.seed,

@@ -70,9 +70,11 @@ def main(out_dir: Path = GOLDENS) -> int:
     report = detect_coordination(
         cfg.program,
         cfg.fixture,
-        cfg.machines,
+        max(cfg.machines, 2),
         schedules_per_partitioning=cfg.schedules_per_partitioning,
         partition_cap=cfg.partition_cap,
+        base_seed=cfg.seed,
+        step_budget=cfg.step_budget,
     )
     write("coordination_gc_coordinated.json", report.to_obj())
     return 0

@@ -45,15 +45,14 @@ that binds none, negated or not, is an existence test (``_test``) that
 filters the list: a set-membership test when every column is probed, else a
 lookup. A variable repeated within one literal (``p(X, X)``) filters the
 literal's source once per firing, and a probed one indexes what is left.
-``_Space.finder`` picks each lookup: an index is built on the second probe
-of its (relation, columns) pair within one fixpoint, the first probe scans,
-since most relations of a small step are probed once, and building an index
-for them costs more than the scan it replaces. The semi-naive delta gets
-its own index for each rule firing. A firing's head tuples enter the space
-as one set: ``_Space.add`` keeps the ones not there yet, which join the
-next round's delta, and queues that set on each index of the relation; an
-index files what is queued on it when it is next probed, so an index that
-nothing reads again costs nothing more.
+``_Space.finder`` gives each lookup: the first probe of a (relation,
+columns) pair within one fixpoint builds its index, which later probes of
+the pair share, and each probe looks up a whole batch of bindings in it.
+The semi-naive delta gets its own index for each rule firing. A firing's
+head tuples enter the space as one set: ``_Space.add`` keeps the ones not
+there yet, which join the next round's delta, and queues that set on each
+index of the relation; an index files what is queued on it when it is next
+probed, so an index that nothing reads again costs nothing more.
 
 Steps are incremental. Persisted facts only grow, so a state that an
 earlier step committed (``committed``) is closed: its persisted
@@ -87,7 +86,6 @@ quiescence detection by no-op probing sound.
 
 from __future__ import annotations
 
-from functools import partial
 from operator import eq, itemgetter, ne
 
 from . import lattices
@@ -103,7 +101,7 @@ from .calmlang.syntax import (
     term_vars,
 )
 from .record import Frozen, set_field
-from .relspace import Database, Fact
+from .relspace import Database, Fact, db_union
 from .values import Address, Int, value_sort_key
 
 
@@ -132,37 +130,24 @@ class _Space:
         # relation -> probe columns -> (key getter, key -> tuples, the new
         # tuple sets not filed yet)
         self.indexes: dict[str, dict] = {}
-        self.scanned: set = set()  # (relation, probe columns) probed once
 
     def readable(self, rel: str):
         return self.facts.get(rel, ())
 
-    def lookup(self, rel: str, cols: tuple, key):
-        """Readable tuples of ``rel`` holding ``key`` at ``cols``, where a
-        key is what ``itemgetter(*cols)`` reads from a tuple. The first
-        probe of a (relation, columns) pair scans; the second indexes."""
-        by_cols = self.indexes.get(rel)
-        entry = by_cols.get(cols) if by_cols else None
-        if entry is None:
-            get = itemgetter(*cols)
-            if (rel, cols) not in self.scanned:
-                self.scanned.add((rel, cols))
-                return [tup for tup in self.readable(rel) if get(tup) == key]
-            entry = get, _file({}, get, self.readable(rel)), []
-            self.indexes.setdefault(rel, {})[cols] = entry
-        return entry[1].get(key, ())
-
     def finder(self, rel: str, cols: tuple, delta=None):
         """The one lookup of a (relation, columns) pair within a firing:
-        ``key -> tuples``, which may return None for no tuples. Given
-        ``delta`` (the delta, or a literal's filtered source), a per-firing
-        index over it; else ``lookup``, or the pair's index once it exists,
-        which first files the tuples ``add`` queued on it."""
+        ``key -> tuples``, which may return None for no tuples, where a key
+        is what ``itemgetter(*cols)`` reads from a tuple. Given ``delta``
+        (the delta, or a literal's filtered source), a per-firing index over
+        it; else the pair's index, which first files the tuples queued on
+        it: on its first probe the relation's, later the ones ``add``
+        queued."""
         if delta is not None:
             return _file({}, itemgetter(*cols), delta).get
-        entry = self.indexes.get(rel, {}).get(cols)
+        by_cols = self.indexes.setdefault(rel, {})
+        entry = by_cols.get(cols)
         if entry is None:
-            return partial(self.lookup, rel, cols)
+            entry = by_cols[cols] = itemgetter(*cols), {}, [self.readable(rel)]
         get, index, queued = entry
         for tuples in queued:
             _file(index, get, tuples)
@@ -423,10 +408,6 @@ def _query(vp: ValidatedProgram, persisted: dict, inbox: dict, changed: dict | N
     return space
 
 
-def _to_db(tuples: dict) -> Database:
-    return Database({rel: frozenset(tups) for rel, tups in tuples.items() if tups})
-
-
 # --- lattice merge at commit -------------------------------------------------
 
 
@@ -456,26 +437,30 @@ class MachineState(Frozen):
     __slots__ = ("address", "persisted", "program", "committed", "sent")
 
     def __init__(self, address: Address, persisted: Database, program: ValidatedProgram,
-                 committed: bool = False, sent: frozenset = frozenset()):
+                 committed: bool = False, sent: Database = Database({})):
         set_field(self, "address", address)
         set_field(self, "persisted", persisted)
         set_field(self, "program", program)
         # produced by a step that changed it, not fresh from init_machine
         set_field(self, "committed", committed)
-        # channel facts already offered to the network, each addressed by
-        # its column 1; grows monotonically and keeps re-derived messages
-        # from resending forever
+        # the channel tuples already offered to the network, by relation
+        # like ``persisted``, each addressed by its column 1; grows
+        # monotonically and keeps re-derived messages from resending forever
         set_field(self, "sent", sent)
 
     def semantic_key(self):
-        """State identity for schedule enumeration (``committed`` excluded)."""
+        """State identity for schedule enumeration (``committed`` excluded),
+        of two databases that each cache their hash."""
         return (self.address, self.persisted, self.sent)
 
 
 def init_machine(vp: ValidatedProgram, address: Address, local_input: Database,
                  members: tuple) -> MachineState:
     tuples = {**local_input.relations, "id": {(address,)}, "all": {(a,) for a in members}}
-    return MachineState(address=address, persisted=_to_db(tuples), program=vp)
+    # merged as at commit, which merges only the relations a step adds to
+    persisted = {rel: frozenset(_fold_lattice(rel, tups, vp))
+                 for rel, tups in tuples.items() if tups}
+    return MachineState(address=address, persisted=Database(persisted), program=vp)
 
 
 def step(state: MachineState, inbox) -> tuple:
@@ -536,16 +521,19 @@ def step(state: MachineState, inbox) -> tuple:
     changed = dict(delivered) if state.committed else None
     space = _query(vp, persisted, delivered, changed)
 
-    new_persisted = {rel: _fold_lattice(rel, tups, vp) for rel, tups in space.facts.items()
-                     if vp.schemas[rel].kind == "persisted"}
-    offered = tuple(fact for rel, tups in space.outbound.items() for tup in tups
-                    if (fact := Fact(rel, tup)) not in state.sent)
-    if not offered and new_persisted == persisted:
+    # only a relation this step added to can change, and its merge may
+    # still give what it held
+    grown = {rel: tups for rel in space.owned if vp.schemas[rel].kind == "persisted"
+             if (tups := frozenset(_fold_lattice(rel, space.facts[rel], vp))) != persisted.get(rel)}
+    sent = state.sent.relations
+    unsent = {rel: frozenset(new) for rel, tups in space.outbound.items()
+              if (new := tups.difference(sent.get(rel, ())))}
+    if not grown and not unsent:
         return state, ()
     return MachineState(
         address=state.address,
-        persisted=_to_db(new_persisted),
+        persisted=Database({**persisted, **grown}) if grown else state.persisted,
         program=vp,
         committed=True,
-        sent=state.sent.union(offered) if offered else state.sent,
-    ), offered
+        sent=db_union(state.sent, Database(unsent)) if unsent else state.sent,
+    ), tuple(Fact(rel, tup) for rel, tups in unsent.items() for tup in tups)

@@ -79,6 +79,9 @@ def test_incremental_steps_match_from_scratch_steps(source, instance, run):
         assert got.persisted == want.persisted
         assert got.sent == want.sent
         assert set(offered) == set(want_offered)
+        # a step offers only what it has not sent, and ``sent`` keeps it
+        assert not any(f in state.sent for f in offered)
+        assert set(got.sent.facts()) == set(state.sent.facts()) | set(offered)
         # the engine derives only facts whose values fit their columns
         for f in [*got.persisted.facts(), *offered]:
             cols = vp.schemas[f.relation].cols
