@@ -130,7 +130,7 @@ def tc_chain(n: int, repeats: int = 5) -> dict:
     best = float("inf")
     for _ in range(repeats):
         vp = corpus.load_program("transitive_closure")
-        net = init_network(vp, chain, colocated(chain, machines, machines[0]))
+        net = init_network(vp, chain, colocated(chain, machines))
         start = time.perf_counter()
         run = run_schedule(net, Schedule(seed=0))
         best = min(best, time.perf_counter() - start)

@@ -315,7 +315,8 @@ def fact_error(vp: ValidatedProgram, rel: str, args: tuple) -> str | None:
 
 def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> None:
     """Arity, and the role of each term that is not a variable: a constant's
-    value (``value_error``), a constructor's variant, an aggregate's scalar."""
+    value (``value_error``), a constructor's variant, an aggregate's scalar.
+    Only a head holds an aggregate: the parser reads none in a body."""
     if len(lit.args) != schema.arity:
         raise ValidationError(
             f"{lit.relation} has arity {schema.arity}, used with {len(lit.args)} argument(s)",
@@ -332,8 +333,6 @@ def _check_literal_against_schema(lit: Literal, schema: Schema, head: bool) -> N
                 )
             error = _role_error(arg.variant, col, lit.relation)
         elif isinstance(arg, AggTerm):
-            if not head:
-                raise ValidationError("aggregates may appear in rule heads only", arg.pos)
             error = _role_error(SCALAR, col, lit.relation)
         if error:
             raise ValidationError(error, arg.pos)
@@ -459,7 +458,7 @@ def _validate_rule(rule: Rule, index: int, schemas: dict) -> ValidatedRule:
         )
     for c in comparisons:
         for side in (c.left, c.right):
-            if isinstance(side, (LatticeTerm, AggTerm)):
+            if isinstance(side, LatticeTerm):
                 raise ValidationError("comparisons operate on scalar terms", c.pos)
             if isinstance(side, Wildcard):
                 raise ValidationError("wildcard not allowed in a comparison", side.pos)

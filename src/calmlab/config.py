@@ -94,7 +94,7 @@ class RunConfig:
         spec = self.partitioning_spec
         try:
             if spec == "colocate":
-                return colocated(self.fixture, addrs, addrs[0])
+                return colocated(self.fixture, addrs)
             if spec == "hash":
                 return hash_partitioning(self.fixture, addrs)
             return partitioning_from_map(self.fixture, addrs, spec)

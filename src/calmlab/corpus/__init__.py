@@ -105,16 +105,6 @@ ENTRIES = (
     ),
 )
 
-MONOTONE_ENTRIES = tuple(e for e in ENTRIES if e.expected_static == "monotone")
-NON_MONOTONE_ENTRIES = tuple(e for e in ENTRIES if e.expected_static == "non-monotone")
-
-
-def entry(name: str) -> CorpusEntry:
-    for e in ENTRIES:
-        if e.name == name:
-            return e
-    raise KeyError(f"no corpus entry named {name!r}")
-
 
 def entry_path(name: str):
     """Filesystem path of a corpus entry's directory."""

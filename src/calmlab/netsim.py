@@ -14,11 +14,12 @@ that reads an ephemeral relation. Every other such step returns at once
 (``transducer.step``), so a sweep costs little where nothing is left
 to settle.
 
-A network's machine states live once in its ``MachineTable``, interned to
-small ints by ``semantic_key``. A network state is ``(ids, pending)``: the
-ids in machine-name order (m1, m10, m2, ...), the order of the sweep, and
-the sorted tuple of envelopes ``(dst name, src name, fact string)`` in
-flight, one entry per copy. Its key is thus ints and strings, and never
+A network's machine states and step memo live once in its
+``MachineTable``, the states interned to small ints by ``semantic_key``; a
+state's outputs are computed where they are read. A network state is
+``(ids, pending)``: the ids in machine-name order (m1, m10, m2, ...), the
+order of the sweep, and the sorted tuple of envelopes ``(dst name, src
+name, fact string)`` in flight, one entry per copy. Its key is thus ints and strings, and never
 calls into a ``Database``. Every walk delivers a batch through ``_deliver``
 and steps a machine through ``_step``, which memoises each (id, inbox) step
 with its new id and sent envelopes; a decision names each delivered
@@ -85,10 +86,9 @@ class Partitioning(Frozen):
         return {m: sorted(fs) for m, fs in sorted(by_machine.items())}
 
 
-def colocated(input_db: Database, machines: tuple, at: Address) -> Partitioning:
-    if at not in machines:
-        raise PartitioningError(f"machine {at} not in the network")
-    return Partitioning(machines, {Fact(rel, args): at
+def colocated(input_db: Database, machines: tuple) -> Partitioning:
+    """Every input fact on the first machine."""
+    return Partitioning(machines, {Fact(rel, args): machines[0]
                                    for rel, tuples in input_db.relations.items()
                                    for args in tuples})
 
@@ -181,12 +181,12 @@ class Schedule(Frozen):
 
 
 class MachineTable:
-    """One network's machine states and memos, shared by the network's
+    """One network's machine states and step memo, shared by the network's
     copies and dropped with them. ``states[i]`` is the machine state of id
     ``i``; each distinct ``semantic_key`` gets one id (collapse compression,
     Holzmann, *State Compression in SPIN*, 1997)."""
 
-    __slots__ = ("program", "names", "states", "ids", "facts", "memo", "outputs")
+    __slots__ = ("program", "names", "states", "ids", "facts", "memo")
 
     def __init__(self, program: ValidatedProgram, names: tuple):
         self.program = program  # the program every machine runs
@@ -195,7 +195,6 @@ class MachineTable:
         self.ids = {}  # MachineState.semantic_key() -> id
         self.facts = {}  # fact string -> Fact, for a memo miss
         self.memo = {}  # step memo, see _step
-        self.outputs = {}  # ids -> _outputs of that state
 
     def intern(self, machine: MachineState) -> int:
         mid = self.ids.setdefault(machine.semantic_key(), len(self.states))
@@ -363,19 +362,15 @@ def _decision(batch) -> tuple:
 
 
 def _outputs(state: NetworkState) -> tuple:
-    """(machine name -> output relations, their union), memoised in the
-    table by the machines' ids."""
-    out = state.table.outputs.get(state.ids)
-    if out is None:
-        per_machine = {
-            name: m.persisted.restrict(m.program.output_rels)
-            for name, m in state.machines.items()
-        }
-        union = Database({})
-        for db in per_machine.values():
-            union = db_union(union, db)
-        out = state.table.outputs[state.ids] = per_machine, union
-    return dict(out[0]), out[1]
+    """(machine name -> output relations, their union) of ``state``."""
+    per_machine = {
+        name: m.persisted.restrict(m.program.output_rels)
+        for name, m in state.machines.items()
+    }
+    union = Database({})
+    for db in per_machine.values():
+        union = db_union(union, db)
+    return per_machine, union
 
 
 class _SeededChooser:
@@ -447,7 +442,7 @@ def run_schedule(
     decisions: list = []
     trace: list = []
     ok = _sweep(state, step_budget)
-    while ok and state.pending:
+    while ok and state.pending and state.steps < step_budget:
         at = state.steps
         batch = sorted(chooser.choose(state.pending))
         _deliver(state, batch)
@@ -455,9 +450,7 @@ def run_schedule(
         decisions.append((dst, keys))
         trace.extend((src, dst, fact, at) for src, fact in keys)
         chooser.maybe_duplicate(state)
-        if state.steps >= step_budget:
-            ok = False
-        elif not state.pending:
+        if not state.pending:
             ok = _sweep(state, step_budget)
 
     per_machine, union = _outputs(state)
@@ -465,7 +458,7 @@ def run_schedule(
         per_machine_outputs=per_machine,
         union_output=union,
         trace=tuple(trace),
-        quiesced=ok,
+        quiesced=ok and not state.pending,
         steps_used=state.steps,
         decisions=tuple(decisions),
     )

@@ -43,15 +43,6 @@ class Fact(Record):
         set_field(self, "relation", relation)
         set_field(self, "args", args)
 
-    # written out, not Record's: the engine hashes and compares facts most
-    def __eq__(self, other):
-        if other.__class__ is not Fact:
-            return NotImplemented
-        return self.relation == other.relation and self.args == other.args
-
-    def __hash__(self):
-        return hash((self.relation, self.args))
-
     def __str__(self) -> str:
         return "%s(%s)" % (self.relation, ", ".join(str(a) for a in self.args))
 

@@ -131,9 +131,6 @@ class _Space:
         # tuple sets not filed yet)
         self.indexes: dict[str, dict] = {}
 
-    def readable(self, rel: str):
-        return self.facts.get(rel, ())
-
     def finder(self, rel: str, cols: tuple, delta=None):
         """The one lookup of a (relation, columns) pair within a firing:
         ``key -> tuples``, which may return None for no tuples, where a key
@@ -147,7 +144,7 @@ class _Space:
         by_cols = self.indexes.setdefault(rel, {})
         entry = by_cols.get(cols)
         if entry is None:
-            entry = by_cols[cols] = itemgetter(*cols), {}, [self.readable(rel)]
+            entry = by_cols[cols] = itemgetter(*cols), {}, [self.facts.get(rel, ())]
         get, index, queued = entry
         for tuples in queued:
             _file(index, get, tuples)
@@ -204,7 +201,7 @@ def _test(rel: str, cols: tuple, key_at: tuple, arity: int, negated: bool):
     key = _tuple_at(key_at) if full else itemgetter(*key_at) if cols else None
 
     def run(space, delta, rows):
-        src = space.readable(rel) if delta is None else delta
+        src = space.facts.get(rel, ()) if delta is None else delta
         if not src or not cols:  # the outcome is the same for every binding
             return rows if bool(src) != negated else []
         if full:
@@ -225,7 +222,7 @@ def _bind(rel: str, cols: tuple, key_at: tuple, fresh: tuple, arity: int, checks
     whole = fresh == tuple(range(arity))  # a scan that binds every column in order
 
     def run(space, delta, rows):
-        src = space.readable(rel) if delta is None else delta
+        src = space.facts.get(rel, ()) if delta is None else delta
         if checks:
             src = [tup for tup in src if all(tup[a] == tup[b] for a, b in checks)]
         if not src:

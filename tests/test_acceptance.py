@@ -39,6 +39,7 @@ from calmlab.verdicts import (
 
 GOLDENS = Path(__file__).parent / "goldens"
 PARTITION_CAP = 24  # per machine count; beyond this, colocated + seeded samples
+MONOTONE = [e for e in corpus.ENTRIES if e.expected_static == "monotone"]
 
 
 def golden(name):
@@ -58,7 +59,7 @@ def test_criterion_1_calm_forward_monotone_programs_confluent(programs, fixtures
     confluence everywhere, under 60 seconds."""
     t0 = time.monotonic()
     checks = 0
-    for entry in corpus.MONOTONE_ENTRIES:
+    for entry in MONOTONE:
         vp = programs[entry.name]
         for fx in entry.fixtures:
             fixture = fixtures[(entry.name, fx)]
@@ -150,7 +151,7 @@ def test_criterion_4_coordination_detection(programs, fixtures):
     assert r.verdict == VERDICT_FREE
     assert r.colocated_min_messages == 0
 
-    entry = corpus.entry("gc_coordinated")
+    (entry,) = [e for e in corpus.ENTRIES if e.name == "gc_coordinated"]
     mins = []
     for fx in entry.fixtures:
         fixture = fixtures[("gc_coordinated", fx)]
@@ -196,7 +197,7 @@ def run_output(vp, input_db):
     """Union output of a seeded run with all of ``input_db`` on m1 of a
     3-machine network (the corpus fixtures name machines up to @m3)."""
     machines = machine_addresses(3)
-    net = init_network(vp, input_db, colocated(input_db, machines, machines[0]))
+    net = init_network(vp, input_db, colocated(input_db, machines))
     run = run_schedule(net, Schedule(seed=0))
     assert run.quiesced
     return run.union_output
@@ -207,7 +208,7 @@ def test_criterion_5_dynamic_monotonicity_check(programs, fixtures):
     a run on S is contained in the output of a run on T; the bare collector
     violates it on a pinned pair where o4 leaves the garbage set."""
     rng = random.Random(2024)
-    for entry in corpus.MONOTONE_ENTRIES:
+    for entry in MONOTONE:
         vp = programs[entry.name]
         fixture = fixtures[(entry.name, entry.fixtures[0])]
         for s_db, t_db in _subset_pairs(fixture, rng, 20):

@@ -206,6 +206,21 @@ chan msg(@dest, x)
      "8:28: variable D is joined at column x of e, but column p of peer holds machine addresses"),
     ("away(D) :- peer(D), !e(D).",
      "8:24: variable D fills column x of e, but column p of peer holds machine addresses"),
+    # every other error a declaration, the grammar or a rule's shape can
+    # hold, located alike
+    ("rel r(x) [persisted, event]", "8:1: relation cannot be both persisted and event"),
+    ("chan c(@d) [persisted]", "8:1: channel relations are always event-class"),
+    ("rel r(x, x)", "8:5: duplicate column name in r"),
+    ("rel r(x) [foo]", "8:11: unknown qualifier 'foo'"),
+    ("rel r(s: foo)", "8:10: unknown lattice variant 'foo'"),
+    ("out(X) :- e(X), X.", "8:18: expected a comparison operator or a literal"),
+    ("rel ²r(x)", "8:5: unexpected character '²'"),
+    ("h(X) :- e(X).", "8:1: undeclared relation h"),
+    ("rel c(x, y)\nc(count<X>, count<Y>) :- e(X), e(Y).",
+     "9:1: at most one aggregate per rule head"),
+    ("rel c(x, y)\nc(X, count<X>) :- e(X).",
+     "9:6: aggregate variable X also appears as a grouping term"),
+    ("out(X) :- e(X), gset{X} = X.", "8:25: comparisons operate on scalar terms"),
 ])
 def test_a_term_of_another_role_is_rejected_by_analyze_and_run(tmp_path, capsys, rule, expect):
     (tmp_path / "p.calm").write_text(ROLE_PROBE_DECLS + rule + "\n")
@@ -249,6 +264,45 @@ def test_check_gc_json_matches_golden(capsys):
     code, out, _ = run_cli(capsys, "check", corpus_file("gc", "check.json"), "--json")
     assert code == 1
     assert json.loads(out) == golden("check_gc.json")
+
+
+def test_check_gc_text_prints_both_witnesses(capsys):
+    code, out, _ = run_cli(capsys, "check", corpus_file("gc", "check.json"))
+    assert code == 1
+    assert out.splitlines()[1:] == [
+        '  witness 1: output {"garbage":[["o5"],["o6"]]}',
+        '  witness 2: output {"garbage":[["o4"],["o5"],["o6"]]}',
+    ]
+
+
+# gc's check config under a step budget: at 10 every path of the walk
+# runs out of steps before it quiesces, so the walk is incomplete and the
+# verdict inconclusive; at 15 the walk finds both outcomes
+@pytest.mark.parametrize("step_budget,code,first", [
+    (10, 2, "inconclusive (exhaustive mode, 0 distinct outcome(s), 56 runs/states examined)"),
+    (15, 1, "divergent (exhaustive mode, 2 distinct outcome(s), 4 runs/states examined)"),
+])
+def test_check_with_a_step_budget_its_walk_outruns(tmp_path, capsys, step_budget, code, first):
+    cfg = json.loads(Path(corpus_file("gc", "check.json")).read_text())
+    cfg.update(program=corpus_file("gc", "program.calm"), fixture=corpus_file("gc", "fig2.facts"),
+               step_budget=step_budget)
+    (tmp_path / "check.json").write_text(json.dumps(cfg))
+    got, out, _ = run_cli(capsys, "check", str(tmp_path / "check.json"))
+    assert (got, out.splitlines()[0]) == (code, first)
+
+
+def test_analyze_text_flags_the_rules_that_read_id_and_all(capsys):
+    code, out, _ = run_cli(capsys, "analyze", corpus_file("gc_coordinated", "program.calm"))
+    assert code == 1
+    assert "  rule 2 (line 32): non-monotone{membership-query} [reads id] [reads all]" in (
+        out.splitlines())
+
+
+def test_analyze_text_names_an_unstratifiable_cycle(tmp_path, capsys):
+    (tmp_path / "u.calm").write_text(UNSTRATIFIABLE)
+    code, out, _ = run_cli(capsys, "analyze", str(tmp_path / "u.calm"))
+    assert code == 1
+    assert "  unstratifiable: cycle lose -> win" in out.splitlines()
 
 
 def test_coordination_deadlock_exit_zero(capsys):
@@ -476,6 +530,8 @@ FAILING_RUNS = [
     # config shapes and run-time typing
     ("program", 5, "'program'", "program-not-a-path"),
     (None, ["program", "fixture"], "JSON object", "config-not-an-object"),
+    (None, {"fixture": "fig1.facts", "machines": 3}, "bad.json is missing 'program'",
+     "config-without-a-program"),
     ("partitioning", {"m1": "local_edge(t1, t2)"}, "'partitioning'", "map-entry-not-a-list"),
     ("program", MAXINT_OF_SYMBOLS, "program:7:12: maxint() needs an integer", "maxint-of-a-symbol"),
     # fixture values against their columns; several keys at once take a

@@ -83,7 +83,9 @@ def test_every_entry_ships_program_fixtures_readme():
 
 def test_calm_reverse_every_nonmonotone_entry_has_evidence():
     # each non-monotone entry either diverges somewhere or needs coordination
-    for e in corpus.NON_MONOTONE_ENTRIES:
+    for e in corpus.ENTRIES:
+        if e.expected_static != "non-monotone":
+            continue
         assert any(
             v in ("divergent", "coordination-required-on-instance")
             for v in e.expected_dynamic.values()
@@ -94,7 +96,7 @@ def test_deliveries_commute_where_messages_are_read_alone_and_nothing_races():
     # the monotone entries read each message alone; each non-monotone one
     # negates a relation that is not fixed
     commute = {e.name for e in corpus.ENTRIES if corpus.load_program(e.name).deliveries_commute}
-    assert commute == {e.name for e in corpus.MONOTONE_ENTRIES}
+    assert commute == {e.name for e in corpus.ENTRIES if e.expected_static == "monotone"}
 
 
 def test_every_corpus_program_sends_once():

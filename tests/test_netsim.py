@@ -36,7 +36,7 @@ def outcome_json(outcome):
 
 def test_init_single_machine_holds_everything(programs, fixtures):
     fixture = fixtures[("deadlock", "edges_only.facts")]
-    part = colocated(fixture, machine_addresses(1), Address("m1"))
+    part = colocated(fixture, machine_addresses(1))
     net = init_network(programs["deadlock"], fixture, part)
     m1 = net.machines["m1"]
     assert m1.persisted.relation("local_edge") == fixture.relation("local_edge")
@@ -57,7 +57,7 @@ def test_init_figure_placement(programs, fixtures):
 
 
 def test_init_empty_input_three_machines(programs):
-    part = colocated(Database({}), machine_addresses(3), Address("m1"))
+    part = colocated(Database({}), machine_addresses(3))
     net = init_network(programs["transitive_closure"], Database({}), part)
     assert len(net.machines) == 3
     for m in net.machines.values():
@@ -200,7 +200,7 @@ def test_replay_errors_name_what_does_not_match(programs):
 def test_empty_program_quiesces_with_empty_output():
     vp = validate_program(parse_program("rel seen(x) [input]\nrel out(x) [output]"))
     db = Database.from_facts(parse_facts("seen(a)"))
-    net = init_network(vp, db, colocated(db, machine_addresses(2), Address("m1")))
+    net = init_network(vp, db, colocated(db, machine_addresses(2)))
     out = run_schedule(net, Schedule(seed=0))
     assert out.quiesced
     assert out.union_output == Database({})
@@ -268,6 +268,24 @@ def test_budget_one_flags_non_quiescence(programs):
     assert not out.quiesced
 
 
+@pytest.mark.parametrize("name", [e.name for e in corpus.ENTRIES])
+def test_a_budgeted_run_is_a_prefix_of_the_unbudgeted_run(name):
+    # a run stops at its step budget: with S the steps the unbudgeted run
+    # takes, a run under budget b takes min(b, S) steps, quiesces exactly
+    # when S <= b, and makes the first decisions of the unbudgeted run
+    cfg = cfg_for(name)
+    net = init_network(cfg.program, cfg.fixture, cfg.partitioning())
+    schedule = Schedule(seed=cfg.seed, duplicate_every=cfg.duplicate_every)
+    full = run_schedule(net, schedule, step_budget=cfg.step_budget)
+    assert full.quiesced
+    for budget in range(1, 31):
+        out = run_schedule(net, schedule, step_budget=budget)
+        assert out.steps_used == min(budget, full.steps_used), budget
+        assert out.quiesced == (full.steps_used <= budget), budget
+        assert out.decisions == full.decisions[:len(out.decisions)], budget
+        assert out.trace == full.trace[:len(out.trace)], budget
+
+
 def test_quiescence_implies_no_pending_messages(programs):
     # fairness: the trace accounts for every message that was ever sent
     cfg = cfg_for("deadlock")
@@ -305,7 +323,7 @@ def test_fixture_naming_an_unknown_address_is_rejected_before_the_run(tmp_path):
 
 def test_single_machine_monotone_single_outcome(programs, fixtures):
     fixture = fixtures[("transitive_closure", "chain.facts")]
-    part = colocated(fixture, machine_addresses(1), Address("m1"))
+    part = colocated(fixture, machine_addresses(1))
     net = init_network(programs["transitive_closure"], fixture, part)
     res = enumerate_schedules(net)
     assert res.complete

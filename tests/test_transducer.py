@@ -63,12 +63,12 @@ def test_evaluate_full_figure_graph_garbage(programs, fixtures):
     ]
 
 
-@pytest.mark.parametrize("name", [e.name for e in corpus.ENTRIES])
-def test_evaluate_idempotent_on_corpus(name, programs, fixtures):
+@pytest.mark.parametrize("entry", corpus.ENTRIES, ids=lambda e: e.name)
+def test_evaluate_idempotent_on_corpus(entry, programs, fixtures):
     # a committed fixpoint is closed: stepping it again on an empty inbox
     # derives nothing and sends nothing
-    db = fixtures[(name, corpus.entry(name).fixtures[0])]
-    once, _ = step(fresh(programs[name], db), ())
+    db = fixtures[(entry.name, entry.fixtures[0])]
+    once, _ = step(fresh(programs[entry.name], db), ())
     twice, offered = step(once, ())
     assert twice.persisted == once.persisted
     assert not offered

@@ -11,7 +11,6 @@ from calmlab.netsim import (
     run_schedule,
 )
 from calmlab.relspace import Database, canonical_json, db_to_obj, parse_facts
-from calmlab.values import Address
 from calmlab.verdicts import (
     OUTCOME_CONFLUENT,
     OUTCOME_DIVERGENT,
@@ -52,7 +51,7 @@ def test_gc_divergent_with_garbage_o4_witness(programs):
 
 def test_single_machine_any_program_trivially_confluent(programs, fixtures):
     fixture = fixtures[("gc", "fig2.facts")]
-    part = colocated(fixture, machine_addresses(3), Address("m1"))
+    part = colocated(fixture, machine_addresses(3))
     v = check_confluence(programs["gc"], fixture, part, mode="exhaustive")
     assert v.outcome == OUTCOME_CONFLUENT
 
